@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -148,11 +149,7 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
             raise ConfigError(key, str(exc)) from exc
 
     kwargs = {}
-    known = {
-        "kind", "statistics", "dispersion", "mass", "c", "table", "dimension",
-        "beta", "mu", "lambda", "interval", "sizes", "h", "extent", "samples",
-        "seed", "tolerance", "quad_tol", "out",
-    }
+    known = set(CONFIG_KEYS)
     for key in raw:
         if key not in known:
             raise ConfigError(key, "unknown configuration key")
@@ -435,6 +432,7 @@ def _run_kac(cfg, state, disp):
         return {
             "ell": ell,
             "ks_distance": res.ks_distance,
+            "ks_box": res.ks_box,
             "lambda_v": res.lambda_v,
             "sample_mean": res.sample_mean,
             "sample_variance": res.sample_variance,
@@ -450,7 +448,9 @@ def _run_kac(cfg, state, disp):
         "target_scale": a - rho_c,
         "variance_ratios": ratios,
         "variance_stable": stable,
-        "passed": stable and rows[-1]["ks_distance"] <= cfg.tolerance,
+        # the limiting-law distance carries the box's O(1/ell) location
+        # offset, so the pass rule reads the distance at the box location
+        "passed": stable and rows[-1]["ks_box"] <= cfg.tolerance,
     }
     return rows, summary
 
@@ -510,13 +510,24 @@ def _jsonify(obj):
     return obj
 
 
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    """Write text to path via a unique temp file in the same directory."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        os.fchmod(fd, 0o666 & ~_UMASK)  # mkstemp's 0600 would outlive the rename
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _csv_cell(value):

@@ -345,6 +345,27 @@ def test_criterion_12_kac_distribution(kac_results, kac_density):
     )
 
 
+def test_criterion_12_kac_evidence_at_larger_boxes(kac_results, kac_density):
+    # sampled evidence beside criterion 12: the limiting-law distance falls
+    # with the box side while the shape at the box location stays Kac's
+    a = kac_density
+    rho_c = oracle.BE_RHOC_D3
+    c = oracle.box_normal_deficit(1.0, mass=1.0)
+    results = {16.0: kac_results[16.0]}
+    for i, ell in enumerate((24.0, 32.0), start=2):
+        lat = ModeLattice.build(BE1_D3, D3, ell)
+        results[ell] = kac_test(lat, a, 10_000, seed=np.random.SeedSequence([SEED, i]))
+    ks_lim = [res.ks_distance for res in results.values()]
+    ks_shape = [ks_to_kac(res.samples, rho_c - c / ell, a) for ell, res in results.items()]
+    falling = all(later < earlier for earlier, later in zip(ks_lim, ks_lim[1:]))
+    check(
+        12, "sampled Kac evidence at ell = 16, 24, 32",
+        falling and max(ks_shape) < 0.05,
+        f"KS to the limiting law {[round(k, 4) for k in ks_lim]} (strictly decreasing: "
+        f"{falling}); KS at rho_c - C/ell {[round(k, 4) for k in ks_shape]} (< 0.05)",
+    )
+
+
 def test_criterion_13_determinism():
     gf_cfg = ExperimentConfig(
         kind="gf", statistics=FD, dispersion="nonrelativistic", mass=0.5,

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ldgas.errors import ConfigError
 from ldgas.harness import (
     ExperimentConfig,
     ExperimentRecord,
+    _atomic_write,
     config_from_mapping,
     emit,
     load_config,
@@ -165,6 +168,50 @@ class TestEmission:
             "L,log_prob_rate,target_f,gap,chebyshev_bound,bound_satisfied"
         )
         assert record.summary["bounds_hold"]
+
+
+    def test_concurrent_atomic_writes(self, tmp_path):
+        path = str(tmp_path / "shared.json")
+        payloads = {f"writer {t} call {i}\n" * 200 for t in range(8) for i in range(25)}
+        errors = []
+
+        def writer(t):
+            try:
+                for i in range(25):
+                    _atomic_write(path, f"writer {t} call {i}\n" * 200)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        with open(path) as fh:
+            assert fh.read() in payloads
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+class TestKacPassRule:
+    def test_passes_at_box_location(self):
+        cfg = ExperimentConfig(
+            kind="kac", statistics=BE, dispersion="nonrelativistic", mass=1.0,
+            dimension=3, beta=1.0, mu=-1.0, sizes=(12.0, 16.0), samples=10_000,
+            tolerance=0.05, seed=3,
+        )
+        record = run_experiment(cfg)
+        last = record.results[-1]
+        # the limiting-law distance carries the O(1/ell) location offset
+        assert last["ks_distance"] > 0.05
+        assert last["ks_box"] <= 0.05
+        assert record.passed
 
 
 class TestThreading:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ldgas import modes
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import DomainError, ResourceError
 from ldgas.modes import (
@@ -229,6 +230,31 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_NV(be_lat10, 1.5, 10, seed=0)
 
+    @pytest.mark.parametrize("case", ["be6", "be10", "fd40"])
+    def test_exact_in_law(self, case, fd_lat40):
+        # KS from the sampled N to the exact shell-convolution law, below
+        # the 1% Kolmogorov critical value 1.63 / sqrt(n)
+        if case == "fd40":
+            lat, lam = fd_lat40, 0.3
+        else:
+            lat = ModeLattice.build(BE1, D3, 6.0 if case == "be6" else 10.0)
+            lam = solve_lambda_V(lat, 2.0 * critical_density(1.0, D3))
+        n = 10_000
+        counts = np.rint(sample_NV(lat, lam, n, seed=17) * lat.volume).astype(np.int64)
+        cdf = np.cumsum(box_pmf(lat, lam=lam))
+        assert counts.max() < cdf.size
+        ecdf = np.cumsum(np.bincount(counts, minlength=cdf.size)) / n
+        assert float(np.max(np.abs(ecdf - cdf))) < 1.63 / math.sqrt(n)
+
+    @pytest.mark.parametrize("statistics", [FD, BE])
+    def test_prefix_stable(self, statistics, fd_lat40, be_lat10, monkeypatch):
+        lat, lam = (fd_lat40, 0.3) if statistics == FD else (be_lat10, 0.5)
+        short = sample_NV(lat, lam, 100, seed=31)
+        # the long call spans several row chunks: the stream is read in order
+        monkeypatch.setattr(modes, "_SAMPLE_ROWS", 64)
+        long = sample_NV(lat, lam, 300, seed=31)
+        assert np.array_equal(long[:100], short)
+
 
 class TestKac:
     def test_domain_errors(self, fd_lat40, be_lat10):
@@ -293,4 +319,5 @@ def test_exports(tmp_path, fd_lat40):
     res.summary_to_json(js_path)
     payload = json.loads(js_path.read_text())
     assert payload["ks_distance"] == res.ks_distance
+    assert payload["ks_box"] == res.ks_box
     assert payload["n_samples"] == 200
