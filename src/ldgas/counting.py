@@ -1,9 +1,10 @@
 """Counting statistics of particles in an interval of the infinite gas.
 
 The number of particles in [0, L] is governed by the compression of the
-occupation operator to the interval.  Discretizing on the kernel grid
-(Nystrom, uniform weights h) gives a dense symmetric matrix whose
-eigenvalues kappa_i determine everything:
+occupation operator to the interval.  A Gauss-Legendre Nystrom
+discretization (Bornemann, Math. Comp. 79, 2010: exponentially convergent
+for analytic kernels, certified here by node doubling) gives a dense
+symmetric matrix whose eigenvalues kappa_i determine everything:
 
   * the generating function  <zeta^N> = prod (1 + (zeta-1) kappa_i)^{-sigma},
   * the exact law of N as an independent sum of Bernoulli(kappa_i) (FD)
@@ -22,8 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
 from .errors import AccuracyError, DomainError
+from .export import write_table
 from .kernel import KernelTable
 from .thermo import BE, FD, translated_pressure
 
@@ -41,7 +44,11 @@ __all__ = [
     "chebyshev_bound",
 ]
 
-_SPECTRUM_TOL_FACTOR = 1e-8   # discretization-noise allowance, times ||K||
+_SPECTRUM_TOL_FACTOR = 1e-8     # discretization-noise allowance, times ||K||
+_DISCRETIZATION_BUDGET = 1e-10  # node-doubling eigenvalue estimate allowed, times ||K||
+_NODE_MARGIN = 24               # Gauss-Legendre nodes beyond the band-limit count
+_MAX_NODES = 4096               # largest doubled-node check rule (a 134 MB matrix)
+_SYMBOL_FLOOR = 1e-20           # symbol magnitude below which wavevectors are dropped
 # tail mass stays well under the 1e-14 budget; the headroom keeps the
 # zeta-transform identity sharp, since dropped mass is amplified by zeta^n
 _PMF_TAIL = 1e-17
@@ -50,13 +57,19 @@ _FACTOR_TAIL = 1e-21
 
 @dataclass(frozen=True)
 class CountingMatrix:
-    """Nystrom discretization of the interval-compressed occupation operator."""
+    """Nystrom discretization of the interval-compressed occupation operator.
+
+    ``nodes`` is the number of Gauss-Legendre nodes (the matrix order) and
+    ``discretization_error`` the node-doubling estimate of the largest
+    eigenvalue error.
+    """
 
     kernel: KernelTable
     length: float
-    h: float
+    nodes: int
     matrix: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
+    discretization_error: float
 
     @property
     def statistics(self) -> int:
@@ -88,42 +101,107 @@ class CountingMatrix:
 
     def spectrum_to_csv(self, path) -> None:
         """Write the sorted eigenvalues, one per row."""
-        with open(path, "w") as fh:
-            fh.write("# counting-matrix spectrum: index, kappa\n")
-            for i, kappa in enumerate(self.eigenvalues):
-                fh.write(f"{i},{float(kappa)!r}\n")
+        write_table(path, ["# counting-matrix spectrum: index, kappa"], enumerate(self.eigenvalues))
 
 
-def build_counting_matrix(kernel: KernelTable, length: float, h: float | None = None) -> CountingMatrix:
-    """Assemble K[i, j] = h d((i - j) h) on [0, L] and diagonalize it.
+def _cosine_series(kernel: KernelTable, dk: float) -> np.ndarray:
+    """Coefficients of the table's own Fourier series d(x) = sum_j c_j cos(j dk x).
 
-    Requires the kernel grid to subdivide h, L to be a multiple of h, and
-    L within the kernel extent (the kernel has decayed at range L).  The
-    eigenvalues must respect the continuum spectrum containment up to
-    1e-8 ||K||; a violation raises ``AccuracyError`` advising a smaller h.
+    The FFT table has period 2 X (X the extent), so dk = pi / X with
+    c_0 = symbol(0) / 2X and c_j = symbol(j dk) / X; the series is cut
+    where the symbol drops below ``_SYMBOL_FLOOR``.
+    """
+    nyquist = kernel.x.size // 2
+    k = dk * np.arange(min(math.ceil(_symbol_cutoff(kernel.symbol) / dk), nyquist - 1) + 1)
+    sym = kernel.symbol(k)
+    if abs(sym[-1]) >= _SYMBOL_FLOOR:
+        raise AccuracyError(
+            "the kernel grid does not resolve the symbol; use a smaller h",
+            estimate=float(abs(sym[-1])),
+        )
+    c = sym[: np.flatnonzero(np.abs(sym) >= _SYMBOL_FLOOR)[-1] + 1] / kernel.extent
+    c[0] *= 0.5
+    return c
+
+
+def _nystrom(dk, c, x, w, sign):
+    """K[i, j] = sqrt(w_i w_j) d(x_i - x_j) on the given nodes, and its spectrum.
+
+    With a one-signed symbol, K = sign * B B^T where row i of B holds
+    sqrt(w_i |c_j|) e^{i j dk x_i} as interleaved (cos, sin) pairs.  The
+    phases come from angle addition over two levels of j, one complex
+    exponential per block instead of one per entry.
+    """
+    step = math.isqrt(c.size) + 1
+    low = np.exp(1j * dk * np.outer(x, np.arange(step)))
+    high = np.exp(1j * dk * step * np.outer(x, np.arange(-(-c.size // step))))
+    phases = (high[:, :, None] * low[:, None, :]).reshape(x.size, -1)[:, : c.size]
+    b = (phases * (np.sqrt(w)[:, None] * np.sqrt(np.abs(c)))).view(float)
+    K = b @ b.T
+    K *= sign
+    return K, np.linalg.eigvalsh(K)
+
+
+def _spectral_distance(coarse, fine, sign):
+    """Largest gap between two one-signed spectra sorted outward from zero.
+
+    The shorter spectrum is padded with zeros, the limit of its missing
+    eigenvalues.
+    """
+    a = np.sort(sign * coarse)[::-1]
+    b = np.sort(sign * fine)[::-1]
+    return float(max(np.max(np.abs(a - b[: a.size])), np.max(np.abs(b[a.size:]), initial=0.0)))
+
+
+def build_counting_matrix(kernel: KernelTable, length: float) -> CountingMatrix:
+    """Gauss-Legendre Nystrom matrix of the occupation operator on [0, L], diagonalized.
+
+    The kernel comes from the table's own cosine series, so it is exact at
+    any node offset; L must lie within the kernel extent, which keeps the
+    series' 2X period alias-free.  The node count m starts at the band
+    limit, ceil(L k_max / pi) plus ``_NODE_MARGIN``, with k_max where the
+    symbol drops below 1e-20.  Doubling the nodes, as the same rule on each
+    half of the interval, must move no sorted eigenvalue by more than
+    ``_DISCRETIZATION_BUDGET`` ||K||; otherwise m doubles while the 2m-node
+    check fits in ``_MAX_NODES``, past which ``AccuracyError`` carries the
+    last estimate.  The eigenvalues must also respect the continuum
+    spectrum containment up to 1e-8 ||K||.
     """
     if kernel.dimension != 1:
         raise DomainError("counting matrices are built at desk scale, d = 1 only")
-    h = kernel.h if h is None else h
-    stride = h / kernel.h
-    if abs(stride - round(stride)) > 1e-9:
-        raise DomainError("h must be an integer multiple of the kernel grid spacing")
-    stride = int(round(stride))
-    n = length / h
-    if abs(n - round(n)) > 1e-9:
-        raise DomainError("h must divide the interval length")
-    n = int(round(n))
-    if n < 1:
-        raise DomainError("interval shorter than one grid cell")
+    if not length > 0:
+        raise DomainError("interval length must be positive")
     if length > kernel.extent:
         raise DomainError("interval exceeds the kernel extent guard")
 
-    idx = np.arange(n)
-    offsets = np.abs(idx[:, None] - idx[None, :]) * stride
-    K = h * kernel.at_offsets(offsets)
-    eig = np.linalg.eigvalsh(K)
+    sign = 1.0 if kernel.state.sigma == FD else -1.0
+    dk = math.pi / kernel.extent
+    c = _cosine_series(kernel, dk)
+    nodes = math.ceil(length * dk * (c.size - 1) / math.pi) + _NODE_MARGIN
+    error = math.inf
+    while 2 * nodes <= _MAX_NODES:
+        t, w = roots_legendre(nodes)
+        # nodes centred on the interval (d depends on offsets only)
+        x, w = 0.5 * length * t, 0.5 * length * w
+        K, eig = _nystrom(dk, c, x, w, sign)
+        halves = np.concatenate([0.5 * x - 0.25 * length, 0.5 * x + 0.25 * length])
+        fine = _nystrom(dk, c, halves, np.concatenate([0.5 * w, 0.5 * w]), sign)[1]
+        error = _spectral_distance(eig, fine, sign)
+        budget = _DISCRETIZATION_BUDGET * float(np.max(np.abs(eig)))
+        if error <= budget:
+            break
+        nodes *= 2
+    else:
+        raise AccuracyError(
+            f"Nystrom eigenvalues not certified within {_MAX_NODES} nodes "
+            f"(node-doubling estimate {error:.2e}, budget {_DISCRETIZATION_BUDGET:.0e} ||K||)",
+            estimate=error,
+        )
 
-    m = CountingMatrix(kernel=kernel, length=float(length), h=float(h), matrix=K, eigenvalues=eig)
+    m = CountingMatrix(
+        kernel=kernel, length=float(length), nodes=nodes, matrix=K, eigenvalues=eig,
+        discretization_error=error,
+    )
     tol = _SPECTRUM_TOL_FACTOR * m.norm
     edge = m.spectral_bound
     if m.statistics == FD:
@@ -133,7 +211,7 @@ def build_counting_matrix(kernel: KernelTable, length: float, h: float | None = 
     if not ok:
         raise AccuracyError(
             "eigenvalues violate the continuum spectrum containment; "
-            "use a smaller grid spacing h"
+            "check the kernel table's grid spacing and extent"
         )
     return m
 
@@ -188,19 +266,18 @@ def trace_moments(m: CountingMatrix, m_max: int) -> list[MomentComparison]:
     for order in range(1, m_max + 1):
         emp = float(np.sum(m.eigenvalues ** order)) / m.volume
         tgt = (1.0 / math.pi) * quad(
-            lambda k: sym(k) ** order, 0.0, _symbol_cutoff(m), limit=400
+            lambda k: sym(k) ** order, 0.0, _symbol_cutoff(sym), limit=400
         )[0]
         gap = abs(emp - tgt) / max(abs(tgt), 1e-300)
         out.append(MomentComparison(order, emp, tgt, gap))
     return out
 
 
-def _symbol_cutoff(m: CountingMatrix) -> float:
-    """k beyond which the symbol is negligible for moment quadrature."""
-    sym = m.kernel.symbol
+def _symbol_cutoff(sym) -> float:
+    """Power-of-two k beyond which the symbol is below ``_SYMBOL_FLOOR``."""
     k = 1.0
     for _ in range(60):
-        if abs(sym(k)) < 1e-20:
+        if abs(sym(k)) < _SYMBOL_FLOOR:
             return k
         k *= 2.0
     return k
@@ -229,10 +306,7 @@ class CountingDistribution:
 
     def to_csv(self, path) -> None:
         """Write (n, P(N = n)) rows."""
-        with open(path, "w") as fh:
-            fh.write("# particle-number law: n, probability\n")
-            for n, p in enumerate(self.pmf):
-                fh.write(f"{n},{float(p)!r}\n")
+        write_table(path, ["# particle-number law: n, probability"], enumerate(self.pmf))
 
 
 def _clamped_probabilities(m: CountingMatrix) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -26,6 +25,7 @@ import numpy as np
 from . import counting, kernel, modes, rate, thermo
 from .dispersion import DispersionRelation
 from .errors import ConfigError
+from .export import atomic_write as _atomic_write, write_table
 from .thermo import BE, FD, ThermoState
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "run_experiment", "emit", "parse_config"]
@@ -45,7 +45,7 @@ CONFIG_KEYS = {
     "lambda": "tilt for gf experiments",
     "interval": "a, b density window for rate / ldp / modes",
     "sizes": "strictly increasing sweep of interval lengths / box sides / extents",
-    "h": "grid spacing",
+    "h": "kernel-table grid spacing (gf / ldp / clt / kernel)",
     "extent": "kernel extent override",
     "samples": "sample count for kac",
     "seed": "integer RNG seed",
@@ -510,38 +510,6 @@ def _jsonify(obj):
     return obj
 
 
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
-
-def _atomic_write(path, text):
-    """Write text to path via a unique temp file in the same directory."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        os.fchmod(fd, 0o666 & ~_UMASK)  # mkstemp's 0600 would outlive the rename
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit(record: ExperimentRecord, out_dir, formats=("json",)) -> list:
     """Write the record as CSV and/or JSON; returns the written paths.
 
@@ -554,13 +522,9 @@ def emit(record: ExperimentRecord, out_dir, formats=("json",)) -> list:
     written = []
     if "csv" in formats or "both" in formats:
         columns = list(record.results[0].keys()) if record.results else []
-        lines = [f"# {kind} experiment record"]
-        lines.append("# columns: " + ",".join(columns))
-        lines.append(",".join(columns))
-        for row in record.results:
-            lines.append(",".join(_csv_cell(row.get(c)) for c in columns))
+        header = [f"# {kind} experiment record", "# columns: " + ",".join(columns), ",".join(columns)]
         path = os.path.join(out_dir, f"{kind}.csv")
-        _atomic_write(path, "\n".join(lines) + "\n")
+        write_table(path, header, ([row.get(c) for c in columns] for row in record.results))
         written.append(path)
     if "json" in formats or "both" in formats:
         payload = _jsonify({

@@ -23,6 +23,7 @@ from scipy.integrate import quad
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
+from .export import write_table
 from .thermo import FD, ThermoState, _occ_from_w
 
 __all__ = ["KernelTable", "symbol", "build_kernel", "decay_exponent", "default_extent"]
@@ -79,10 +80,7 @@ class KernelTable:
 
     def to_csv(self, path) -> None:
         """Write (x, d(x)) rows for plotting."""
-        with open(path, "w") as fh:
-            fh.write("# kernel table: x, d(x)\n")
-            for xi, vi in zip(self.x, self.values):
-                fh.write(f"{float(xi)!r},{float(vi)!r}\n")
+        write_table(path, ["# kernel table: x, d(x)"], zip(self.x, self.values))
 
 
 def default_extent(state: ThermoState, disp: DispersionRelation, lengths: float = 40.0) -> float:

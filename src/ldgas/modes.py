@@ -14,6 +14,7 @@ with the limiting shifted exponential.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ from scipy.stats import binom as _binom, nbinom as _nbinom
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError, ResourceError
+from .export import atomic_write, write_table
 from .thermo import BE, FD, ThermoState, critical_density, _occ_from_w, _log_weight_from_w, _surface_area
 
 __all__ = [
@@ -335,18 +337,12 @@ def sample_NV(
 
 def samples_to_csv(samples: np.ndarray, path) -> None:
     """Write one sampled density per row."""
-    with open(path, "w") as fh:
-        fh.write("# sampled box densities N/ell^d\n")
-        for x in samples:
-            fh.write(f"{float(x)!r}\n")
+    write_table(path, ["# sampled box densities N/ell^d"], ((x,) for x in samples))
 
 
 def pmf_to_csv(pmf: np.ndarray, path) -> None:
     """Write (n, P(N = n)) rows for a box particle-number law."""
-    with open(path, "w") as fh:
-        fh.write("# box particle-number law: n, probability\n")
-        for n, p in enumerate(pmf):
-            fh.write(f"{n},{float(p)!r}\n")
+    write_table(path, ["# box particle-number law: n, probability"], enumerate(pmf))
 
 
 @dataclass(frozen=True)
@@ -375,8 +371,6 @@ class KacResult:
 
     def summary_to_json(self, path) -> None:
         """Write the scalar summary (everything but the sample tables)."""
-        import json
-
         payload = {
             "ks_distance": self.ks_distance,
             "ks_box": self.ks_box,
@@ -388,9 +382,7 @@ class KacResult:
             "box_normal_density": self.box_normal_density,
             "n_samples": int(self.samples.size),
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def kac_test(lat: ModeLattice, a: float, samples: int, seed: int | None = None) -> KacResult:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ldgas import counting
 from ldgas.counting import (
     CountingMatrix,
     build_counting_matrix,
@@ -16,7 +17,7 @@ from ldgas.counting import (
     trace_moments,
 )
 from ldgas.dispersion import DispersionRelation
-from ldgas.errors import DomainError
+from ldgas.errors import AccuracyError, DomainError
 from ldgas.kernel import build_kernel
 from ldgas.rate import RateContext, minimizer
 from ldgas.thermo import BE, FD, ThermoState, density, translated_pressure
@@ -52,16 +53,18 @@ def synthetic_matrix(kernel, eigenvalues):
     """Matrix object with a prescribed spectrum (factor-level unit tests)."""
     eig = np.asarray(eigenvalues, dtype=float)
     return CountingMatrix(
-        kernel=kernel, length=1.0, h=1.0, matrix=np.diag(eig), eigenvalues=eig
+        kernel=kernel, length=1.0, nodes=eig.size, matrix=np.diag(eig), eigenvalues=eig,
+        discretization_error=0.0,
     )
 
 
 class TestBuild:
     def test_single_point_interval(self, fd_kernel):
+        # a short interval is the rank-one limit: one eigenvalue L d(0)
         m = build_counting_matrix(fd_kernel, 0.05)
         d0 = fd_kernel.at_offsets(np.array([0]))[0]
-        assert m.matrix.shape == (1, 1)
-        assert m.eigenvalues[0] == pytest.approx(0.05 * d0)
+        assert np.trace(m.matrix) == pytest.approx(0.05 * d0, rel=1e-14)
+        assert m.eigenvalues.max() == pytest.approx(0.05 * d0, rel=1e-3)
 
     def test_trace_identity_exact(self, fd_m40):
         # |I|^{-1} tr K = d(0) by construction
@@ -83,20 +86,60 @@ class TestBuild:
             assert m.eigenvalues.min() >= lower - tol
             assert m.eigenvalues.max() <= tol
 
-    def test_h_must_divide_length(self, fd_kernel):
-        with pytest.raises(DomainError):
-            build_counting_matrix(fd_kernel, 10.013)
+    def test_any_positive_length_builds(self, fd_kernel):
+        for bad in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                build_counting_matrix(fd_kernel, bad)
+        assert build_counting_matrix(fd_kernel, 10.013).volume == 10.013
 
     def test_length_within_extent(self, fd_kernel):
         with pytest.raises(DomainError):
             build_counting_matrix(fd_kernel, 400.0)
 
-    def test_coarser_h_allowed(self, fd_kernel):
-        m = build_counting_matrix(fd_kernel, 10.0, h=0.1)
-        assert m.matrix.shape == (100, 100)
+    def test_nodes_grow_and_are_certified(self, fd_kernel):
+        nodes = []
+        for L in (10.0, 20.0, 40.0, 80.0):
+            m = build_counting_matrix(fd_kernel, L)
+            assert m.matrix.shape == (m.nodes, m.nodes)
+            assert m.discretization_error <= 1e-10 * m.norm
+            nodes.append(m.nodes)
+        assert nodes == sorted(set(nodes))
+
+    def test_doubles_nodes_until_certified(self, fd_kernel):
+        # at L = 160 the band-limit rule misses the budget; doubling meets it
+        m = build_counting_matrix(fd_kernel, 160.0)
+        assert m.discretization_error <= 1e-10 * m.norm
+        assert m.nodes > 2 * build_counting_matrix(fd_kernel, 80.0).nodes
+
+    def test_budget_miss_raises(self, fd_kernel, monkeypatch):
+        monkeypatch.setattr(counting, "_DISCRETIZATION_BUDGET", 0.0)
+        monkeypatch.setattr(counting, "_MAX_NODES", 200)
+        with pytest.raises(AccuracyError) as err:
+            build_counting_matrix(fd_kernel, 10.0)
+        assert err.value.estimate > 0.0
+
+    def test_unresolved_symbol_raises(self):
+        coarse = build_kernel(FD0, D1, h=0.5, extent=160.0)
+        with pytest.raises(AccuracyError, match="smaller h"):
+            build_counting_matrix(coarse, 10.0)
 
 
 class TestGeneratingFunction:
+    @pytest.mark.parametrize("statistics", ["FD", "BE"])
+    def test_against_uniform_nystrom_oracle(self, fd_kernel, be_kernel, statistics):
+        # eps = k^2, beta = 1: FD at mu = 0, BE at mu = -1 (symbol -1/(e^{k^2+1} - 1))
+        if statistics == "FD":
+            kernel, sign = fd_kernel, 1.0
+            sym = lambda k: np.exp(-k * k) / (1.0 + np.exp(-k * k))
+        else:
+            kernel, sign = be_kernel, -1.0
+            sym = lambda k: -np.exp(-k * k - 1.0) / (1.0 - np.exp(-k * k - 1.0))
+        for L in (10.0, 20.0):
+            m = build_counting_matrix(kernel, L)
+            for lam in (-0.5, 0.5):
+                want = sign * oracle.uniform_nystrom_log_det(sym, L, lam)
+                assert abs(log_generating_function(m, lam) - want) < 1e-10
+
     def test_zero_tilt(self, fd_m40):
         assert log_generating_function(fd_m40, 0.0) == 0.0
 

@@ -246,8 +246,8 @@ class TestCli:
         assert main(["eos", "--config", cfg]) == 2
 
     def test_internal_error_exit_three(self, tmp_path):
-        # interval length not divisible by h -> domain error inside the sweep
-        body = GF_CFG.replace("sizes = 10, 20, 40", "sizes = 10.013, 20")
+        # interval longer than the kernel extent -> domain error inside the sweep
+        body = GF_CFG.replace("sizes = 10, 20, 40", "extent = 30\n    sizes = 10, 40")
         cfg = write_cfg(tmp_path, body)
         assert main(["gf", "--config", cfg, "--out", str(tmp_path)]) == 3
 
@@ -273,7 +273,7 @@ class TestCli:
         assert payload["config"]["seed"] == 2
 
     def test_failure_marker_persisted(self, tmp_path):
-        body = GF_CFG.replace("sizes = 10, 20, 40", "sizes = 10.013, 20")
+        body = GF_CFG.replace("sizes = 10, 20, 40", "extent = 30\n    sizes = 10, 40")
         cfg = write_cfg(tmp_path, body)
         main(["gf", "--config", cfg, "--out", str(tmp_path)])
         payload = json.load(open(tmp_path / "gf.json"))
