@@ -2,9 +2,9 @@
 
 Equation of state and translated pressure (``thermo``), the Legendre-dual
 rate function (``rate``), position-space occupation kernels (``kernel``),
-determinantal counting statistics in an interval (``counting``), finite
-periodic boxes with exact mode laws and sampling (``modes``), and an
-experiment harness with a CLI (``harness``, ``cli``).
+determinantal counting statistics in an interval (``counting``), periodic
+boxes with mode sampling (``modes``), their shared independent-factor law
+(``factors``), and an experiment harness with a CLI (``harness``, ``cli``).
 """
 
 from .dispersion import DispersionRelation

@@ -8,7 +8,7 @@ symmetric matrix whose eigenvalues kappa_i determine everything:
 
   * the generating function  <zeta^N> = prod (1 + (zeta-1) kappa_i)^{-sigma},
   * the exact law of N as an independent sum of Bernoulli(kappa_i) (FD)
-    or geometric factors with q_i = |kappa_i| / (1 + |kappa_i|) (BE),
+    or geometric factors of mean |kappa_i| (BE), computed by ``factors``,
   * exponential tilts, cumulants and large-deviation probabilities.
 
 Desk scale fixes d = 1: the dense eigensolve is the cost ceiling.
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from scipy.special import roots_legendre
 
 from .errors import AccuracyError, DomainError
 from .export import write_table
+from .factors import FactorLaw, window_log_prob
 from .kernel import KernelTable
 from .thermo import BE, FD, translated_pressure
 
@@ -49,10 +51,6 @@ _DISCRETIZATION_BUDGET = 1e-10  # node-doubling eigenvalue estimate allowed, tim
 _NODE_MARGIN = 24               # Gauss-Legendre nodes beyond the band-limit count
 _MAX_NODES = 4096               # largest doubled-node check rule (a 134 MB matrix)
 _SYMBOL_FLOOR = 1e-20           # symbol magnitude below which wavevectors are dropped
-# tail mass stays well under the 1e-14 budget; the headroom keeps the
-# zeta-transform identity sharp, since dropped mass is amplified by zeta^n
-_PMF_TAIL = 1e-17
-_FACTOR_TAIL = 1e-21
 
 
 @dataclass(frozen=True)
@@ -98,6 +96,22 @@ class CountingMatrix:
     @property
     def norm(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
+
+    @cached_property
+    def law(self) -> FactorLaw:
+        """Factor law of the eigenvalues: occupations -sigma kappa_i, multiplicity 1.
+
+        The occupations must respect the continuum spectrum containment,
+        [0, |spectral_bound|] up to 1e-8 ||K||; otherwise ``AccuracyError``.
+        """
+        tol = _SPECTRUM_TOL_FACTOR * self.norm
+        n = -self.statistics * self.eigenvalues
+        if n.min() < -tol or n.max() > abs(self.spectral_bound) + tol:
+            raise AccuracyError(
+                "eigenvalues violate the continuum spectrum containment; "
+                "check the kernel table's grid spacing and extent"
+            )
+        return FactorLaw(n, np.ones(n.size, dtype=np.int64), self.statistics)
 
     def spectrum_to_csv(self, path) -> None:
         """Write the sorted eigenvalues, one per row."""
@@ -165,7 +179,7 @@ def build_counting_matrix(kernel: KernelTable, length: float) -> CountingMatrix:
     ``_DISCRETIZATION_BUDGET`` ||K||; otherwise m doubles while the 2m-node
     check fits in ``_MAX_NODES``, past which ``AccuracyError`` carries the
     last estimate.  The eigenvalues must also respect the continuum
-    spectrum containment up to 1e-8 ||K||.
+    spectrum containment (``CountingMatrix.law``).
     """
     if kernel.dimension != 1:
         raise DomainError("counting matrices are built at desk scale, d = 1 only")
@@ -202,17 +216,7 @@ def build_counting_matrix(kernel: KernelTable, length: float) -> CountingMatrix:
         kernel=kernel, length=float(length), nodes=nodes, matrix=K, eigenvalues=eig,
         discretization_error=error,
     )
-    tol = _SPECTRUM_TOL_FACTOR * m.norm
-    edge = m.spectral_bound
-    if m.statistics == FD:
-        ok = (eig.min() >= -tol) and (eig.max() <= edge + tol)
-    else:
-        ok = (eig.min() >= edge - tol) and (eig.max() <= tol)
-    if not ok:
-        raise AccuracyError(
-            "eigenvalues violate the continuum spectrum containment; "
-            "check the kernel table's grid spacing and extent"
-        )
+    m.law  # checks the spectrum containment
     return m
 
 
@@ -238,12 +242,9 @@ def log_generating_function(m: CountingMatrix, lam: float) -> float:
 
     BE tilts at or beyond ``lambda_max`` return the ``inf`` sentinel.
     """
-    zt = math.expm1(m.beta * lam)
     if m.statistics == BE and lam >= lambda_max(m):
         return math.inf
-    terms = np.log1p(zt * m.eigenvalues)
-    total = float(np.sum(terms))
-    return (-m.statistics) * total / m.volume
+    return m.law.log_pgf(math.expm1(m.beta * lam)) / m.volume
 
 
 class MomentComparison(NamedTuple):
@@ -287,8 +288,8 @@ def _symbol_cutoff(sym) -> float:
 class CountingDistribution:
     """Exact law of the interval particle number.
 
-    ``pmf[n]`` is P(N = n) for n = 0..len-1 (FD support is the matrix
-    rank; BE support is truncated at tail mass ``tail_mass`` < 1e-14).
+    ``pmf[n]`` is P(N = n) for n = 0..len-1 (FD support is full; BE
+    support is truncated at tail mass ``tail_mass`` <= 1e-14).
     Cumulants come from the per-factor closed forms, not from the pmf.
     """
 
@@ -309,73 +310,18 @@ class CountingDistribution:
         write_table(path, ["# particle-number law: n, probability"], enumerate(self.pmf))
 
 
-def _clamped_probabilities(m: CountingMatrix) -> np.ndarray:
-    """Bernoulli parameters from FD eigenvalues, clamped within noise."""
-    tol = _SPECTRUM_TOL_FACTOR * m.norm
-    kap = m.eigenvalues.copy()
-    bad = (kap < -tol) | (kap > 1.0 + tol)
-    if np.any(bad):
-        raise AccuracyError("FD eigenvalue outside [0, 1] beyond noise tolerance")
-    return np.clip(kap, 0.0, 1.0)
-
-
-def _geometric_parameters(m: CountingMatrix) -> np.ndarray:
-    """q_i = |kappa_i| / (1 + |kappa_i|) from BE eigenvalues."""
-    tol = _SPECTRUM_TOL_FACTOR * m.norm
-    kap = m.eigenvalues.copy()
-    if np.any(kap > tol) or np.any(kap < m.spectral_bound - tol):
-        raise AccuracyError("BE eigenvalue outside the spectral interval beyond noise")
-    kap = np.minimum(kap, 0.0)
-    return -kap / (1.0 - kap)
-
-
-def _convolve_truncated(pmf, factor):
-    out = np.convolve(pmf, factor)
-    # drop a negligible far tail to keep BE supports finite
-    tail = np.cumsum(out[::-1])[::-1]
-    cut = np.searchsorted(-tail, -_PMF_TAIL)  # first index with tail < _PMF_TAIL
-    return out[: max(cut, 1)], float(tail[cut]) if cut < out.size else 0.0
-
-
 def counting_pmf(m: CountingMatrix) -> CountingDistribution:
     """Exact pmf of N by sequential convolution of per-eigenvalue factors."""
-    beta = m.beta
-    if m.statistics == FD:
-        probs = _clamped_probabilities(m)
-        pmf = np.array([1.0])
-        for p in probs:
-            if p == 0.0:
-                continue
-            pmf = np.convolve(pmf, [1.0 - p, p])
-        tail = 0.0
-        k1 = float(np.sum(probs))
-        k2 = float(np.sum(probs * (1 - probs)))
-        k3 = float(np.sum(probs * (1 - probs) * (1 - 2 * probs)))
-        k4 = float(np.sum(probs * (1 - probs) * (1 - 6 * probs * (1 - probs))))
-    else:
-        qs = _geometric_parameters(m)
-        pmf = np.array([1.0])
-        tail = 0.0
-        for q in qs:
-            if q < _FACTOR_TAIL:
-                continue
-            support = int(math.ceil(math.log(_FACTOR_TAIL) / math.log(q))) + 1
-            factor = (1.0 - q) * q ** np.arange(support)
-            pmf, dropped = _convolve_truncated(pmf, factor)
-            tail += dropped
-        u = qs / (1.0 - qs)  # per-factor mean
-        k1 = float(np.sum(u))
-        k2 = float(np.sum(u + u ** 2))
-        k3 = float(np.sum(u + 3 * u ** 2 + 2 * u ** 3))
-        k4 = float(np.sum((1 + 6 * u + 6 * u ** 2) * (u + u ** 2)))
+    pmf, tail = m.law.pmf()
+    k = m.law.cumulants()
     return CountingDistribution(
         pmf=pmf,
-        mean=k1,
-        variance=k2,
-        cumulants=(k1, k2, k3, k4),
+        mean=k[0],
+        variance=k[1],
+        cumulants=k,
         tail_mass=tail,
         volume=m.volume,
-        beta=beta,
+        beta=m.beta,
     )
 
 
@@ -385,24 +331,10 @@ def ldp_log_prob(
     b: float,
     dist: CountingDistribution | None = None,
 ) -> float:
-    """(beta |I|)^{-1} log P(N in |I| [a, b]) from the exact pmf.
-
-    Returns ``-inf`` when no integer lies in the window (or the mass is
-    entirely in the truncated tail).
-    """
-    if a > b:
-        raise DomainError("interval requires a <= b")
+    """(beta |I|)^{-1} log P(N in |I| [a, b]) from the exact pmf (``factors.window_log_prob``)."""
     if dist is None:
         dist = counting_pmf(m)
-    vol = dist.volume
-    lo = max(0, int(math.ceil(a * vol - 1e-9)))
-    hi = int(math.floor(b * vol + 1e-9))
-    if hi < lo:
-        return -math.inf
-    mass = float(np.sum(dist.pmf[lo : hi + 1]))
-    if mass <= 0.0:
-        return -math.inf
-    return math.log(mass) / (dist.beta * vol)
+    return window_log_prob(dist.pmf, dist.volume, dist.beta, a, b)
 
 
 class CltReport(NamedTuple):
@@ -419,10 +351,8 @@ def cumulants_clt(m: CountingMatrix, dist: CountingDistribution | None = None) -
     compressibility beta^{-1} d rho / d mu; higher orders vanish in the
     limit.
     """
-    if dist is None:
-        dist = counting_pmf(m)
-    vol = dist.volume
-    _, k2, k3, k4 = dist.cumulants
+    _, k2, k3, k4 = m.law.cumulants() if dist is None else dist.cumulants
+    vol = m.volume
     target = translated_pressure(0.0, m.kernel.state, m.kernel.disp, order=2) / m.beta
     return CltReport(
         values=(0.0, k2 / vol, k3 / vol ** 1.5, k4 / vol ** 2),
@@ -433,23 +363,11 @@ def cumulants_clt(m: CountingMatrix, dist: CountingDistribution | None = None) -
 def tilted_moments(m: CountingMatrix, lam: float) -> tuple[float, float]:
     """Mean density and beta * variance / |I| under the exponential tilt.
 
-    The tilt maps Bernoulli parameters to zeta kappa / (1 + (zeta-1) kappa)
-    and geometric parameters to zeta q; their targets are rho(mu + lam)
-    and (d rho / d mu)(mu + lam).
+    The targets are rho(mu + lam) and (d rho / d mu)(mu + lam).
     """
     if m.statistics == BE and lam >= lambda_max(m):
         raise DomainError("tilt at or beyond lambda_max")
-    zeta = math.exp(m.beta * lam)
-    zt = zeta - 1.0
-    if m.statistics == FD:
-        p = _clamped_probabilities(m)
-        pt = zeta * p / (1.0 + zt * p)
-        mean = float(np.sum(pt))
-        var = float(np.sum(pt * (1.0 - pt)))
-    else:
-        q = _geometric_parameters(m) * zeta
-        mean = float(np.sum(q / (1.0 - q)))
-        var = float(np.sum(q / (1.0 - q) ** 2))
+    mean, var = m.law.tilted(math.exp(m.beta * lam)).cumulants()[:2]
     return mean / m.volume, m.beta * var / m.volume
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from . import counting, kernel, modes, rate, thermo
 from .dispersion import DispersionRelation
 from .errors import ConfigError
-from .export import atomic_write as _atomic_write, write_table
+from .export import atomic_write, write_table
+from .factors import window_log_prob
 from .thermo import BE, FD, ThermoState
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "run_experiment", "emit", "parse_config"]
@@ -239,11 +240,13 @@ def _sweep(fn, sizes):
         return list(pool.map(lambda args: fn(*args), enumerate(sizes)))
 
 
-def _gap_ratios(gaps):
-    return [
-        (gaps[i + 1] / gaps[i]) if gaps[i] > 0 else None
-        for i in range(len(gaps) - 1)
-    ]
+def _gap_summary(rows):
+    """Successive gap ratios of a sweep and whether its gaps shrink strictly."""
+    gaps = [r["gap"] for r in rows]
+    return {
+        "ratios": [(b / a) if a > 0 else None for a, b in zip(gaps, gaps[1:])],
+        "monotone": all(b < a for a, b in zip(gaps, gaps[1:])),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +325,8 @@ def _run_gf(cfg, state, disp):
                 "gap": abs(value - target) / abs(target)}
 
     rows = _sweep(one, cfg.sizes)
-    gaps = [r["gap"] for r in rows]
-    ratios = _gap_ratios(gaps)
-    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-    summary = {
-        "ratios": ratios,
-        "monotone": monotone,
-        "passed": monotone and gaps[-1] <= cfg.tolerance,
-    }
+    summary = _gap_summary(rows)
+    summary["passed"] = summary["monotone"] and rows[-1]["gap"] <= cfg.tolerance
     return rows, summary
 
 
@@ -341,8 +338,7 @@ def _run_ldp(cfg, state, disp):
 
     def one(i, length):
         m = counting.build_counting_matrix(tab, length)
-        dist = counting.counting_pmf(m)
-        value = counting.ldp_log_prob(m, a, b, dist)
+        value = counting.ldp_log_prob(m, a, b)
         bound = counting.chebyshev_bound(m, a)
         return {
             "L": length,
@@ -354,12 +350,7 @@ def _run_ldp(cfg, state, disp):
         }
 
     rows = _sweep(one, cfg.sizes)
-    gaps = [r["gap"] for r in rows]
-    summary = {
-        "ratios": _gap_ratios(gaps),
-        "monotone": all(b < a for a, b in zip(gaps, gaps[1:])),
-        "bounds_hold": all(r["bound_satisfied"] for r in rows),
-    }
+    summary = dict(_gap_summary(rows), bounds_hold=all(r["bound_satisfied"] for r in rows))
     summary["passed"] = summary["monotone"] and summary["bounds_hold"]
     return rows, summary
 
@@ -404,13 +395,7 @@ def _run_modes(cfg, state, disp):
         }
         row["gap"] = abs(row["box_pressure"] - target) / abs(target)
         if cfg.interval is not None:
-            pmf = modes.box_pmf(lat)
-            vol = lat.volume
-            a, b = cfg.interval
-            lo = max(0, int(math.ceil(a * vol - 1e-9)))
-            hi = int(math.floor(b * vol + 1e-9))
-            mass = float(np.sum(pmf[lo:hi + 1])) if hi >= lo else 0.0
-            row["ldp_rate"] = math.log(mass) / (cfg.beta * vol) if mass > 0 else -math.inf
+            row["ldp_rate"] = window_log_prob(modes.box_pmf(lat), lat.volume, cfg.beta, *cfg.interval)
             row["target_f"] = target_f
         return row
 
@@ -527,14 +512,8 @@ def emit(record: ExperimentRecord, out_dir, formats=("json",)) -> list:
         write_table(path, header, ([row.get(c) for c in columns] for row in record.results))
         written.append(path)
     if "json" in formats or "both" in formats:
-        payload = _jsonify({
-            "config": record.config,
-            "results": record.results,
-            "summary": record.summary,
-            "failure": record.failure,
-            "timings": record.timings,
-        })
+        payload = dict(record.numeric_payload(), timings=_jsonify(record.timings))
         path = os.path.join(out_dir, f"{kind}.json")
-        _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         written.append(path)
     return written

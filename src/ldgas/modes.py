@@ -1,11 +1,12 @@
 """Finite periodic box: mode occupations, exact particle-number law, sampling.
 
 The dual lattice of an ell-sided periodic box is (2 pi Z / ell)^d.  Each
-mode is occupied independently: Bernoulli for FD, geometric for BE, so the
-total particle number is an exact convolution and can also be sampled
-shell by shell.  Modes are grouped by energy shells (isotropic dispersion),
-truncated where the mean occupation falls below a floor, with the
-discarded mass certified against an integral bound.
+mode is occupied independently: Bernoulli for FD, geometric for BE, so a
+shell of r modes is one binomial or negative-binomial factor of the
+``factors`` law (exact pmf, generating function, mean), and the particle
+number can also be sampled shell by shell.  Modes are grouped by energy
+shells (isotropic dispersion), truncated where the mean occupation falls
+below a floor, with the discarded mass certified against an integral bound.
 
 The condensation experiment tunes the chemical potential so the box holds
 a target density above the critical one and compares the law of N/ell^d
@@ -21,11 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.stats import binom as _binom, nbinom as _nbinom
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError, ResourceError
 from .export import atomic_write, write_table
+from .factors import FactorLaw
 from .thermo import BE, FD, ThermoState, critical_density, _occ_from_w, _log_weight_from_w, _surface_area
 
 __all__ = [
@@ -42,9 +43,6 @@ __all__ = [
 
 _OCC_FLOOR = 1e-12
 _TAIL_BUDGET = 1e-9          # discarded mass, relative to retained
-# kept well under the 1e-14 budget so the generating-function identity
-# survives the zeta^n amplification of any dropped mass
-_PMF_TAIL = 1e-17
 _MODE_BUDGET = 100_000
 _SAMPLE_ROWS = 512          # replicas per drawn block of shells
 
@@ -202,62 +200,32 @@ def box_pressure(lat: ModeLattice) -> float:
     return float(np.sum(lat.multiplicities * terms)) / (st.beta * lat.volume)
 
 
+def _law(lat: ModeLattice, lam: float = 0.0) -> FactorLaw:
+    """The shells as factors: occupations at mu + lam, multiplicities the shell counts."""
+    return FactorLaw(lat.occupations(lam), lat.multiplicities, lat.state.sigma)
+
+
 def box_log_pgf(lat: ModeLattice, zeta: float) -> float:
     """log <zeta^{N}> as a mode sum (the product route to the same object)."""
-    st = lat.state
-    t = np.exp(-st.beta * (lat.energies - st.mu))
-    if st.sigma == FD:
-        terms = np.log1p(zeta * t) - np.log1p(t)
-    else:
-        if np.any(zeta * t >= 1.0):
-            return math.inf
-        terms = -(np.log1p(-zeta * t) - np.log1p(-t))
-    return float(np.sum(lat.multiplicities * terms))
+    return _law(lat).log_pgf(zeta - 1.0)
 
 
 def mean_density(lat: ModeLattice, lam: float = 0.0) -> float:
     """Mean particle density of the box at chemical potential mu + lam."""
-    occ = lat.occupations(lam)
-    return float(np.sum(lat.multiplicities * occ)) / lat.volume
+    return _law(lat, lam).mean() / lat.volume
 
 
-def box_pmf(lat: ModeLattice, n_max: int | None = None, lam: float = 0.0) -> np.ndarray:
+def box_pmf(lat: ModeLattice, lam: float = 0.0) -> np.ndarray:
     """Exact pmf of the box particle number by shell-wise convolution.
 
-    Shells convolve as binomial (FD) or negative-binomial (BE) blocks;
-    the truncated tail mass stays below 1e-14.  Raises ``ResourceError``
-    above 100000 retained modes (sample instead).
+    Shells convolve as binomial (FD, full support) or negative-binomial
+    (BE) blocks; the truncated BE tail mass stays within 1e-14, else
+    ``AccuracyError``.  Raises ``ResourceError`` above 100000 retained
+    modes (sample instead).
     """
     if lat.mode_count > _MODE_BUDGET:
         raise ResourceError("too many modes for exact convolution; use sampling")
-    lat._check_tilt(lam)
-    st = lat.state
-    t = np.exp(-st.beta * (lat.energies - (st.mu + lam)))
-    pmf = np.array([1.0])
-    for ti, mult in zip(t, lat.multiplicities):
-        if st.sigma == FD:
-            p = ti / (1.0 + ti)
-            if p < 1e-18:
-                continue
-            block = _binom.pmf(np.arange(mult + 1), int(mult), p)
-        else:
-            q = ti
-            if q < 1e-18:
-                continue
-            r = int(mult)
-            mean = r * q / (1.0 - q)
-            std = math.sqrt(r * q) / (1.0 - q)
-            hi = int(mean + 10.0 * std) + 20
-            while _nbinom.sf(hi, r, 1.0 - q) > 1e-18:
-                hi *= 2
-            block = _nbinom.pmf(np.arange(hi + 1), r, 1.0 - q)
-        pmf = np.convolve(pmf, block)
-        tail = np.cumsum(pmf[::-1])[::-1]
-        cut = int(np.searchsorted(-tail, -_PMF_TAIL))
-        pmf = pmf[: max(cut, 1)]
-        if n_max is not None and pmf.size > n_max + 1:
-            pmf = pmf[: n_max + 1]
-    return pmf
+    return _law(lat, lam).pmf()[0]
 
 
 def solve_lambda_V(lat: ModeLattice, a: float, tol: float = 1e-10) -> float:

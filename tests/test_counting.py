@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldgas import counting
+from ldgas import counting, factors
 from ldgas.counting import (
     CountingMatrix,
     build_counting_matrix,
@@ -247,6 +247,14 @@ class TestPmf:
         zeta = math.exp(be_m20.beta * lam)
         via_det = math.exp(be_m20.volume * log_generating_function(be_m20, lam))
         assert dist.pgf(zeta) == pytest.approx(via_det, rel=1e-10)
+
+    def test_tail_budget_miss_raises(self, fd_m40, be_m20, monkeypatch):
+        monkeypatch.setattr(factors, "_PMF_BUDGET", 0.0)
+        with pytest.raises(AccuracyError) as err:
+            counting_pmf(be_m20)
+        assert err.value.estimate > 0.0
+        # FD keeps its full support: nothing is dropped, so nothing can miss
+        assert counting_pmf(fd_m40).tail_mass == 0.0
 
     def test_variance_identity(self, be_m20):
         dist = counting_pmf(be_m20)

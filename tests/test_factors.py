@@ -1,0 +1,82 @@
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.stats import binom, nbinom  # independent oracle; the package uses scipy.special
+
+import ldgas
+from ldgas import factors
+from ldgas.factors import FactorLaw
+from ldgas.thermo import BE, FD
+
+
+def random_law(sigma, seed=5, size=12):
+    rng = np.random.default_rng(seed)
+    n = rng.uniform(0.02, 0.95, size) if sigma == FD else rng.uniform(0.02, 3.0, size)
+    return FactorLaw(n, rng.integers(1, 7, size), sigma)
+
+
+def expanded(law):
+    """The same law with every factor repeated r times at multiplicity 1."""
+    n = np.repeat(law.occupations, law.multiplicities)
+    return FactorLaw(n, np.ones(n.size, dtype=np.int64), law.sigma)
+
+
+@pytest.mark.parametrize("sigma", [FD, BE], ids=["FD", "BE"])
+class TestMultiplicity:
+    def test_pmf(self, sigma):
+        law = random_law(sigma)
+        (a, tail_a), (b, tail_b) = law.pmf(), expanded(law).pmf()
+        size = max(a.size, b.size)
+        a, b = np.pad(a, (0, size - a.size)), np.pad(b, (0, size - b.size))
+        assert np.max(np.abs(a - b)) < 1e-13
+        assert tail_a < 1e-14 and tail_b < 1e-14
+
+    def test_log_pgf_and_cumulants(self, sigma):
+        law = random_law(sigma)
+        for zt in (-0.5, -0.1, 0.2):
+            assert law.log_pgf(zt) == pytest.approx(expanded(law).log_pgf(zt), rel=1e-13)
+        for got, want in zip(law.cumulants(), expanded(law).cumulants()):
+            assert got == pytest.approx(want, rel=1e-13)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("r", [1, 2, 7, 40, 300])
+    @pytest.mark.parametrize("n", [1e-6, 0.01, 0.3, 0.9])
+    def test_binomial_against_scipy(self, n, r):
+        block, dropped = factors._block(n, r, FD)
+        assert len(block) == r + 1 and dropped == 0.0
+        assert np.max(np.abs(np.asarray(block) - binom.pmf(np.arange(r + 1), r, n))) < 1e-13
+
+    @pytest.mark.parametrize("r", [1, 2, 7, 40, 300])
+    @pytest.mark.parametrize("n", [1e-6, 0.05, 0.6, 3.0, 40.0])
+    def test_negative_binomial_against_scipy(self, n, r):
+        block, dropped = factors._block(n, r, BE)
+        p = 1.0 / (1.0 + n)
+        k = np.arange(block.size)
+        assert np.max(np.abs(block - nbinom.pmf(k, r, p))) < 1e-13
+        # the reported bound covers the mass past the block, and is below the floor
+        assert nbinom.sf(k[-1], r, p) <= dropped * (1.0 + 1e-9)
+        assert dropped <= factors._FACTOR_TAIL
+
+    def test_negligible_factor_is_dropped(self):
+        block, dropped = factors._block(1e-23, 3, BE)
+        assert block is None and dropped == pytest.approx(3e-23)
+
+
+def test_fd_keeps_full_support():
+    law = FactorLaw(np.array([0.3, 1e-3, 0.5]), np.array([2, 3, 1]), FD)
+    pmf, tail = law.pmf()
+    assert pmf.size == 7 and tail == 0.0
+    assert pmf[-1] == pytest.approx(0.3 ** 2 * 1e-9 * 0.5, rel=1e-12)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(ldgas.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ldgas; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env, timeout=120)
+    assert out.stdout.strip() == "False"

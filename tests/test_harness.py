@@ -10,10 +10,10 @@ import pytest
 
 from ldgas.cli import main
 from ldgas.errors import ConfigError
+from ldgas.export import atomic_write
 from ldgas.harness import (
     ExperimentConfig,
     ExperimentRecord,
-    _atomic_write,
     config_from_mapping,
     emit,
     load_config,
@@ -178,7 +178,7 @@ class TestEmission:
         def writer(t):
             try:
                 for i in range(25):
-                    _atomic_write(path, f"writer {t} call {i}\n" * 200)
+                    atomic_write(path, f"writer {t} call {i}\n" * 200)
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 

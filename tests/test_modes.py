@@ -6,6 +6,7 @@ import pytest
 from ldgas import modes
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import DomainError, ResourceError
+from ldgas.factors import FactorLaw
 from ldgas.modes import (
     ModeLattice,
     box_log_pgf,
@@ -116,6 +117,13 @@ class TestBoxPmf:
         for zeta in (0.7, 1.1):
             lhs = math.log(float(np.sum(pmf * zeta ** np.arange(pmf.size))))
             assert lhs == pytest.approx(box_log_pgf(be_lat10, zeta), rel=1e-10)
+
+    def test_be_tail_budget(self):
+        lat = ModeLattice.build(BE1, D3, 16.0)
+        pmf, tail = FactorLaw(lat.occupations(), lat.multiplicities, BE).pmf()
+        assert np.array_equal(pmf, box_pmf(lat))
+        assert abs(1.0 - pmf.sum()) < 1e-14
+        assert 0.0 < tail < 1e-14
 
     def test_mode_budget(self):
         lat = ModeLattice.build(BE1, D3, 26.0)
