@@ -19,6 +19,7 @@ from .thermo import (
     equation_of_state,
     occupation,
     pressure,
+    pressure_derivatives,
     translated_pressure,
 )
 from .rate import RateContext, RatePoint, interval_rate, minimizer, rate_value

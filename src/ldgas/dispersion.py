@@ -84,9 +84,10 @@ class DispersionRelation:
             raise DomainError("mass and c must be positive")
 
         def eps(k, m=mass, c=c):
-            k = np.asarray(k, dtype=float)
-            # hypot form avoids cancellation for small k
-            return np.hypot(m * c * c, k * c) - m * c * c
+            kc = np.asarray(k, dtype=float) * c
+            # sqrt(a^2 + b^2) - a = b^2 / (sqrt(a^2 + b^2) + a): no cancellation at
+            # small k, and b (b / (...)) cannot overflow at large k
+            return kc * (kc / (np.hypot(m * c * c, kc) + m * c * c))
 
         # eps(k) ~ c k - m c^2 for large k; eps >= sqrt(k) once
         # c k - m c^2 >= sqrt(k); solve conservatively via doubling.

@@ -90,10 +90,10 @@ def _block(n: float, r: int, sigma: int):
     """pmf of one factor (``None`` for a point mass at 0) and a bound on the mass it drops.
 
     FD: Binomial(r, n), full support.  BE: NegativeBinomial(r, q = n / (1 + n)), whose
-    ratio rho(k) = pmf(k + 1) / pmf(k) = q (k + r) / (k + 1) falls with k: from the first
-    k0 with rho(k0) <= (1 + q) / 2, the mass from k on is below pmf(k0) rho(k0)^(k - k0)
-    / (1 - rho(k0)), and the block ends where that drops below ``_FACTOR_TAIL`` (for
-    r = 1 the exact tail q^k).  Blocks with r > 1 come from log-gammas, rescaled to sum 1.
+    ratio rho(k) = pmf(k + 1) / pmf(k) = q (k + r) / (k + 1) falls with k: once rho(k) < 1
+    the mass beyond k is below pmf(k) rho(k) / (1 - rho(k)), a bound that falls with k too,
+    and the block ends at the first k where it meets ``_FACTOR_TAIL`` (a bisection search;
+    for r = 1 the exact tail q^k).  Blocks with r > 1 come from log-gammas, rescaled to sum 1.
     """
     if n == 0.0:
         return None, 0.0
@@ -108,16 +108,24 @@ def _block(n: float, r: int, sigma: int):
         if off_zero < _FACTOR_TAIL:
             return None, off_zero
         q = n / (1.0 + n)
-        if r == 1:  # k0 = 0, rho = q
+        if r == 1:  # rho = q
             end = math.ceil(math.log(_FACTOR_TAIL) / math.log(q))
             return (1.0 - q) * q ** np.arange(end + 1), q ** (end + 1)
         log_q, log_p0 = math.log(q), -r * math.log1p(n)
         log_nb = lambda k: gammaln(k + r) - gammaln(r) - gammaln(k + 1.0) + log_p0 + k * log_q
-        k0 = max(0, math.ceil((2.0 * q * r - 1.0 - q) / (1.0 - q)))
-        rho = q * (k0 + r) / (k0 + 1)
-        steps = (math.log(_FACTOR_TAIL) + math.log1p(-rho) - log_nb(k0)) / math.log(rho)
-        end = k0 + max(0, math.ceil(steps))
-        dropped = math.exp(log_nb(k0) + (end + 1 - k0) * math.log(rho)) / (1.0 - rho)
+        rho = lambda k: q * (k + r) / (k + 1)
+        log_bound = lambda k: float(log_nb(k)) + math.log(rho(k)) - math.log1p(-rho(k))
+        k0 = max(0, math.floor((q * r - 1.0) / (1.0 - q)) + 1)
+        while rho(k0) >= 1.0:  # rounding at the boundary
+            k0 += 1
+        target = math.log(_FACTOR_TAIL)
+        lo, end = k0 - 1, k0  # the bound misses at lo (or lo < k0) and is tested at end
+        while log_bound(end) > target:
+            lo, end = end, k0 + 2 * (end - k0) + 1
+        while end - lo > 1:
+            mid = (lo + end) // 2
+            lo, end = (mid, end) if log_bound(mid) > target else (lo, mid)
+        dropped = math.exp(log_bound(end))
         log_pmf = log_nb(np.arange(end + 1))
     block = np.exp(log_pmf)
     return block / block.sum(), dropped  # log-gamma rounding, not the tail, moves the sum off 1

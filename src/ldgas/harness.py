@@ -357,10 +357,11 @@ def _run_ldp(cfg, state, disp):
 
 def _run_clt(cfg, state, disp):
     tab = _shared_kernel(cfg, state, disp, max(cfg.sizes))
+    target = thermo.translated_pressure(0.0, state, disp, order=2, tol=cfg.quad_tol) / cfg.beta
 
     def one(i, length):
         m = counting.build_counting_matrix(tab, length)
-        report = counting.cumulants_clt(m)
+        report = counting.cumulants_clt(m, variance_target=target)
         c1, c2, c3, c4 = report.values
         return {
             "L": length,

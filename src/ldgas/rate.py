@@ -9,6 +9,12 @@ with the minimizer lam_o determined by g'(lam_o) = x for densities between
 0 and the critical density, and pinned at -mu above it (Bose condensation
 turns f into an affine segment with slope mu there).  f <= 0 with maximum
 0 at the mean density.
+
+``minimizer`` brackets the root with ladders of tilts (doubling to the
+left, doubling or halving toward -mu to the right), each rung batch one
+array call of ``thermo.pressure_derivatives``, then runs Newton's method
+on log g'(lam) = log x with g'' from the same quadrature pass, falling back
+to bisection whenever a step would leave the bracket.
 """
 
 from __future__ import annotations
@@ -16,31 +22,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+import numpy as np
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
 from .thermo import (
+    BE,
     FD,
     ThermoState,
     critical_density,
     density,
     pressure,
+    pressure_derivatives,
     translated_pressure,
 )
 
 __all__ = ["RateContext", "RatePoint", "minimizer", "rate_value", "interval_rate"]
 
 _BRACKET_LIMIT_POW = 40  # expanding search stops at lam = -2^40 / beta
+_RUNGS = 8               # ladder rungs in the first array call; the rest follow in one more
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
 class RateContext:
     """Frozen inputs for rate-function evaluations.
 
-    rho_bar is the mean density g'(0); rho_c may be ``inf``;
-    lambda_upper is the right edge of the domain of g (inf for FD, -mu
-    for BE).
+    rho_bar is the mean density g'(0) and p_mu the pressure p(mu), both
+    computed once; rho_c may be ``inf``; lambda_upper is the right edge of
+    the domain of g (inf for FD, -mu for BE).
     """
 
     state: ThermoState
@@ -48,6 +58,7 @@ class RateContext:
     rho_bar: float
     rho_c: float
     lambda_upper: float
+    p_mu: float
     tol: float = 1e-10
 
     @classmethod
@@ -58,10 +69,21 @@ class RateContext:
             raise DomainError("mean density must lie below the critical density")
         lam_up = math.inf if state.sigma == FD else -state.mu
         return cls(state=state, disp=disp, rho_bar=rho_bar, rho_c=rho_c,
-                   lambda_upper=lam_up, tol=tol)
+                   lambda_upper=lam_up, p_mu=pressure(state, disp, tol), tol=tol)
+
+    def derivatives(self, lam, orders):
+        """Rows of g^(n)(lam) for n in ``orders`` (1 or 2) at an array of tilts."""
+        st = self.state
+        return pressure_derivatives(st.mu + np.asarray(lam, dtype=float), st.beta, st.sigma,
+                                    self.disp, orders, self.tol)
 
     def g(self, lam: float) -> float:
-        return translated_pressure(lam, self.state, self.disp, order=0, tol=self.tol)
+        """g(lam) = p(mu + lam) - p(mu); inf beyond the BE domain."""
+        st = self.state
+        if st.sigma == BE and st.mu + lam > 0:
+            return math.inf
+        return float(pressure_derivatives(st.mu + lam, st.beta, st.sigma, self.disp, (0,),
+                                          self.tol)[0]) - self.p_mu
 
     def gprime(self, lam: float) -> float:
         return translated_pressure(lam, self.state, self.disp, order=1, tol=self.tol)
@@ -79,11 +101,27 @@ class RatePoint:
     f: float
 
 
+def _first_rung(ctx: RateContext, rungs, hit, failure: str):
+    """First tilt of ``rungs`` whose g' satisfies ``hit``, with that g'.
+
+    The first ``_RUNGS`` rungs go in one array call, the rest in one more.
+    """
+    for chunk in (rungs[:_RUNGS], rungs[_RUNGS:]):
+        if chunk.size:
+            gp = ctx.derivatives(chunk, (1,))[0]
+            found = np.flatnonzero(hit(gp))
+            if found.size:
+                return float(chunk[found[0]]), float(gp[found[0]])
+    raise AccuracyError(failure)
+
+
 def minimizer(x: float, ctx: RateContext, tol: float = 1e-10) -> float:
     """Tilt lam_o minimizing g(lam) - lam x.
 
     -inf for x <= 0; the unique root of g'(lam) = x for 0 < x < rho_c
     (residual below tol * max(x, rho_bar)); -mu for x >= rho_c (BE).
+    The root comes from bracket-safeguarded Newton steps, taken until a
+    step falls below 1e-13 / beta.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -93,44 +131,47 @@ def minimizer(x: float, ctx: RateContext, tol: float = 1e-10) -> float:
         return -ctx.state.mu
 
     beta = ctx.state.beta
-    gp = ctx.gprime
-
-    # left bracket end: double from -1/beta until g' drops below x
-    left = -1.0 / beta
-    while gp(left) > x:
-        left *= 2.0
-        if -left > 2.0 ** _BRACKET_LIMIT_POW / beta:
-            raise AccuracyError("no bracket: g' stays above x down to the search limit")
-
-    # right bracket end
+    doubling = 2.0 ** np.arange(_BRACKET_LIMIT_POW + 1) / beta
+    lo, g_lo = _first_rung(ctx, -doubling, lambda gp: gp <= x,
+                           "no bracket: g' stays above x down to the search limit")
     if x <= ctx.rho_bar:
-        right = 0.0
+        hi, g_hi = 0.0, ctx.rho_bar
     elif ctx.state.sigma == FD:
-        right = 1.0 / beta
-        while gp(right) < x:
-            right *= 2.0
-            if right > 2.0 ** _BRACKET_LIMIT_POW / beta:
-                raise AccuracyError("no bracket: g' stays below x up to the search limit")
+        hi, g_hi = _first_rung(ctx, doubling, lambda gp: gp >= x,
+                               "no bracket: g' stays below x up to the search limit")
     else:
         # approach -mu from below; g' -> rho_c > x guarantees success
-        gap = ctx.lambda_upper - left
-        right = ctx.lambda_upper - 0.5 * gap
-        for _ in range(200):
-            if gp(right) >= x:
-                break
-            right = ctx.lambda_upper - 0.5 * (ctx.lambda_upper - right)
-        else:
-            raise AccuracyError("no bracket below the BE domain edge")
+        edge = ctx.lambda_upper
+        hi, g_hi = _first_rung(ctx, edge - (edge - lo) * 0.5 ** np.arange(1, 201),
+                               lambda gp: gp >= x, "no bracket below the BE domain edge")
+    if g_lo == x or hi == lo:
+        return lo
+    if g_hi == x:
+        return hi
 
-    if right == left:
-        return right
-    root = brentq(lambda lam: gp(lam) - x, left, right, xtol=1e-13, rtol=9e-16, maxiter=300)
-    residual = abs(gp(root) - x)
-    if residual > tol * max(x, ctx.rho_bar):
-        raise AccuracyError(
-            f"minimizer residual {residual:.3e} above tolerance", estimate=residual
-        )
-    return root
+    # start where log g' interpolates linearly between the bracket ends
+    lam = lo + (hi - lo) * math.log(x / g_lo) / math.log(g_hi / g_lo) if g_lo > 0 else 0.5 * (lo + hi)
+    if not lo < lam < hi:
+        lam = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        gp, gpp = ctx.derivatives(lam, (1, 2))
+        residual = abs(gp - x)
+        if gp == x:
+            return lam
+        if gp > x:
+            hi = lam
+        else:
+            lo = lam
+        step = math.log(gp / x) * gp / gpp if gp > 0 and gpp > 0 else math.inf
+        nxt = lam - step
+        if abs(step) <= 1e-13 / beta + 4e-16 * abs(lam) or hi - lo <= 1e-13 / beta:
+            if residual > tol * max(x, ctx.rho_bar):
+                raise AccuracyError(
+                    f"minimizer residual {residual:.3e} above tolerance", estimate=residual
+                )
+            return nxt if lo <= nxt <= hi else lam
+        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    raise AccuracyError("Newton iteration did not converge", estimate=residual)
 
 
 def rate_value(x: float, ctx: RateContext, tol: float = 1e-10) -> RatePoint:
@@ -143,11 +184,10 @@ def rate_value(x: float, ctx: RateContext, tol: float = 1e-10) -> RatePoint:
         return RatePoint(x=x, lam0=-math.inf, f=-math.inf)
     if x == 0:
         # lim_{lam -> -inf} g(lam) = -p(mu), and lam * x = 0 on this ray
-        return RatePoint(x=x, lam0=-math.inf, f=-pressure(ctx.state, ctx.disp, ctx.tol))
+        return RatePoint(x=x, lam0=-math.inf, f=-ctx.p_mu)
     if x >= ctx.rho_c:
-        g_edge = translated_pressure(ctx.lambda_upper, ctx.state, ctx.disp, order=0, tol=tol)
         mu = ctx.state.mu
-        return RatePoint(x=x, lam0=-mu, f=g_edge + mu * x)
+        return RatePoint(x=x, lam0=-mu, f=ctx.g(ctx.lambda_upper) + mu * x)
     lam0 = minimizer(x, ctx, tol)
     f = ctx.g(lam0) - lam0 * x
     return RatePoint(x=x, lam0=lam0, f=f)

@@ -1,9 +1,21 @@
 """Grand-canonical equation of state for ideal Bose and Fermi gases.
 
 Pressure, density, critical density and the translated pressure
-``g(lam) = p(mu + lam) - p(mu)`` with its first two derivatives, all by
-adaptive radial quadrature of isotropic integrands.  Statistics are encoded
-by ``sigma``: +1 for Bose-Einstein (BE), -1 for Fermi-Dirac (FD).
+``g(lam) = p(mu + lam) - p(mu)`` with its first two derivatives, all from
+one radial-quadrature engine.  Statistics are encoded by ``sigma``: +1 for
+Bose-Einstein (BE), -1 for Fermi-Dirac (FD).
+
+The engine is composite Gauss-Legendre on the panels [0, k1], [k1, 8 k1]
+and doubling panels beyond, k1 being the thermal wavevector (beta eps = 1);
+for BE the first panel runs in k = t^2.  Panels are added until the
+integrand's share falls below 1e-16.  Each panel is certified by node
+doubling, 24 against 48 nodes, against its share of ``tol``, and bisected
+while it misses that share; past 400 leaves per mu the miss raises
+``AccuracyError`` carrying the estimate.  Nodes, energies and k1 are cached
+per (beta, dispersion), and w = beta (eps - mu) is formed once per node,
+so p, rho and d rho / d mu come out of one pass for a scalar or an array
+of mu (``pressure_derivatives``).  Each mu's result depends on that mu
+alone: an array call equals the scalar calls bit for bit.
 
 Conventions: hbar = 1, no unit conversions.  Infinite answers that are
 semantically meaningful (critical density in low dimension, the translated
@@ -13,14 +25,15 @@ raised as errors.
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad  # noqa: F401  unused: perfbench's tracer counts calls through this name
 from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
+from scipy.special import roots_legendre
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
@@ -36,12 +49,18 @@ __all__ = [
     "equation_of_state",
     "critical_density",
     "translated_pressure",
+    "pressure_derivatives",
 ]
 
 BE = +1
 FD = -1
 
 _TRUNCATION_RATIO = 1e-16  # stop extending the domain below this integrand share
+_NODES = 24                # lower rule per panel; the certificate compares it with 2 * _NODES
+_MAX_PANELS = 60           # geometric panels: k up to 2^60 k1
+_MAX_LEAVES = 400          # bisected leaves per mu before the budget counts as missed
+_LEAF_CACHE = 4096         # bisected leaves kept per grid
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -84,53 +103,47 @@ class EosResult:
 
 
 # ---------------------------------------------------------------------------
-# integrands (numerically stable forms; w = beta * (eps - mu))
+# integrands (cancellation-free forms; w = beta * (eps - mu))
 # ---------------------------------------------------------------------------
 
-def _scalar_in(w):
-    arr = np.atleast_1d(np.asarray(w, dtype=float))
-    return arr, np.ndim(w) == 0
-
-
-def _scalar_out(arr, scalar):
-    return float(arr[0]) if scalar else arr
-
-
 def _occ_from_w(w, sigma):
-    """1 / (e^w - sigma), stable for large |w|."""
-    w, scalar = _scalar_in(w)
-    out = np.empty_like(w)
-    pos = w >= 0
-    t = np.exp(-w[pos])
-    with np.errstate(divide="ignore"):
-        out[pos] = t / (1.0 - sigma * t)
-    if np.any(~pos):
+    """1 / (e^w - sigma): BE as 1 / expm1(w), FD through t = e^{-|w|}."""
+    w = np.asarray(w, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
         if sigma == BE:
-            raise DomainError("BE occupation requires eps(k) > mu")
-        out[~pos] = 1.0 / (np.exp(w[~pos]) + 1.0)
-    return _scalar_out(out, scalar)
+            if np.any(w < 0):
+                raise DomainError("BE occupation requires eps(k) > mu")
+            out = 1.0 / np.expm1(w)
+        else:
+            t = np.exp(-np.abs(w))
+            out = np.where(w >= 0, t, 1.0) / (1.0 + t)
+    return out if out.ndim else float(out)
 
 
 def _log_weight_from_w(w, sigma):
-    """-sigma * log(1 - sigma e^{-w}), the pressure integrand factor."""
-    w, scalar = _scalar_in(w)
-    if sigma == FD:
-        out = np.empty_like(w)
-        pos = w >= 0
-        out[pos] = np.log1p(np.exp(-w[pos]))
-        out[~pos] = -w[~pos] + np.log1p(np.exp(w[~pos]))
-        return _scalar_out(out, scalar)
-    if np.any(w < 0):
-        raise DomainError("BE pressure requires eps(k) > mu")
+    """-sigma * log(1 - sigma e^{-w}), the pressure integrand factor.
+
+    BE: -log(-expm1(-w)) below w = log 2, where 1 - e^{-w} would cancel,
+    and -log1p(-e^{-w}) above it, where log(1 - e^{-w}) would.
+    """
+    w = np.asarray(w, dtype=float)
     with np.errstate(divide="ignore"):
-        out = -np.log1p(-np.exp(-w))
-    return _scalar_out(out, scalar)
+        if sigma == BE:
+            if np.any(w < 0):
+                raise DomainError("BE pressure requires eps(k) > mu")
+            out = np.where(w < _LOG2, -np.log(-np.expm1(-w)), -np.log1p(-np.exp(-w)))
+        else:
+            out = np.maximum(-w, 0.0) + np.log1p(np.exp(-np.abs(w)))
+    return out if out.ndim else float(out)
 
 
 def _susceptibility_from_w(w, beta, sigma):
     """beta e^{-w} / (1 - sigma e^{-w})^2 = d(occupation)/d(mu)."""
-    occ = _occ_from_w(w, sigma)
-    return beta * occ * (1.0 + sigma * occ)
+    if sigma == BE:
+        occ = _occ_from_w(w, BE)
+        return beta * occ * (1.0 + occ)
+    t = np.exp(-np.abs(np.asarray(w, dtype=float)))  # FD is even in w
+    return beta * t / (1.0 + t) ** 2
 
 
 def occupation(k, state: ThermoState, disp: DispersionRelation):
@@ -146,7 +159,7 @@ def occupation(k, state: ThermoState, disp: DispersionRelation):
 
 
 # ---------------------------------------------------------------------------
-# adaptive radial quadrature
+# radial quadrature engine
 # ---------------------------------------------------------------------------
 
 def _surface_area(d: int) -> float:
@@ -154,6 +167,7 @@ def _surface_area(d: int) -> float:
     return float(2.0 * math.pi ** (d / 2.0) / gamma_fn(d / 2.0))
 
 
+@functools.lru_cache(maxsize=64)
 def _thermal_wavevector(beta: float, disp: DispersionRelation) -> float:
     """k where beta * eps(k) = 1, locating the thermal scale."""
     f = lambda k: beta * float(disp.evaluate(k)) - 1.0
@@ -172,86 +186,198 @@ def _thermal_wavevector(beta: float, disp: DispersionRelation) -> float:
     return brentq(f, lo, hi, xtol=1e-14, rtol=1e-12)
 
 
-def _radial_quad(radial_f, beta, disp, tol, substitute_origin=False):
-    """Adaptive quadrature of ``int_0^inf k^{d-1} radial_f(k) dk``.
+@functools.lru_cache(maxsize=None)
+def _rules():
+    """Legendre nodes and weights on [-1, 1]: the m-point rule, then the 2m-point rule."""
+    x1, w1 = roots_legendre(_NODES)
+    x2, w2 = roots_legendre(2 * _NODES)
+    return np.concatenate([x1, x2]), np.concatenate([w1, w2])
 
-    Panels split at the thermal wavevector, then extended geometrically until
-    the integrand falls below 1e-16 of the running total.  With
-    ``substitute_origin`` the first panel is integrated in t = sqrt(k),
-    which regularizes the BE occupation divergence for gamma = 2 dispersions
-    near condensation.
+
+class _Grid:
+    """Panels, nodes and energies of one (beta, dispersion, first-panel variable).
+
+    A leaf (a, b, substituted) holds the energies at both rules' nodes and
+    their weights, with the Jacobian k^{d-1} (or 2 t^{2d-1} in k = t^2).
+    Sweep threads share a grid: every cached object is built whole before it
+    is stored, so a racing thread at worst builds it twice.
     """
+
+    def __init__(self, beta: float, disp: DispersionRelation, substitute: bool):
+        self.disp = disp
+        self.k1 = _thermal_wavevector(beta, disp)
+        self.substitute = substitute
+        self.leaves = {}
+        self.stack = ()
+
+    def span(self, j: int):
+        """Panel j: [0, k1] (in t = sqrt(k) when substituted), [k1, 8 k1], then doubling."""
+        if j == 0:
+            return (0.0, math.sqrt(self.k1), True) if self.substitute else (0.0, self.k1, False)
+        if j == 1:
+            return (self.k1, 8.0 * self.k1, False)
+        return (2.0 ** (j + 1) * self.k1, 2.0 ** (j + 2) * self.k1, False)
+
+    def leaf(self, a: float, b: float, substituted: bool):
+        key = (a, b, substituted)
+        hit = self.leaves.get(key)
+        if hit is not None:
+            return hit
+        x, w = _rules()
+        s = 0.5 * (a + b) + 0.5 * (b - a) * x
+        w = 0.5 * (b - a) * w
+        d = self.disp.dimension
+        if substituted:
+            k, w = s * s, 2.0 * w * s ** (2 * d - 1)
+        else:
+            k, w = s, w * s ** (d - 1)
+        leaf = (np.asarray(self.disp.evaluate(k), dtype=float), w)
+        if len(self.leaves) < _LEAF_CACHE:
+            self.leaves[key] = leaf
+        return leaf
+
+    def panels(self, count: int):
+        """(spans, energies, weights, right ends, energies there) of at least ``count`` panels.
+
+        The first panel's end is in t when substituted; the domain rule never reads it.
+        """
+        if len(self.stack) and len(self.stack[0]) >= count:
+            return self.stack
+        spans = [self.span(j) for j in range(count)]
+        leaves = [self.leaf(*span) for span in spans]
+        ends = np.array([b for _, b, _ in spans])
+        self.stack = (spans, np.stack([e for e, _ in leaves]), np.stack([w for _, w in leaves]),
+                      ends, np.asarray(self.disp.evaluate(ends), dtype=float))
+        return self.stack
+
+
+@functools.lru_cache(maxsize=32)
+def _grid(beta: float, disp: DispersionRelation, substitute: bool) -> _Grid:
+    return _Grid(beta, disp, substitute)
+
+
+def _integrands(w, orders, beta, sigma):
+    """The p, rho and d rho / d mu integrand factors at w, one row per entry of ``orders``."""
+    rows = {0: lambda: _log_weight_from_w(w, sigma),
+            1: lambda: _occ_from_w(w, sigma),
+            2: lambda: _susceptibility_from_w(w, beta, sigma)}
+    return np.stack([rows[o]() for o in orders])
+
+
+def _rule_pair(eps, weight, mu, orders, beta, sigma):
+    """(2m-node values, |2m - m| estimates) of the leaves stacked in ``eps``."""
+    fw = _integrands(beta * (eps - mu), orders, beta, sigma) * weight
+    fine = fw[..., _NODES:].sum(axis=-1)
+    with np.errstate(invalid="ignore"):  # inf - inf: caught as non-finite by the caller
+        return fine, np.abs(fine - fw[..., :_NODES].sum(axis=-1))
+
+
+def _refine(grid, span, mu, budget, spent, ids, orders, beta, sigma):
+    """Bisect the leaf ``span`` for the mus ``ids`` until each half meets half the budget."""
+    a, b, substituted = span
+    mid = 0.5 * (a + b)
+    spent[ids] += 2
+    value = error = 0.0
+    for half in ((a, mid, substituted), (mid, b, substituted)):
+        eps, weight = grid.leaf(*half)
+        v, e = _rule_pair(eps, weight, mu[ids, None], orders, beta, sigma)
+        miss = np.any(e > 0.5 * budget, axis=0) & (spent[ids] + 2 <= _MAX_LEAVES)
+        if miss.any():
+            sub = np.flatnonzero(miss)
+            v[:, sub], e[:, sub] = _refine(grid, half, mu, 0.5 * budget[:, sub], spent,
+                                           ids[sub], orders, beta, sigma)
+        value, error = value + v, error + e
+    return value, error
+
+
+def _derivatives(beta, mu, sigma, disp, orders, tol):
+    """(values, errors) of d^n p / d mu^n for n in ``orders``: arrays (len(orders), mu.size).
+
+    ``mu`` is a 1-D array inside the domain (BE: mu <= 0, and mu < 0 for
+    order 2).  Raises ``AccuracyError`` when a budget is missed.
+    """
+    if tol <= 0:
+        raise DomainError("tol must be positive")
     d = disp.dimension
-    weight = lambda k: k ** (d - 1) * radial_f(k)
-    k1 = _thermal_wavevector(beta, disp)
-    epsrel = max(min(tol * 0.1, 1e-8), 1e-13)
-
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        # the error budget is enforced below; QUADPACK's roundoff chatter
-        # near machine precision is redundant
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if substitute_origin:
-            # k = t^2:  int_0^{k1} k^{d-1} f dk = int_0^{sqrt(k1)} 2 t^{2d-1} f(t^2) dt
-            g = lambda t: 2.0 * t ** (2 * d - 1) * radial_f(t * t)
-            v, e = quad(g, 0.0, math.sqrt(k1), epsabs=0.0, epsrel=epsrel, limit=400)
-        else:
-            v, e = quad(weight, 0.0, k1, epsabs=0.0, epsrel=epsrel, limit=400)
-        total += v
-        err += e
-
-        a, b = k1, 8.0 * k1
-        for _ in range(60):
-            v, e = quad(
-                weight, a, b,
-                epsabs=max(1e-300, abs(total)) * epsrel, epsrel=epsrel, limit=400,
-            )
-            total += v
-            err += e
-            if abs(weight(b)) * b < _TRUNCATION_RATIO * max(abs(total), 1e-300):
-                break
-            a, b = b, 2.0 * b
-        else:
+    grid = _grid(beta, disp, sigma == BE)
+    mus = mu[:, None, None]
+    count = 2
+    while True:
+        spans, eps, weight, ends, eps_ends = grid.panels(count)
+        fine, err = _rule_pair(eps, weight, mus, orders, beta, sigma)  # (q, mu, panel)
+        running = np.cumsum(fine, axis=-1)
+        tail = np.abs(_integrands(beta * (eps_ends - mu[:, None]), orders, beta, sigma)) * ends ** d
+        stop = np.all(tail < _TRUNCATION_RATIO * np.maximum(np.abs(running), 1e-300), axis=0)
+        stop[:, 0] = False  # the first panel never ends the domain
+        if stop.any(axis=1).all():
+            break
+        if len(spans) >= _MAX_PANELS:
             raise AccuracyError("radial integrand failed to decay within the search range")
+        count = min(2 * len(spans), _MAX_PANELS)
 
-    scale = max(abs(total), 1e-300)
-    if err > tol * scale:
+    panels = stop.argmax(axis=1) + 1                         # per mu
+    used = np.arange(fine.shape[-1]) < panels[:, None]       # (mu, panel)
+    scale = np.maximum(np.abs(running[:, np.arange(mu.size), panels - 1]), 1e-300)
+    budget = 0.5 * tol * scale / panels                      # per panel, (q, mu)
+    miss = np.any(err > budget[..., None], axis=0) & used
+    spent = np.zeros(mu.size, dtype=int)
+    for j in np.flatnonzero(miss.any(axis=0)):
+        ids = np.flatnonzero(miss[:, j])
+        fine[:, ids, j], err[:, ids, j] = _refine(grid, spans[j], mu, budget[:, ids], spent,
+                                                  ids, orders, beta, sigma)
+
+    total = np.cumsum(fine, axis=-1)[:, np.arange(mu.size), panels - 1]
+    error = np.where(used, err, 0.0).sum(axis=-1)
+    worst = error / np.maximum(np.abs(total), 1e-300)
+    pref = _surface_area(d) / (2.0 * math.pi) ** d
+    pref = np.array([pref / beta if o == 0 else pref for o in orders])[:, None]
+    if not np.all(np.isfinite(total)):
+        raise AccuracyError("radial quadrature produced a non-finite value")
+    if np.any(worst > tol):
+        q, i = np.unravel_index(np.argmax(worst), worst.shape)
         raise AccuracyError(
-            f"quadrature achieved {err / scale:.3e} relative, requested {tol:.3e}",
-            estimate=err,
+            f"quadrature achieved {worst[q, i]:.3e} relative, requested {tol:.3e}",
+            estimate=float(pref[q, 0] * error[q, i]),
         )
-    return total, err
+    return pref * total, pref * error
 
 
-def _pressure_raw(beta, mu, sigma, disp, tol):
-    """Pressure allowing the BE boundary mu = 0 (the mu -> 0- limit)."""
-    if sigma == BE and mu > 0:
-        raise DomainError("BE pressure requires mu <= 0")
-    f = lambda k: _log_weight_from_w(beta * (disp.evaluate(k) - mu), sigma)
-    pref = _surface_area(disp.dimension) / (beta * (2.0 * math.pi) ** disp.dimension)
-    v, e = _radial_quad(f, beta, disp, tol, substitute_origin=(sigma == BE))
-    return pref * v, pref * e
+def pressure_derivatives(mu, beta: float, sigma: int, disp: DispersionRelation,
+                         orders=(0, 1, 2), tol: float = 1e-10) -> np.ndarray:
+    """d^n p / d mu^n at each mu for n in ``orders`` (0: p, 1: rho, 2: d rho / d mu).
 
-
-def _density_raw(beta, mu, sigma, disp, tol):
-    if sigma == BE and mu > 0:
-        raise DomainError("BE density requires mu <= 0")
-    if sigma == BE and mu == 0 and disp.dimension <= disp.gamma:
-        return math.inf, 0.0
-    f = lambda k: _occ_from_w(beta * (disp.evaluate(k) - mu), sigma)
-    pref = _surface_area(disp.dimension) / (2.0 * math.pi) ** disp.dimension
-    v, e = _radial_quad(f, beta, disp, tol, substitute_origin=(sigma == BE))
-    return pref * v, pref * e
-
-
-def _susceptibility_raw(beta, mu, sigma, disp, tol):
-    if sigma == BE and mu >= 0:
+    ``mu`` is a scalar or an array; the result has shape
+    ``(len(orders),) + np.shape(mu)``, from one quadrature pass.  Each
+    value depends on its own mu only, so an array call equals the scalar
+    calls bit for bit.  BE requires mu <= 0 (mu < 0 for order 2); the BE
+    density at mu = 0 is ``inf`` when d <= gamma.
+    """
+    if beta <= 0:
+        raise DomainError("beta must be positive")
+    if sigma not in (BE, FD) or any(o not in (0, 1, 2) for o in orders):
+        raise DomainError("sigma must be +1 or -1 and orders within 0, 1, 2")
+    shape = np.shape(mu)
+    flat = np.asarray(mu, dtype=float).ravel()
+    if sigma == BE and np.any(flat > 0):
+        raise DomainError("BE requires mu <= 0")
+    if sigma == BE and 2 in orders and np.any(flat == 0):
         raise DomainError("BE susceptibility requires mu < 0")
-    f = lambda k: _susceptibility_from_w(beta * (disp.evaluate(k) - mu), beta, sigma)
-    pref = _surface_area(disp.dimension) / (2.0 * math.pi) ** disp.dimension
-    v, e = _radial_quad(f, beta, disp, tol, substitute_origin=(sigma == BE))
-    return pref * v, pref * e
+    diverges = (flat == 0) & (sigma == BE and disp.dimension <= disp.gamma)
+    if 1 in orders and diverges.any():
+        # order by order, so the infinite densities are never integrated
+        out = np.full((len(orders), flat.size), math.inf)
+        for n, o in enumerate(orders):
+            ok = ~diverges if o == 1 else np.ones(flat.size, dtype=bool)
+            if ok.any():
+                out[n, ok] = _derivatives(beta, flat[ok], sigma, disp, (o,), tol)[0][0]
+    else:
+        out = _derivatives(beta, flat, sigma, disp, tuple(orders), tol)[0]
+    return out.reshape((len(orders),) + shape)
+
+
+def _at(beta, mu, sigma, disp, order, tol) -> float:
+    """One derivative of p at a scalar mu."""
+    return float(_derivatives(beta, np.array([float(mu)]), sigma, disp, (order,), tol)[0][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +387,22 @@ def _susceptibility_raw(beta, mu, sigma, disp, tol):
 def pressure(state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -> float:
     """Grand-canonical pressure p_sigma(mu).
 
-    Adaptive radial quadrature with estimated relative error <= tol;
+    Certified radial quadrature with estimated relative error <= tol;
     raises ``AccuracyError`` (carrying the achieved estimate) otherwise.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    v, _ = _pressure_raw(state.beta, state.mu, state.sigma, disp, tol)
-    return v
+    return _at(state.beta, state.mu, state.sigma, disp, 0, tol)
 
 
 def density(state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -> float:
     """Average particle density rho_sigma(mu) = dp/dmu."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    v, _ = _density_raw(state.beta, state.mu, state.sigma, disp, tol)
-    return v
+    return _at(state.beta, state.mu, state.sigma, disp, 1, tol)
 
 
 def equation_of_state(state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -> EosResult:
-    """Pressure and density together, with quadrature error estimates."""
-    p, pe = _pressure_raw(state.beta, state.mu, state.sigma, disp, tol)
-    r, re = _density_raw(state.beta, state.mu, state.sigma, disp, tol)
-    return EosResult(pressure=p, density=r, pressure_error=pe, density_error=re)
+    """Pressure and density together (one pass), with quadrature error estimates."""
+    values, errors = _derivatives(state.beta, np.array([state.mu]), state.sigma, disp, (0, 1), tol)
+    return EosResult(pressure=float(values[0, 0]), density=float(values[1, 0]),
+                     pressure_error=float(errors[0, 0]), density_error=float(errors[1, 0]))
 
 
 def critical_density(
@@ -302,8 +422,7 @@ def critical_density(
         return math.inf
     if disp.dimension <= disp.gamma:
         return math.inf
-    v, _ = _density_raw(beta, 0.0, BE, disp, tol)
-    return v
+    return _at(beta, 0.0, BE, disp, 1, tol)
 
 
 def translated_pressure(
@@ -334,11 +453,7 @@ def translated_pressure(
         else:
             raise DomainError("BE derivatives of g require lam < -mu")
     if order == 0:
-        p_shift, _ = _pressure_raw(beta, mu_eff, sigma, disp, tol)
-        p_ref, _ = _pressure_raw(beta, mu, sigma, disp, tol)
-        return p_shift - p_ref
-    if order == 1:
-        v, _ = _density_raw(beta, mu_eff, sigma, disp, tol)
-        return v
-    v, _ = _susceptibility_raw(beta, mu_eff, sigma, disp, tol)
-    return v
+        # both pressures in one pass; equal mus give equal bits, so g(0) = 0 exactly
+        p = _derivatives(beta, np.array([mu_eff, mu]), sigma, disp, (0,), tol)[0][0]
+        return float(p[0] - p[1])
+    return _at(beta, mu_eff, sigma, disp, order, tol)

@@ -128,7 +128,9 @@ def mp_pressure(beta, mu, sigma, eps, dimension, digits=25):
 
         def f(k):
             w = beta * (eps(k) - mu)
-            return -sigma * k ** (d - 1) * mp.log(1 - sigma * mp.e ** (-w))
+            if sigma == 1:  # 1 - e^{-w} by expm1: exact down to w -> 0 at mu = 0
+                return -k ** (d - 1) * mp.log(-mp.expm1(-w))
+            return k ** (d - 1) * mp.log(1 + mp.e ** (-w))
 
         val = mp.quad(f, [0, 1, 5, 12, 40])
         return float(pref * val)
@@ -142,7 +144,7 @@ def mp_density(beta, mu, sigma, eps, dimension, digits=25):
 
         def f(k):
             w = beta * (eps(k) - mu)
-            return k ** (d - 1) / (mp.e ** w - sigma)
+            return k ** (d - 1) / (mp.expm1(w) if sigma == 1 else mp.e ** w + 1)
 
         val = mp.quad(f, [0, 1, 5, 12, 40])
         return float(pref * val)

@@ -20,6 +20,19 @@ def test_relativistic_small_k_is_quadratic():
     d.check_samples()
 
 
+@pytest.mark.parametrize("mass, c", [(1.0, 1.0), (0.5, 2.0)])
+def test_relativistic_against_mpmath_without_cancellation(mass, c):
+    import mpmath as mp
+
+    d = DispersionRelation.relativistic(mass=mass, c=c)
+    k = np.logspace(-12, 3, 61)
+    got = d(k)
+    with mp.workdps(40):
+        mc2 = mp.mpf(mass) * mp.mpf(c) ** 2
+        want = np.array([float(mp.sqrt(mc2 ** 2 + (mp.mpf(float(x)) * c) ** 2) - mc2) for x in k])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-15
+
+
 def test_massless_is_linear():
     d = DispersionRelation.massless(c=2.0, dimension=3)
     assert float(d(3.0)) == pytest.approx(6.0)

@@ -73,6 +73,19 @@ def test_fd_keeps_full_support():
     assert pmf[-1] == pytest.approx(0.3 ** 2 * 1e-9 * 0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [2, 3, 6, 20])
+@pytest.mark.parametrize("n", [0.01, 0.5, 5.0, 40.0, 300.0])
+def test_be_block_tail(n, r):
+    """The BE block's reported tail bounds nbinom.sf, and its length is all but minimal."""
+    block, dropped = factors._block(n, r, BE)
+    end = len(block) - 1
+    tails = nbinom.sf(np.arange(end + 1), r, 1.0 / (1.0 + n))  # P(X > k)
+    assert dropped >= tails[-1] * (1.0 - 1e-9)
+    assert dropped <= factors._FACTOR_TAIL
+    minimal = int(np.argmax(tails <= factors._FACTOR_TAIL))  # shortest end whose tail fits
+    assert minimal <= end <= minimal + 3
+
+
 def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(ldgas.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

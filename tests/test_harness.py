@@ -45,6 +45,28 @@ def write_cfg(tmp_path, body, name="exp.cfg"):
     return str(path)
 
 
+def test_clt_variance_target_computed_once(monkeypatch):
+    from ldgas import counting, thermo
+
+    calls = []
+    original = thermo.translated_pressure
+
+    def counted(lam, state, disp, order=0, tol=1e-10):
+        calls.append(order)
+        return original(lam, state, disp, order=order, tol=tol)
+
+    monkeypatch.setattr(thermo, "translated_pressure", counted)
+    monkeypatch.setattr(counting, "translated_pressure", counted)
+    cfg = config_from_mapping({"kind": "clt", "statistics": "FD", "dispersion": "nonrelativistic",
+                               "mass": "0.5", "dimension": "1", "beta": "1.0", "mu": "0.0",
+                               "h": "0.05", "extent": "160.0", "sizes": "10, 20, 40"})
+    record = run_experiment(cfg)
+    assert len(record.results) == 3
+    assert calls == [2]
+    target = original(0.0, cfg.build_state(), cfg.build_dispersion(), order=2) / cfg.beta
+    assert {row["c2_target"] for row in record.results} == {target}
+
+
 class TestConfigParsing:
     def test_key_value_with_comments(self):
         raw = parse_config("a = 1  # inline\n# full line\nb= two\n")

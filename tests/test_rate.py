@@ -73,6 +73,32 @@ class TestMinimizer:
         assert be_ctx.gprime(lam0) == pytest.approx(x, rel=1e-9)
 
 
+class TestNewton:
+    """The safeguarded Newton minimizer against its residual budget and the grid oracle."""
+
+    @pytest.mark.parametrize("which, frac", [("fd", 0.05), ("fd", 0.6), ("fd", 2.5),
+                                             ("be", 0.1), ("be", 3.0), ("be", 5.9)])
+    def test_residual_within_tol(self, fd_ctx, be_ctx, which, frac):
+        ctx = fd_ctx if which == "fd" else be_ctx
+        x = frac * ctx.rho_bar
+        for tol in (1e-10, 1e-12):
+            lam0 = minimizer(x, ctx, tol)
+            assert abs(ctx.gprime(lam0) - x) <= tol * max(x, ctx.rho_bar)
+
+    @pytest.mark.parametrize("which, x", [("fd", 0.05), ("be", 0.01), ("be", 0.12)])
+    def test_agrees_with_grid_oracle(self, fd_ctx, be_ctx, which, x):
+        ctx = fd_ctx if which == "fd" else be_ctx
+        pt = rate_value(x, ctx)
+        f_oracle, lam_oracle = grid_minimization_oracle(ctx, x)
+        assert pt.f == pytest.approx(f_oracle, abs=5e-8)
+        assert pt.lam0 == pytest.approx(lam_oracle, abs=2e-4)
+
+    def test_context_pressure_computed_once(self, be_ctx):
+        assert be_ctx.p_mu == pressure(be_ctx.state, be_ctx.disp)
+        assert be_ctx.g(0.0) == 0.0
+        assert be_ctx.g(1.5) == math.inf
+
+
 class TestRateValue:
     def test_zero_at_mean_density(self, fd_ctx):
         pt = rate_value(fd_ctx.rho_bar, fd_ctx)

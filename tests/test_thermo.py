@@ -12,8 +12,11 @@ from ldgas.thermo import (
     critical_density,
     density,
     equation_of_state,
+    _log_weight_from_w,
+    _occ_from_w,
     occupation,
     pressure,
+    pressure_derivatives,
     translated_pressure,
 )
 
@@ -221,3 +224,107 @@ def test_custom_table_dispersion_eos(tmp_path):
     # interpolation bias: relax both budgets accordingly
     p_table = pressure(FD0, d, tol=1e-4)
     assert p_table == pytest.approx(oracle.FD_P_D1_MU0, rel=2e-5)
+
+
+class TestIntegrandForms:
+    """The BE occupation and log-weight against mpmath, free of 1 - e^{-w} cancellation."""
+
+    @pytest.mark.parametrize("w", np.logspace(-15, -3, 13).tolist() + [0.5, 0.7, 1.0, 30.0, 700.0])
+    def test_be_forms_against_mpmath(self, w):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            occ = 1 / mp.expm1(mp.mpf(w))
+            log_weight = -mp.log1p(-mp.exp(-mp.mpf(w)))
+        assert abs(_occ_from_w(w, BE) / float(occ) - 1.0) <= 1e-14
+        assert abs(_log_weight_from_w(w, BE) / float(log_weight) - 1.0) <= 1e-14
+
+
+class TestEngine:
+    """The Gauss-Legendre radial engine behind every public thermo function."""
+
+    @pytest.mark.parametrize("gas", ["FD1", "BE3", "relBE3"])
+    def test_array_call_equals_scalar_calls_bitwise(self, gas):
+        disp, sigma, mus = {
+            "FD1": (D1, FD, np.linspace(-6.0, 6.0, 25)),
+            "BE3": (D3, BE, -np.logspace(-9.0, 1.0, 21)),
+            "relBE3": (DispersionRelation.relativistic(1.0, 1.0, 3), BE, -np.logspace(-6.0, 1.0, 15)),
+        }[gas]
+        for orders in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)):
+            batch = pressure_derivatives(mus, 1.0, sigma, disp, orders)
+            one_by_one = np.stack([pressure_derivatives(mu, 1.0, sigma, disp, orders) for mu in mus], axis=-1)
+            assert batch.shape == (len(orders), mus.size)
+            assert np.array_equal(batch, one_by_one)
+            assert np.array_equal(batch[:, ::-1], pressure_derivatives(mus[::-1], 1.0, sigma, disp, orders))
+
+    def test_scalar_wrappers_match_the_engine(self):
+        st = ThermoState(1.0, -0.7, BE)
+        p, r, chi = pressure_derivatives(st.mu, 1.0, BE, D3)
+        assert pressure(st, D3) == p and density(st, D3) == r
+        assert translated_pressure(0.0, st, D3, order=2) == chi
+
+    @pytest.mark.parametrize("mu", [-1e-8, 0.0])
+    def test_be_d3_near_condensation_against_mpmath(self, mu):
+        eps = lambda k: k * k / 2
+        p, r = pressure_derivatives(mu, 1.0, BE, D3, (0, 1))
+        assert p == pytest.approx(oracle.mp_pressure(1.0, mu, BE, eps, 3), rel=1e-10)
+        assert r == pytest.approx(oracle.mp_density(1.0, mu, BE, eps, 3), rel=1e-10)
+        if mu == 0.0:
+            assert p == pytest.approx(oracle.BE_P_D3_MU0, rel=1e-10)
+            assert critical_density(1.0, D3) == pytest.approx(oracle.BE_RHOC_D3, rel=1e-10)
+
+    def test_relativistic_be_at_condensation_against_mpmath(self):
+        import mpmath as mp
+
+        disp = DispersionRelation.relativistic(mass=1.0, c=1.0, dimension=3)
+        eps = lambda k: k * k / (mp.sqrt(1 + k * k) + 1)  # sqrt(1 + k^2) - 1 without cancellation
+        p, r = pressure_derivatives(0.0, 1.0, BE, disp, (0, 1))
+        assert p == pytest.approx(oracle.mp_pressure(1.0, 0.0, BE, eps, 3), rel=1e-10)
+        assert r == pytest.approx(oracle.mp_density(1.0, 0.0, BE, eps, 3), rel=1e-10)
+        assert critical_density(1.0, disp) == r
+
+    def test_impossible_budget_raises_with_estimate(self):
+        with pytest.raises(AccuracyError) as info:
+            pressure(FD0, D1, tol=1e-20)
+        assert info.value.estimate is not None and 0.0 < info.value.estimate < 1e-10
+
+    def test_error_estimates_meet_the_budget(self):
+        for tol in (1e-6, 1e-10, 1e-12):
+            res = equation_of_state(BE1, D3, tol=tol)
+            assert res.pressure_error <= tol * res.pressure
+            assert res.density_error <= tol * res.density
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            pressure_derivatives(0.1, 1.0, BE, D3, (0,))
+        with pytest.raises(DomainError):
+            pressure_derivatives(0.0, 1.0, BE, D3, (2,))
+        p, r = pressure_derivatives(np.array([-1.0, 0.0]), 1.0, BE, D1, (0, 1))
+        assert np.isfinite(p).all() and r[1] == math.inf and np.isfinite(r[0])
+
+
+def test_threads_extending_one_grid_agree_with_a_serial_run():
+    import sys
+    import threading
+
+    mus = np.linspace(-5.0, 400.0, 12)
+    reference = pressure_derivatives(mus, 1.0, FD, DispersionRelation.nonrelativistic(0.5, 1), (0, 1))
+    disp = DispersionRelation.nonrelativistic(0.5, 1)  # a fresh grid, extended by the threads below
+    results = [None] * 8
+
+    def work(i):
+        results[i] = pressure_derivatives(mus, 1.0, FD, disp, (0, 1))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for r in results:
+        assert np.array_equal(r, reference)
