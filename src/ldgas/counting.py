@@ -23,14 +23,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import roots_legendre
 
 from .errors import AccuracyError, DomainError
 from .export import write_table
 from .factors import FactorLaw, window_log_prob
 from .kernel import KernelTable
-from .thermo import BE, FD, translated_pressure
+from .thermo import BE, FD, _gauss_legendre, _integrate, translated_pressure
 
 __all__ = [
     "CountingMatrix",
@@ -194,7 +192,7 @@ def build_counting_matrix(kernel: KernelTable, length: float) -> CountingMatrix:
     nodes = math.ceil(length * dk * (c.size - 1) / math.pi) + _NODE_MARGIN
     error = math.inf
     while 2 * nodes <= _MAX_NODES:
-        t, w = roots_legendre(nodes)
+        t, w = _gauss_legendre(nodes)
         # nodes centred on the interval (d depends on offsets only)
         x, w = 0.5 * length * t, 0.5 * length * w
         K, eig = _nystrom(dk, c, x, w, sign)
@@ -258,17 +256,17 @@ def trace_moments(m: CountingMatrix, m_max: int) -> list[MomentComparison]:
     """Normalized traces |I|^{-1} tr K^m against their infinite-volume targets.
 
     The target of order m is (2 pi)^{-1} int (symbol)^m dk (d = 1 radial
-    quadrature); gaps close like the surface-to-volume ratio.
+    quadrature, certified to 1e-10 relative); gaps close like the
+    surface-to-volume ratio.
     """
     if not 1 <= m_max <= 8:
         raise DomainError("m_max must lie in 1..8")
     sym = m.kernel.symbol
+    cutoff = _symbol_cutoff(sym)
     out = []
     for order in range(1, m_max + 1):
         emp = float(np.sum(m.eigenvalues ** order)) / m.volume
-        tgt = (1.0 / math.pi) * quad(
-            lambda k: sym(k) ** order, 0.0, _symbol_cutoff(sym), limit=400
-        )[0]
+        tgt = _integrate(lambda k: sym(k) ** order, 0.0, cutoff)[0] / math.pi
         gap = abs(emp - tgt) / max(abs(tgt), 1e-300)
         out.append(MomentComparison(order, emp, tgt, gap))
     return out

@@ -6,7 +6,8 @@ factors are the counting-matrix eigenvalues (determinantal factorization:
 Hough, Krishnapur, Peres and Virag, Probab. Surveys 3, 2006), the box
 route's the mode shells.  FD pmfs keep their full support; BE blocks and
 pmfs drop tails below ``_FACTOR_TAIL`` and ``_PMF_TAIL``, all summed into
-``tail_mass``.
+``tail_mass``.  Blocks with r > 1 come from log-factorials: a cached table
+of ``math.lgamma`` values for arrays, ``math.lgamma`` itself for scalars.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import AccuracyError, DomainError
 from .thermo import BE, FD
@@ -27,6 +27,17 @@ __all__ = ["FactorLaw", "window_log_prob"]
 _PMF_TAIL = 1e-17
 _FACTOR_TAIL = 1e-21
 _PMF_BUDGET = 1e-14
+_LOG_FACTORIALS = np.zeros(1)  # log k! for k < size; replaced whole when it grows
+
+
+def _log_factorials(top: int) -> np.ndarray:
+    """A table of log k! for k = 0..top at least (math.lgamma values)."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if top >= table.size:
+        table = np.array([math.lgamma(k + 1.0) for k in range(max(top + 1, 2 * table.size))])
+        _LOG_FACTORIALS = table
+    return table
 
 
 @dataclass(frozen=True)
@@ -93,16 +104,19 @@ def _block(n: float, r: int, sigma: int):
     ratio rho(k) = pmf(k + 1) / pmf(k) = q (k + r) / (k + 1) falls with k: once rho(k) < 1
     the mass beyond k is below pmf(k) rho(k) / (1 - rho(k)), a bound that falls with k too,
     and the block ends at the first k where it meets ``_FACTOR_TAIL`` (a bisection search;
-    for r = 1 the exact tail q^k).  Blocks with r > 1 come from log-gammas, rescaled to sum 1.
+    for r = 1 the exact tail q^k).  Blocks with r > 1 come from log-factorials, rescaled to
+    sum 1.
     """
     if n == 0.0:
         return None, 0.0
     if sigma == FD:
         if r == 1:
             return [1.0 - n, n], 0.0
+        if n == 1.0:  # every mode occupied
+            return np.eye(1, r + 1, r)[0], 0.0
         k, dropped = np.arange(r + 1), 0.0
-        log_pmf = (gammaln(r + 1.0) - gammaln(k + 1.0) - gammaln(r + 1.0 - k)
-                   + xlogy(k, n) + xlog1py(r - k, -n))
+        log_fact = _log_factorials(r)[: r + 1]
+        log_pmf = log_fact[r] - log_fact - log_fact[::-1] + k * math.log(n) + (r - k) * math.log1p(-n)
     else:
         off_zero = -math.expm1(-r * math.log1p(n))
         if off_zero < _FACTOR_TAIL:
@@ -112,9 +126,9 @@ def _block(n: float, r: int, sigma: int):
             end = math.ceil(math.log(_FACTOR_TAIL) / math.log(q))
             return (1.0 - q) * q ** np.arange(end + 1), q ** (end + 1)
         log_q, log_p0 = math.log(q), -r * math.log1p(n)
-        log_nb = lambda k: gammaln(k + r) - gammaln(r) - gammaln(k + 1.0) + log_p0 + k * log_q
+        log_nb = lambda k: math.lgamma(k + r) - math.lgamma(r) - math.lgamma(k + 1.0) + log_p0 + k * log_q
         rho = lambda k: q * (k + r) / (k + 1)
-        log_bound = lambda k: float(log_nb(k)) + math.log(rho(k)) - math.log1p(-rho(k))
+        log_bound = lambda k: log_nb(k) + math.log(rho(k)) - math.log1p(-rho(k))
         k0 = max(0, math.floor((q * r - 1.0) / (1.0 - q)) + 1)
         while rho(k0) >= 1.0:  # rounding at the boundary
             k0 += 1
@@ -126,7 +140,8 @@ def _block(n: float, r: int, sigma: int):
             mid = (lo + end) // 2
             lo, end = (mid, end) if log_bound(mid) > target else (lo, mid)
         dropped = math.exp(log_bound(end))
-        log_pmf = log_nb(np.arange(end + 1))
+        k, log_fact = np.arange(end + 1), _log_factorials(end + r)
+        log_pmf = log_fact[k + r - 1] - log_fact[r - 1] - log_fact[k] + log_p0 + k * log_q
     block = np.exp(log_pmf)
     return block / block.sum(), dropped  # log-gamma rounding, not the tail, moves the sum off 1
 

@@ -6,7 +6,8 @@ shell of r modes is one binomial or negative-binomial factor of the
 ``factors`` law (exact pmf, generating function, mean), and the particle
 number can also be sampled shell by shell.  Modes are grouped by energy
 shells (isotropic dispersion), truncated where the mean occupation falls
-below a floor, with the discarded mass certified against an integral bound.
+below a floor, with the discarded mass certified against an integral bound
+(``thermo``'s certified finite-interval integrator).
 
 The condensation experiment tunes the chemical potential so the box holds
 a target density above the critical one and compares the law of N/ell^d
@@ -20,14 +21,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError, ResourceError
 from .export import atomic_write, write_table
 from .factors import FactorLaw
-from .thermo import BE, FD, ThermoState, critical_density, _occ_from_w, _log_weight_from_w, _surface_area
+from .thermo import (BE, FD, ThermoState, critical_density, _brent, _integrate, _occ_from_w,
+                     _log_weight_from_w, _surface_area)
 
 __all__ = [
     "ModeLattice",
@@ -176,8 +176,8 @@ class ModeLattice:
         # (ell/2pi)^d, integrand decreasing beyond the cutoff, one lattice
         # diagonal of safety margin)
         k_lo = max(dk, k_cut - dk * math.sqrt(d))
-        tail_f = lambda k: k ** (d - 1) * occ_trunc(float(disp.evaluate(k)))
-        tail, _ = quad(tail_f, k_lo, 16.0 * k_cut, limit=400)
+        tail_f = lambda k: k ** (d - 1) * occ_trunc(disp.evaluate(k))
+        tail = _integrate(tail_f, k_lo, 16.0 * k_cut)[0]
         discarded = (ell / (2.0 * math.pi)) ** d * _surface_area(d) * tail
 
         return cls(
@@ -232,7 +232,8 @@ def solve_lambda_V(lat: ModeLattice, a: float, tol: float = 1e-10) -> float:
     """Tilt lam_V with box mean density a: rho^V(mu + lam_V) = a.
 
     For BE the solution exists for every a > 0 (the ground mode diverges
-    as mu + lam -> 0-), including the condensation regime a > rho_c.
+    as mu + lam -> 0-), including the condensation regime a > rho_c.  The
+    root comes from ``thermo``'s bracketed Brent root-finder.
     """
     if a <= 0:
         raise DomainError("target density must be positive")
@@ -258,7 +259,7 @@ def solve_lambda_V(lat: ModeLattice, a: float, tol: float = 1e-10) -> float:
         lo *= 2.0
         if -lo > 2.0 ** 40 * st.beta:
             raise AccuracyError("density bracket failed on the dilute side")
-    lam = brentq(f, lo, hi, xtol=1e-14, rtol=9e-16, maxiter=300)
+    lam = _brent(f, lo, hi, xtol=1e-14, rtol=9e-16, maxiter=300)
     if abs(f(lam)) > tol * a:
         raise AccuracyError("lambda_V residual above tolerance", estimate=abs(f(lam)))
     return lam

@@ -193,12 +193,18 @@ def rate_value(x: float, ctx: RateContext, tol: float = 1e-10) -> RatePoint:
     return RatePoint(x=x, lam0=lam0, f=f)
 
 
-def interval_rate(a: float, b: float, ctx: RateContext, tol: float = 1e-10) -> float:
-    """sup of f over [a, b], exploiting concavity of f (maximum at rho_bar)."""
+def interval_rate(a: float, b: float, ctx: RateContext, tol: float = 1e-10, known=()) -> float:
+    """sup of f over [a, b], exploiting concavity of f (maximum at rho_bar).
+
+    ``known`` holds ``RatePoint``s already evaluated at ``tol``; the end
+    that carries the sup is read from them instead of being solved again.
+    """
     if a > b:
         raise DomainError("interval requires a <= b")
     if a <= ctx.rho_bar <= b:
         return 0.0
-    if b < ctx.rho_bar:
-        return rate_value(b, ctx, tol).f
-    return rate_value(a, ctx, tol).f
+    x = b if b < ctx.rho_bar else a
+    for pt in known:
+        if pt.x == x:
+            return pt.f
+    return rate_value(x, ctx, tol).f

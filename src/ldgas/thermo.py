@@ -11,11 +11,19 @@ for BE the first panel runs in k = t^2.  Panels are added until the
 integrand's share falls below 1e-16.  Each panel is certified by node
 doubling, 24 against 48 nodes, against its share of ``tol``, and bisected
 while it misses that share; past 400 leaves per mu the miss raises
-``AccuracyError`` carrying the estimate.  Nodes, energies and k1 are cached
-per (beta, dispersion), and w = beta (eps - mu) is formed once per node,
-so p, rho and d rho / d mu come out of one pass for a scalar or an array
-of mu (``pressure_derivatives``).  Each mu's result depends on that mu
-alone: an array call equals the scalar calls bit for bit.
+``AccuracyError`` carrying the estimate.  No estimate is below the rounding
+floor 50 eps |value|, so a budget under it raises too.  Nodes, energies
+and k1 are cached per (beta, dispersion), and w = beta (eps - mu) is formed
+once per node, so p, rho and d rho / d mu come out of one pass for a scalar
+or an array of mu (``pressure_derivatives``).  Each mu's result depends on
+that mu alone: an array call equals the scalar calls bit for bit.
+
+The numerics are in-house and need numpy only: the Gauss-Legendre rule
+(``_gauss_legendre``, Newton on the Legendre recurrence, also behind the
+``counting`` Nystrom nodes), a bracketed Brent root-finder (``_brent``,
+also behind ``modes.solve_lambda_V``) and a certified finite-interval
+integrator on the engine's rule pair (``_integrate``, behind the trace
+targets in ``counting``, the kernel's d(0) and the box truncation bound).
 
 Conventions: hbar = 1, no unit conversions.  Infinite answers that are
 semantically meaningful (critical density in low dimension, the translated
@@ -30,10 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  unused: perfbench's tracer counts calls through this name
-from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
-from scipy.special import roots_legendre
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
@@ -60,7 +64,17 @@ _NODES = 24                # lower rule per panel; the certificate compares it w
 _MAX_PANELS = 60           # geometric panels: k up to 2^60 k1
 _MAX_LEAVES = 400          # bisected leaves per mu before the budget counts as missed
 _LEAF_CACHE = 4096         # bisected leaves kept per grid
+_ROUNDOFF = float(50 * np.finfo(float).eps)  # relative floor of an error estimate (QUADPACK's choice)
 _LOG2 = math.log(2.0)
+
+
+def __getattr__(name):
+    # perfbench's hot-call pass patches ``ldgas.thermo.quad`` by name; only it loads scipy
+    if name == "quad":
+        from scipy.integrate import quad
+
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +178,7 @@ def occupation(k, state: ThermoState, disp: DispersionRelation):
 
 def _surface_area(d: int) -> float:
     """Area of the unit sphere S^{d-1} (2 for d = 1)."""
-    return float(2.0 * math.pi ** (d / 2.0) / gamma_fn(d / 2.0))
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -183,15 +197,139 @@ def _thermal_wavevector(beta: float, disp: DispersionRelation) -> float:
         lo /= 2.0
     if f(lo) > 0:
         return hi
-    return brentq(f, lo, hi, xtol=1e-14, rtol=1e-12)
+    return _brent(f, lo, hi, xtol=1e-14, rtol=1e-12)
+
+
+def _brent(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of the scalar f in the bracket [lo, hi] by Brent's method.
+
+    The iteration of ``scipy.optimize.brentq`` step for step (inverse
+    quadratic interpolation or secant, else bisection), stopping when the
+    bracket is below xtol + rtol |x|.  Raises ``DomainError`` if f(lo) and
+    f(hi) share a sign, ``AccuracyError`` after ``maxiter`` steps.
+    """
+    xpre, xcur = lo, hi
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError("root-finder interval does not bracket a sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise AccuracyError(f"root-finder did not converge in {maxiter} steps",
+                        estimate=abs(xblk - xcur))
+
+
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from cos(pi (i - 1/4) / (n + 1/2)) for the
+    non-negative nodes, mirrored; weights 2 / ((1 - x^2) P_n'(x)^2).
+    O(n^2) work; the arrays are cached and read-only.
+    """
+    x = np.cos(math.pi * (np.arange((n + 1) // 2) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    else:
+        raise AccuracyError("Gauss-Legendre nodes did not converge")
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    if n % 2:  # the middle node is 0; it appears once
+        x[-1] = 0.0
+        x, w = np.concatenate([-x, x[-2::-1]]), np.concatenate([w, w[-2::-1]])
+    else:
+        x, w = np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @functools.lru_cache(maxsize=None)
 def _rules():
     """Legendre nodes and weights on [-1, 1]: the m-point rule, then the 2m-point rule."""
-    x1, w1 = roots_legendre(_NODES)
-    x2, w2 = roots_legendre(2 * _NODES)
+    (x1, w1), (x2, w2) = _gauss_legendre(_NODES), _gauss_legendre(2 * _NODES)
     return np.concatenate([x1, x2]), np.concatenate([w1, w2])
+
+
+def _integrate(f, a: float, b: float, tol: float = 1e-10):
+    """(int_a^b f, error estimate) by the engine's rule pair on bisected panels.
+
+    ``f`` maps an array of points to an array of values.  A panel is
+    certified when its 24- and 48-node sums agree within its share of
+    ``tol`` |integral| (all of it for [a, b], halved at each bisection);
+    past ``_MAX_LEAVES`` panels the misses stand, and a total error above
+    ``tol`` relative raises ``AccuracyError`` carrying the estimate.  The
+    estimate is at least the rounding floor ``_ROUNDOFF`` |integral|.
+    """
+    x, w = _rules()
+
+    def pair(lo, hi):
+        half = 0.5 * (hi - lo)
+        fw = np.asarray(f(0.5 * (lo + hi) + half * x), dtype=float) * (half * w)
+        fine = float(fw[_NODES:].sum())
+        return fine, abs(fine - float(fw[:_NODES].sum()))
+
+    first = pair(a, b)
+    pending = [(a, b, *first, tol * abs(first[0]))]
+    value = error = 0.0
+    leaves = 1
+    while pending:
+        lo, hi, v, e, share = pending.pop()
+        if e > share and leaves < _MAX_LEAVES:
+            mid = 0.5 * (lo + hi)
+            pending += [(lo, mid, *pair(lo, mid), 0.5 * share), (mid, hi, *pair(mid, hi), 0.5 * share)]
+            leaves += 1
+        else:
+            value, error = value + v, error + e
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise AccuracyError("quadrature produced a non-finite value")
+    error = max(error, _ROUNDOFF * abs(value))
+    if error > tol * abs(value):
+        raise AccuracyError(
+            f"quadrature achieved {error / max(abs(value), 1e-300):.3e} relative, requested {tol:.3e}",
+            estimate=error,
+        )
+    return value, error
 
 
 class _Grid:
@@ -327,7 +465,7 @@ def _derivatives(beta, mu, sigma, disp, orders, tol):
                                                   ids, orders, beta, sigma)
 
     total = np.cumsum(fine, axis=-1)[:, np.arange(mu.size), panels - 1]
-    error = np.where(used, err, 0.0).sum(axis=-1)
+    error = np.maximum(np.where(used, err, 0.0).sum(axis=-1), _ROUNDOFF * np.abs(total))
     worst = error / np.maximum(np.abs(total), 1e-300)
     pref = _surface_area(d) / (2.0 * math.pi) ** d
     pref = np.array([pref / beta if o == 0 else pref for o in orders])[:, None]

@@ -1,10 +1,11 @@
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from scipy.stats import binom, nbinom  # independent oracle; the package uses scipy.special
+from scipy.stats import binom, nbinom  # independent oracle; the package uses log-factorials
 
 import ldgas
 from ldgas import factors
@@ -61,6 +62,17 @@ class TestBlocks:
         assert nbinom.sf(k[-1], r, p) <= dropped * (1.0 + 1e-9)
         assert dropped <= factors._FACTOR_TAIL
 
+    @pytest.mark.parametrize("r", [1, 2, 40])
+    def test_fully_occupied_fermion_block_is_a_point_mass(self, r):
+        block, dropped = factors._block(1.0, r, FD)
+        assert np.array_equal(block, np.eye(1, r + 1, r)[0]) and dropped == 0.0
+
+    def test_log_factorial_table(self):
+        table = factors._log_factorials(5000)
+        assert table.size > 5000 and table[0] == table[1] == 0.0
+        k = np.array([2, 10, 170, 5000])
+        assert np.array_equal(table[k], [math.lgamma(j + 1.0) for j in k])
+
     def test_negligible_factor_is_dropped(self):
         block, dropped = factors._block(1e-23, 3, BE)
         assert block is None and dropped == pytest.approx(3e-23)
@@ -86,10 +98,38 @@ def test_be_block_tail(n, r):
     assert minimal <= end <= minimal + 3
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_threads_growing_the_log_factorial_table_agree_with_a_serial_run(monkeypatch):
+    import threading
+
+    cases = [(0.5 + 0.1 * i, r, sigma) for i, r in enumerate((2, 30, 300, 900, 2000, 4000))
+             for sigma in (FD, BE)]
+    reference = [factors._block(*case)[0] for case in cases]
+    monkeypatch.setattr(factors, "_LOG_FACTORIALS", np.zeros(1))  # every thread grows it anew
+    results = [None] * 8
+
+    def work(i):
+        results[i] = [factors._block(*case)[0] for case in cases[i:] + cases[:i]]  # each its own order
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for i, got in enumerate(results):
+        assert all(np.array_equal(g, w) for g, w in zip(got, reference[i:] + reference[:i]))
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy and the standard library alone."""
     src = os.path.dirname(os.path.dirname(ldgas.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ldgas; print('scipy.stats' in sys.modules)"
+    code = "import sys, ldgas, ldgas.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=env, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -67,6 +67,28 @@ def test_clt_variance_target_computed_once(monkeypatch):
     assert {row["c2_target"] for row in record.results} == {target}
 
 
+@pytest.mark.parametrize("interval", ["0.25, 0.30", "0.05, 0.10", "0.10, 0.30"])
+def test_rate_experiment_solves_each_end_once(monkeypatch, interval):
+    from ldgas import rate
+
+    calls = []
+    original = rate.rate_value
+
+    def counted(x, ctx, tol=1e-10):
+        calls.append(x)
+        return original(x, ctx, tol)
+
+    cfg = config_from_mapping({"kind": "rate", "statistics": "FD", "dispersion": "nonrelativistic",
+                               "mass": "0.5", "dimension": "1", "beta": "1.0", "mu": "0.0",
+                               "interval": interval})
+    ctx = rate.RateContext.build(cfg.build_state(), cfg.build_dispersion(), cfg.quad_tol)
+    expected = rate.interval_rate(*cfg.interval, ctx)
+    monkeypatch.setattr(rate, "rate_value", counted)
+    record = run_experiment(cfg)
+    assert calls == list(cfg.interval)
+    assert record.summary["interval_sup"] == expected  # bit for bit
+
+
 class TestConfigParsing:
     def test_key_value_with_comments(self):
         raw = parse_config("a = 1  # inline\n# full line\nb= two\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ldgas import thermo
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import AccuracyError, DomainError
 from ldgas.thermo import (
@@ -328,3 +329,117 @@ def test_threads_extending_one_grid_agree_with_a_serial_run():
     assert not any(t.is_alive() for t in threads)
     for r in results:
         assert np.array_equal(r, reference)
+
+
+# ---------------------------------------------------------------------------
+# in-house numerics: Gauss-Legendre rule, Brent root-finder, integrator
+# (scipy is an independent oracle here; the package does not import it)
+# ---------------------------------------------------------------------------
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [24, 48, 197])
+    def test_matches_scipy(self, n):
+        from scipy.special import roots_legendre
+
+        x, w = thermo._gauss_legendre(n)
+        xs, ws = roots_legendre(n)
+        assert np.max(np.abs(x - xs)) <= 1e-15
+        assert np.max(np.abs(w / ws - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 394])
+    def test_exact_for_polynomials_to_degree_2n_minus_1(self, n):
+        x, w = thermo._gauss_legendre(n)
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        for k in range(0, n, max(1, n // 5)):  # int_{-1}^1 x^{2k} = 2 / (2k + 1)
+            assert np.dot(w, x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)
+
+    def test_weights_against_mpmath(self):
+        import mpmath as mp
+
+        n = 1000
+        x, w = thermo._gauss_legendre(n)
+        with mp.workdps(40):
+            for i in (0, 3, n // 3, n // 2):  # near the end, where the weights are hardest
+                r = mp.findroot(lambda t: mp.legendre(n, t), mp.mpf(x[i]))
+                d = mp.diff(lambda t: mp.legendre(n, t), r)
+                assert abs(x[i] - r) <= 1e-16
+                assert w[i] == pytest.approx(float(2 / ((1 - r * r) * d * d)), rel=1e-11)
+
+    def test_cached_and_read_only(self):
+        x, w = thermo._gauss_legendre(24)
+        assert thermo._gauss_legendre(24)[0] is x
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
+class TestBrent:
+    @staticmethod
+    def _recorded(monkeypatch, module, call):
+        """Run ``call`` and return the (f, lo, hi, options) it passed to ``module._brent``."""
+        seen = []
+        original = thermo._brent
+
+        def recording(f, lo, hi, **options):
+            seen.append((f, lo, hi, options))
+            return original(f, lo, hi, **options)
+
+        monkeypatch.setattr(module, "_brent", recording)
+        result = call()
+        assert len(seen) == 1
+        return result, seen[0]
+
+    @pytest.mark.parametrize("disp", [D1, D3, DispersionRelation.relativistic(1.0, 1.0, 3),
+                                      DispersionRelation.massless(2.0, 3)])
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 40.0])
+    def test_thermal_wavevector_against_brentq(self, monkeypatch, disp, beta):
+        from scipy.optimize import brentq
+
+        k1, (f, lo, hi, options) = self._recorded(
+            monkeypatch, thermo, lambda: thermo._thermal_wavevector.__wrapped__(beta, disp))
+        assert k1 == pytest.approx(brentq(f, lo, hi, **options), rel=0, abs=1e-14)
+        assert beta * float(disp.evaluate(k1)) == pytest.approx(1.0, rel=1e-11)
+
+    @pytest.mark.parametrize("a", [0.01, 0.1, 0.5])
+    def test_solve_lambda_v_against_brentq(self, monkeypatch, a):
+        from scipy.optimize import brentq
+
+        from ldgas import modes
+
+        lat = modes.ModeLattice.build(BE1, D3, 8.0)
+        lam, (f, lo, hi, options) = self._recorded(
+            monkeypatch, modes, lambda: modes.solve_lambda_V(lat, a))
+        assert lam == pytest.approx(brentq(f, lo, hi, **options), rel=0, abs=1e-14)
+
+    def test_raises_without_a_bracket(self):
+        with pytest.raises(DomainError):
+            thermo._brent(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-14, rtol=1e-12)
+
+    def test_raises_when_steps_run_out(self):
+        with pytest.raises(AccuracyError) as info:
+            thermo._brent(lambda x: x ** 3 - 2.0, 0.0, 4.0, xtol=1e-14, rtol=1e-12, maxiter=3)
+        assert info.value.estimate > 0.0
+
+
+class TestIntegrate:
+    @pytest.mark.parametrize("f, a, b, exact", [
+        (np.sin, 0.0, math.pi, 2.0),
+        (lambda x: x ** 5, 0.0, 1.0, 1.0 / 6.0),
+        (lambda x: np.exp(-x), 0.0, 10.0, -math.expm1(-10.0)),
+        (lambda x: np.exp(-0.5 * x * x), 0.0, 600.0, math.sqrt(0.5 * math.pi)),
+        (lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, 200.0 * math.atan(100.0)),
+    ])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_meets_tol_on_closed_forms(self, f, a, b, exact, tol):
+        value, error = thermo._integrate(f, a, b, tol)
+        assert error <= tol * abs(value)
+        assert abs(value - exact) <= tol * abs(exact)
+
+    def test_uncertifiable_integrand_raises_with_estimate(self):
+        with pytest.raises(AccuracyError) as info:  # needs thousands of panels, past the leaf cap
+            thermo._integrate(lambda x: np.sin(1e5 * x), 0.0, 1.0, 1e-10)
+        assert info.value.estimate > 1e-10 * (1.0 - math.cos(1e5)) / 1e5
+
+    def test_budget_below_rounding_raises(self):
+        with pytest.raises(AccuracyError) as info:
+            thermo._integrate(np.sin, 0.0, math.pi, 1e-20)
+        assert 0.0 < info.value.estimate < 1e-12
