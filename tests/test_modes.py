@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ldgas import modes
+from ldgas import factors
 from ldgas.dispersion import DispersionRelation
-from ldgas.errors import DomainError, ResourceError
+from ldgas.errors import AccuracyError, DomainError, ResourceError
 from ldgas.factors import FactorLaw
 from ldgas.modes import (
     ModeLattice,
@@ -25,6 +26,7 @@ from ldgas.thermo import BE, FD, ThermoState, critical_density, pressure, transl
 import oracle_series as oracle
 
 D1 = DispersionRelation.nonrelativistic(mass=0.5, dimension=1)
+D2 = DispersionRelation.nonrelativistic(mass=1.0, dimension=2)
 D3 = DispersionRelation.nonrelativistic(mass=1.0, dimension=3)
 FD0 = ThermoState(1.0, 0.0, FD)
 BE1 = ThermoState(1.0, -1.0, BE)
@@ -64,6 +66,37 @@ class TestBuild:
     def test_ground_shell_first(self, be_lat10):
         assert be_lat10.energies[0] == 0.0
         assert be_lat10.multiplicities[0] == 1
+
+    @pytest.mark.parametrize("ell", [6.5, 10.0, 16.0, 24.0])
+    @pytest.mark.parametrize("state", [FD0, BE1], ids=["fd", "be"])
+    @pytest.mark.parametrize("disp", [D1, D2, D3], ids=["d1", "d2", "d3"])
+    def test_shells_match_brute_force(self, disp, state, ell):
+        # the theta-series shells against a direct count of the integer
+        # points of a cube: the retained shells are the lowest ones
+        lat = ModeLattice.build(state, disp, ell)
+        dk = 2.0 * math.pi / ell
+        k_top = math.sqrt(lat.energies[-1] / disp.evaluate(1.0))  # eps = k^2 / 2m
+        n_top = round((k_top / dk) ** 2)
+        span = np.arange(-math.isqrt(n_top) - 1, math.isqrt(n_top) + 2)
+        n2 = sum(a * a for a in np.meshgrid(*[span] * disp.dimension, indexing="ij")).ravel()
+        shells, counts = np.unique(n2[n2 <= n_top], return_counts=True)
+        assert np.array_equal(lat.multiplicities, counts)
+        assert lat.multiplicities.dtype == np.int64
+        energies = np.asarray(disp.evaluate(dk * np.sqrt(shells.astype(float))), dtype=float)
+        assert np.array_equal(lat.energies, energies)
+
+    @pytest.mark.parametrize("disp, ell", [(D2, 320.0), (D3, 400.0)], ids=["d2", "d3"])
+    def test_shell_count_guard_before_allocation(self, disp, ell):
+        # these boxes need 3.3 MB theta-series arrays and 2.6e8 (d = 2) or
+        # 5.3e8 (d = 3) element operations; the guard refuses them first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                ModeLattice.build(BE1, disp, ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestBoxPressure:
@@ -238,14 +271,15 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_NV(be_lat10, 1.5, 10, seed=0)
 
-    @pytest.mark.parametrize("case", ["be6", "be10", "fd40"])
+    @pytest.mark.parametrize("case", ["be6", "be10", "be16", "fd40"])
     def test_exact_in_law(self, case, fd_lat40):
         # KS from the sampled N to the exact shell-convolution law, below
-        # the 1% Kolmogorov critical value 1.63 / sqrt(n)
+        # the 1% Kolmogorov critical value 1.63 / sqrt(n); be16 is the
+        # condensed box of criterion 12
         if case == "fd40":
             lat, lam = fd_lat40, 0.3
         else:
-            lat = ModeLattice.build(BE1, D3, 6.0 if case == "be6" else 10.0)
+            lat = ModeLattice.build(BE1, D3, float(case[2:]))
             lam = solve_lambda_V(lat, 2.0 * critical_density(1.0, D3))
         n = 10_000
         counts = np.rint(sample_NV(lat, lam, n, seed=17) * lat.volume).astype(np.int64)
@@ -255,13 +289,20 @@ class TestSampling:
         assert float(np.max(np.abs(ecdf - cdf))) < 1.63 / math.sqrt(n)
 
     @pytest.mark.parametrize("statistics", [FD, BE])
-    def test_prefix_stable(self, statistics, fd_lat40, be_lat10, monkeypatch):
+    def test_prefix_stable(self, statistics, fd_lat40, be_lat10):
         lat, lam = (fd_lat40, 0.3) if statistics == FD else (be_lat10, 0.5)
         short = sample_NV(lat, lam, 100, seed=31)
-        # the long call spans several row chunks: the stream is read in order
-        monkeypatch.setattr(modes, "_SAMPLE_ROWS", 64)
         long = sample_NV(lat, lam, 300, seed=31)
         assert np.array_equal(long[:100], short)
+
+    def test_rest_law_budget_miss_raises_before_drawing(self, be_lat10, monkeypatch):
+        monkeypatch.setattr(factors, "_PMF_BUDGET", 0.0)
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
+        with pytest.raises(AccuracyError) as err:
+            sample_NV(be_lat10, 0.5, 10, seed=0)
+        assert err.value.estimate > 0.0
+        assert drawn == []
 
 
 class TestKac:
