@@ -4,10 +4,11 @@ The dual lattice of an ell-sided periodic box is (2 pi Z / ell)^d.  Each
 mode is occupied independently: Bernoulli for FD, geometric for BE, so a
 shell of r modes is one binomial or negative-binomial factor of the
 ``factors`` law (exact pmf, generating function, mean), and the particle
-number is sampled by inverting that law.  Modes are grouped by energy
-shells (isotropic dispersion), truncated where the mean occupation falls
-below a floor, with the discarded mass certified against an integral bound
-(``thermo``'s certified finite-interval integrator).
+number is sampled by inverting the exact laws of groups of shells.  Modes
+are grouped by energy shells (isotropic dispersion), truncated where the
+mean occupation falls below a floor, with the discarded mass certified
+against an integral bound (``thermo``'s certified finite-interval
+integrator).
 
 The condensation experiment tunes the chemical potential so the box holds
 a target density above the critical one and compares the law of N/ell^d
@@ -25,7 +26,7 @@ import numpy as np
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError, ResourceError
 from .export import atomic_write, write_table
-from .factors import FactorLaw
+from .factors import _PMF_BUDGET, FactorLaw
 from .thermo import (BE, FD, ThermoState, critical_density, _brent, _integrate, _occ_from_w,
                      _log_weight_from_w, _surface_area)
 
@@ -44,6 +45,7 @@ __all__ = [
 _OCC_FLOOR = 1e-12
 _TAIL_BUDGET = 1e-9          # discarded mass, relative to retained
 _MODE_BUDGET = 100_000
+_GROUP_MEAN = 256            # mean particles per inverted group of shells
 
 
 @dataclass(frozen=True)
@@ -152,20 +154,25 @@ class ModeLattice:
         else:
             raise AccuracyError("occupation does not fall below the floor")
         n_max = int(math.ceil(1.25 * k_cut / dk)) + 1
-        # r_d(n) = #{m in Z^d : |m|^2 = n} for n <= n_max^2 (the rest lie past the
-        # floor): the d-fold convolution of the theta series 1 + 2 sum_m q^(m^2)
-        size = n_max * n_max + 1
-        if size * (1 + (d - 1) * n_max) > 2e8:
-            raise ResourceError("theta-series shell count too large")
-        squares = np.arange(1, n_max + 1) ** 2
-        counts = np.zeros(size, dtype=np.int64)
-        counts[0], counts[squares] = 1, 2
-        for _ in range(d - 1):
-            prev = counts.copy()
-            for sq in squares.tolist():
-                counts[sq:] += 2 * prev[: size - sq]
-        shells = np.flatnonzero(counts)
-        counts = counts[shells]
+        if (n_max + 1) ** d > 1e8:
+            raise ResourceError("dual-lattice shell count too large")
+        # r_d(n) = #{m in Z^d : |m|^2 = n}, n <= n_max^2 (the rest lie past the floor),
+        # on the orthant m >= 0, weight 2 per nonzero coordinate (theta series 1 + 2 sum
+        # q^(m^2)): d = 1 lists squares, d = 2 bins points, d = 3 convolves a third axis
+        m = np.arange(n_max + 1)
+        squares, theta = m * m, np.where(m > 0, 2, 1)
+        shells, counts = squares, theta
+        if d > 1:
+            size = n_max * n_max + 1
+            n2, weight = np.add.outer(squares, squares).ravel(), np.outer(theta, theta).ravel()
+            inside = n2 < size
+            counts = np.bincount(n2[inside], weight[inside], size).astype(np.int64)
+            if d == 3:
+                plane = counts.copy()
+                for sq in squares[1:].tolist():
+                    counts[sq:] += 2 * plane[: size - sq]
+            shells = np.flatnonzero(counts)
+            counts = counts[shells]
         energies = np.asarray(disp.evaluate(dk * np.sqrt(shells.astype(float))), dtype=float)
         keep = occ_trunc(energies) >= floor
         energies, counts = energies[keep], counts[keep]
@@ -221,7 +228,8 @@ def box_pmf(lat: ModeLattice, lam: float = 0.0) -> np.ndarray:
     Shells convolve as binomial (FD, full support) or negative-binomial
     (BE) blocks; the truncated BE tail mass stays within 1e-14, else
     ``AccuracyError``.  Raises ``ResourceError`` above 100000 retained
-    modes (sample instead).
+    modes (``sample_NV``, which convolves short groups of shells, still
+    runs there).
     """
     if lat.mode_count > _MODE_BUDGET:
         raise ResourceError("too many modes for exact convolution; use sampling")
@@ -273,32 +281,38 @@ def sample_NV(
 ) -> np.ndarray:
     """Seeded independent draws of N/ell^d under the tilted box law.
 
-    N = N_0 + N_rest, N_0 the ground mode.  N_rest inverts the CDF of its
-    exact ``factors`` pmf; N_0 has a closed-form inverse: u < n_0 (FD),
-    floor(-log1p(-u) / w_0) (BE, P(N_0 >= k) = exp(-w_0 k)).  The uniforms
-    are one (samples, 2) array from ``np.random.default_rng(seed)`` (an
-    integer, a ``SeedSequence`` or ``lat.seed``), so identical seeds give
-    identical samples and the first k samples equal the k-sample call.
-    The sampled law is within the rest pmf's ``tail_mass`` (<= 1e-14) of
-    the exact law in total variation; boxes whose summed 1e-17 pmf cuts
-    pass that budget (BE d = 3 at 2 rho_c: ell = 64, where ell = 62
-    still samples) raise ``AccuracyError`` before drawing.
+    N is the ground mode N_0 plus groups of the other shells, cut where their
+    cumulative mean passes a multiple of ``_GROUP_MEAN``: each group's exact
+    ``factors`` pmf stays short, so the cost grows with the shells, not with
+    the square of the box's mean.  Groups are drawn by inverting their CDFs,
+    N_0 by u < n_0 (FD) or floor(-log1p(-u) / w_0) (BE, P(N_0 >= k) =
+    exp(-w_0 k)).  Term j (N_0 is j = 0) reads the j-th jump of the PCG64
+    stream of ``np.random.default_rng(seed)`` (an integer, a ``SeedSequence``
+    or ``lat.seed``): equal seeds give equal samples, and the first k samples
+    equal the k-sample call.  The sampled law is within the summed group
+    ``tail_mass`` of the exact law in total variation; a sum above 1e-14
+    raises ``AccuracyError`` before any draw (BE d = 3 at 2 rho_c: ell >= 62).
     """
     if samples < 1:
         raise DomainError("need at least one sample")
     lat._check_tilt(lam)
-    if seed is None:
-        seed = lat.seed
     st = lat.state
     w = st.beta * (lat.energies - (st.mu + lam))
     if st.sigma == BE and np.any(np.exp(-w) >= 1.0):
         raise DomainError("BE tilt puts a mode at or beyond divergence")
-    occ = _occ_from_w(w, st.sigma)
-    cdf = np.cumsum(FactorLaw(occ[1:], lat.multiplicities[1:], st.sigma).pmf()[0])
-    u_rest, u_0 = np.random.default_rng(seed).random((samples, 2)).T
-    n_rest = np.searchsorted(cdf, u_rest * cdf[-1], side="right")
-    n_0 = u_0 < occ[0] if st.sigma == FD else np.floor(-np.log1p(-u_0) / w[0])
-    return (n_0 + n_rest) / lat.volume
+    occ, mult = _occ_from_w(w, st.sigma), lat.multiplicities
+    cuts = np.flatnonzero(np.diff(np.cumsum(mult[1:] * occ[1:]) // _GROUP_MEAN)) + 1
+    groups = zip(np.split(occ[1:], cuts), np.split(mult[1:], cuts))
+    pmfs = [FactorLaw(n, r, st.sigma).pmf() for n, r in groups]
+    tail = sum(t for _, t in pmfs)
+    if tail > _PMF_BUDGET:
+        raise AccuracyError(f"summed group tail mass {tail:.2e} over {_PMF_BUDGET:.0e}", estimate=tail)
+    bits = np.random.default_rng(lat.seed if seed is None else seed).bit_generator
+    uniform = lambda j: np.random.Generator(bits.jumped(j)).random(samples)
+    u, cdfs = uniform(0), [np.cumsum(pmf) for pmf, _ in pmfs]
+    n = u < occ[0] if st.sigma == FD else np.floor(-np.log1p(-u) / w[0])
+    n = n + sum(np.searchsorted(c, uniform(j) * c[-1], side="right") for j, c in enumerate(cdfs, 1))
+    return n / lat.volume
 
 
 def samples_to_csv(samples: np.ndarray, path) -> None:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ldgas import factors
+from ldgas import factors, modes
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import AccuracyError, DomainError, ResourceError
 from ldgas.factors import FactorLaw
@@ -71,24 +71,19 @@ class TestBuild:
     @pytest.mark.parametrize("state", [FD0, BE1], ids=["fd", "be"])
     @pytest.mark.parametrize("disp", [D1, D2, D3], ids=["d1", "d2", "d3"])
     def test_shells_match_brute_force(self, disp, state, ell):
-        # the theta-series shells against a direct count of the integer
-        # points of a cube: the retained shells are the lowest ones
-        lat = ModeLattice.build(state, disp, ell)
-        dk = 2.0 * math.pi / ell
-        k_top = math.sqrt(lat.energies[-1] / disp.evaluate(1.0))  # eps = k^2 / 2m
-        n_top = round((k_top / dk) ** 2)
-        span = np.arange(-math.isqrt(n_top) - 1, math.isqrt(n_top) + 2)
-        n2 = sum(a * a for a in np.meshgrid(*[span] * disp.dimension, indexing="ij")).ravel()
-        shells, counts = np.unique(n2[n2 <= n_top], return_counts=True)
-        assert np.array_equal(lat.multiplicities, counts)
-        assert lat.multiplicities.dtype == np.int64
-        energies = np.asarray(disp.evaluate(dk * np.sqrt(shells.astype(float))), dtype=float)
-        assert np.array_equal(lat.energies, energies)
+        assert_shells_match_brute_force(ModeLattice.build(state, disp, ell))
 
-    @pytest.mark.parametrize("disp, ell", [(D2, 320.0), (D3, 400.0)], ids=["d2", "d3"])
+    @pytest.mark.parametrize("disp, ell", [(D1, 1e5), (D2, 320.0)], ids=["d1", "d2"])
+    def test_low_dimensions_keep_the_direct_count_range(self, disp, ell):
+        # n_max = 163841 (d = 1) and 641 (d = 2): the orthant count is linear
+        # in its points, so both build as the cube enumeration did
+        assert_shells_match_brute_force(ModeLattice.build(BE1, disp, ell))
+
+    @pytest.mark.parametrize("disp, ell", [(D1, 1e8), (D2, 5000.0), (D3, 400.0)], ids=["d1", "d2", "d3"])
     def test_shell_count_guard_before_allocation(self, disp, ell):
-        # these boxes need 3.3 MB theta-series arrays and 2.6e8 (d = 2) or
-        # 5.3e8 (d = 3) element operations; the guard refuses them first
+        # n_max = 167772161, 10241 and 641: each orthant [0, n_max]^d holds
+        # more than 1e8 points (and each cube of the direct enumeration more
+        # than 2e8), so the guard refuses them before any array is made
         tracemalloc.start()
         try:
             with pytest.raises(ResourceError):
@@ -97,6 +92,22 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+def assert_shells_match_brute_force(lat):
+    # the lattice's shells against a direct count of the integer points of a
+    # cube (meshgrid and np.unique): the retained shells are the lowest ones
+    disp = lat.disp
+    dk = 2.0 * math.pi / lat.ell
+    k_top = math.sqrt(lat.energies[-1] / disp.evaluate(1.0))  # eps = k^2 / 2m
+    n_top = round((k_top / dk) ** 2)
+    span = np.arange(-math.isqrt(n_top) - 1, math.isqrt(n_top) + 2)
+    n2 = sum(a * a for a in np.meshgrid(*[span] * disp.dimension, indexing="ij")).ravel()
+    shells, counts = np.unique(n2[n2 <= n_top], return_counts=True)
+    assert np.array_equal(lat.multiplicities, counts)
+    assert lat.multiplicities.dtype == np.int64
+    energies = np.asarray(disp.evaluate(dk * np.sqrt(shells.astype(float))), dtype=float)
+    assert np.array_equal(lat.energies, energies)
 
 
 class TestBoxPressure:
@@ -271,26 +282,41 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_NV(be_lat10, 1.5, 10, seed=0)
 
-    @pytest.mark.parametrize("case", ["be6", "be10", "be16", "fd40"])
-    def test_exact_in_law(self, case, fd_lat40):
-        # KS from the sampled N to the exact shell-convolution law, below
-        # the 1% Kolmogorov critical value 1.63 / sqrt(n); be16 is the
-        # condensed box of criterion 12
-        if case == "fd40":
-            lat, lam = fd_lat40, 0.3
-        else:
-            lat = ModeLattice.build(BE1, D3, float(case[2:]))
-            lam = solve_lambda_V(lat, 2.0 * critical_density(1.0, D3))
+    @staticmethod
+    def case(name, fd_lat40):
+        # fd40: FD d = 1; fd20: FD d = 3 (two inverted groups); beL: the
+        # condensed BE d = 3 box of side L at 2 rho_c (be16 is criterion 12's
+        # box, three groups; be24 eight groups)
+        if name == "fd40":
+            return fd_lat40, 0.3
+        if name == "fd20":
+            return ModeLattice.build(FD0, D3, 20.0), 0.0
+        lat = ModeLattice.build(BE1, D3, float(name[2:]))
+        return lat, solve_lambda_V(lat, 2.0 * critical_density(1.0, D3))
+
+    @pytest.mark.parametrize("name", ["be6", "be10", "be16", "be24", "fd40", "fd20"])
+    def test_exact_in_law(self, name, fd_lat40):
+        # KS to the exact shell-convolution law, below the 1% Kolmogorov
+        # critical value 1.63 / sqrt(n), for sample_NV and for an independent
+        # reference: numpy's binomial / negative-binomial draws shell by shell
+        lat, lam = self.case(name, fd_lat40)
         n = 10_000
-        counts = np.rint(sample_NV(lat, lam, n, seed=17) * lat.volume).astype(np.int64)
         cdf = np.cumsum(box_pmf(lat, lam=lam))
-        assert counts.max() < cdf.size
-        ecdf = np.cumsum(np.bincount(counts, minlength=cdf.size)) / n
-        assert float(np.max(np.abs(ecdf - cdf))) < 1.63 / math.sqrt(n)
+        rng = np.random.default_rng(17)
+        w = lat.state.beta * (lat.energies - (lat.state.mu + lam))
+        if lat.state.sigma == FD:
+            shells = rng.binomial(lat.multiplicities, lat.occupations(lam), (n, w.size))
+        else:
+            shells = rng.negative_binomial(lat.multiplicities, -np.expm1(-w), (n, w.size))
+        for counts in (np.rint(sample_NV(lat, lam, n, seed=17) * lat.volume).astype(np.int64),
+                       shells.sum(axis=1)):
+            assert counts.max() < cdf.size
+            ecdf = np.cumsum(np.bincount(counts, minlength=cdf.size)) / n
+            assert float(np.max(np.abs(ecdf - cdf))) < 1.63 / math.sqrt(n)
 
     @pytest.mark.parametrize("statistics", [FD, BE])
-    def test_prefix_stable(self, statistics, fd_lat40, be_lat10):
-        lat, lam = (fd_lat40, 0.3) if statistics == FD else (be_lat10, 0.5)
+    def test_prefix_stable(self, statistics, fd_lat40):
+        lat, lam = self.case("fd40" if statistics == FD else "be16", fd_lat40)
         short = sample_NV(lat, lam, 100, seed=31)
         long = sample_NV(lat, lam, 300, seed=31)
         assert np.array_equal(long[:100], short)
@@ -302,6 +328,18 @@ class TestSampling:
         with pytest.raises(AccuracyError) as err:
             sample_NV(be_lat10, 0.5, 10, seed=0)
         assert err.value.estimate > 0.0
+        assert drawn == []
+
+    def test_summed_group_tails_are_budgeted(self, fd_lat40, monkeypatch):
+        # be16's three group tails are at most 2.6e-16 and sum to 4.7e-16: a
+        # budget between the two is met by each group and missed by the sum
+        lat, lam = self.case("be16", fd_lat40)
+        monkeypatch.setattr(modes, "_PMF_BUDGET", 4e-16)
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
+        with pytest.raises(AccuracyError) as err:
+            sample_NV(lat, lam, 10, seed=0)
+        assert err.value.estimate > 4e-16
         assert drawn == []
 
 
