@@ -1,8 +1,9 @@
 """One-particle dispersion relations ``energy = eps(|k|)``.
 
 All dispersions are isotropic: the energy depends on the wavevector only
-through its magnitude.  Each relation carries its dimension and the small-k
-and large-k growth exponents used by the critical-density and decay checks.
+through its magnitude.  Each relation carries its dimension, the small-k
+exponent that decides whether the critical density is finite, and a declared
+large-k growth bound that ``check_samples`` verifies.
 Units: hbar = 1, lengths dimensionless.
 """
 
@@ -29,9 +30,11 @@ class DispersionRelation:
     dimension : int
         Spatial dimension d >= 1.
     gamma : float
-        Small-k exponent: eps(k) ~ k**gamma as k -> 0.
+        Small-k exponent: eps(k) ~ k**gamma as k -> 0; the Bose critical
+        density is finite iff dimension > gamma.
     alpha : float
-        Large-k growth exponent: eps(k) >= k**alpha above ``large_k_threshold``.
+        Large-k growth exponent: eps(k) >= k**alpha above ``large_k_threshold``,
+        a declared bound that only ``check_samples`` reads.
     large_k_threshold : float
         Wavevector magnitude beyond which the growth bound is declared.
     evaluate : callable

@@ -1,10 +1,12 @@
 """Experiment orchestration: configs, sweeps, records, CSV/JSON emission.
 
-Configs are plain-text ``key = value`` files (see ``CONFIG_KEYS``); records
-echo the config, hold one result row per sweep size with oracle targets and
-gaps, and are written atomically (temp file + rename).  Identical configs
-with identical seeds produce byte-identical numeric payloads; wall-clock
-timings live in a separate section excluded from such comparisons.
+Configs are plain-text ``key = value`` files whose keys are the fields of
+``ExperimentConfig`` (the README lists them); ``KINDS`` maps each experiment
+kind to its runner and the keys it requires.  Records echo the config, hold
+one result row per sweep size with oracle targets and gaps, and are written
+atomically (temp file + rename).  Identical configs with identical seeds
+produce byte-identical numeric payloads; wall-clock timings live in a
+separate section excluded from such comparisons.
 
 The ``LDGAS_THREADS`` environment variable parallelizes independent sweep
 entries; per-size seeds are derived from (seed, index), so the thread count
@@ -18,7 +20,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -31,33 +33,12 @@ from .thermo import BE, FD, ThermoState
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "run_experiment", "emit", "parse_config"]
 
-KINDS = ("eos", "rate", "kernel", "gf", "ldp", "clt", "modes", "kac")
-
-CONFIG_KEYS = {
-    "kind": "experiment kind: " + " | ".join(KINDS),
-    "statistics": "FD or BE",
-    "dispersion": "nonrelativistic | relativistic | massless | table",
-    "mass": "particle mass (nonrelativistic / relativistic)",
-    "c": "speed constant (relativistic / massless)",
-    "table": "path of a two-column (|k|, energy) dispersion file",
-    "dimension": "spatial dimension",
-    "beta": "inverse temperature > 0",
-    "mu": "chemical potential (BE requires mu < 0)",
-    "lambda": "tilt for gf experiments",
-    "interval": "a, b density window for rate / ldp / modes",
-    "sizes": "strictly increasing sweep of interval lengths / box sides / extents",
-    "h": "kernel-table grid spacing (gf / ldp / clt / kernel)",
-    "extent": "kernel extent override",
-    "samples": "sample count for kac",
-    "seed": "integer RNG seed",
-    "tolerance": "pass/fail tolerance for the experiment's headline gap",
-    "quad_tol": "relative tolerance for thermodynamic quadrature",
-    "out": "output directory for emitted records",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  Each field is set by the config key of its name;
+    ``lam`` and ``out_dir`` carry theirs (``lambda``, ``out``) in metadata."""
+
     kind: str
     statistics: int = FD
     dispersion: str = "nonrelativistic"
@@ -67,7 +48,7 @@ class ExperimentConfig:
     dimension: int = 1
     beta: float = 1.0
     mu: float = 0.0
-    lam: float | None = None
+    lam: float | None = field(default=None, metadata={"key": "lambda"})
     interval: tuple | None = None
     sizes: tuple = ()
     h: float = 0.05
@@ -76,23 +57,21 @@ class ExperimentConfig:
     seed: int = 1
     tolerance: float = 0.02
     quad_tol: float = 1e-10
-    out_dir: str = "."
+    out_dir: str = field(default=".", metadata={"key": "out"})
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError("kind", f"unknown kind {self.kind!r}")
         if self.statistics not in (BE, FD):
-            raise ConfigError("statistics", "must be FD or BE")
-        if self.beta <= 0:
-            raise ConfigError("beta", "must be positive")
+            raise ConfigError("statistics", f"expected FD or BE, got {self.statistics!r}")
+        for key in ("mass", "c", "beta", "h", "extent", "tolerance", "quad_tol"):
+            value = getattr(self, key)
+            if value is not None and value <= 0:
+                raise ConfigError(key, "must be positive")
+        if self.dimension < 1:
+            raise ConfigError("dimension", "must be at least 1")
         if self.statistics == BE and self.mu >= 0:
             raise ConfigError("mu", "BE requires mu < 0")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance", "must be positive")
-        if self.quad_tol <= 0:
-            raise ConfigError("quad_tol", "must be positive")
-        if self.h <= 0:
-            raise ConfigError("h", "must be positive")
         if self.samples < 1:
             raise ConfigError("samples", "must be at least 1")
         if self.sizes and any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
@@ -103,12 +82,9 @@ class ExperimentConfig:
             a, b = self.interval
             if a > b:
                 raise ConfigError("interval", "requires a <= b")
-        if self.kind == "gf" and self.lam is None:
-            raise ConfigError("lambda", "gf experiments need a tilt")
-        if self.kind in ("ldp", "rate") and self.interval is None:
-            raise ConfigError("interval", f"{self.kind} experiments need an interval")
-        if self.kind in ("gf", "ldp", "clt", "modes", "kac") and not self.sizes:
-            raise ConfigError("sizes", f"{self.kind} experiments need a size sweep")
+        for key in KINDS[self.kind][1]:
+            if getattr(self, _FIELDS[key]) in (None, ()):
+                raise ConfigError(key, f"required by {self.kind} experiments")
         if self.dispersion not in ("nonrelativistic", "relativistic", "massless", "table"):
             raise ConfigError("dispersion", f"unknown dispersion {self.dispersion!r}")
         if self.dispersion == "table" and not self.table:
@@ -127,9 +103,13 @@ class ExperimentConfig:
         return ThermoState(self.beta, self.mu, self.statistics)
 
 
+# config key -> ExperimentConfig field
+_FIELDS = {f.metadata.get("key", f.name): f.name for f in fields(ExperimentConfig)}
+
+
 def parse_config(text: str) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
-    raw = {}
+    """Parse ``key = value`` lines; '#' starts a comment; a key may appear once."""
+    raw, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -137,61 +117,56 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        raw[key] = value
+        if key in first_line:
+            raise ConfigError(key, f"set again on line {lineno} (first on line {first_line[key]})")
+        raw[key], first_line[key] = value, lineno
     return raw
 
 
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _numbers(text: str) -> tuple:
+    """Comma- or space-separated finite numbers, at least one."""
+    values = tuple(_number(part) for part in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("expected numbers, got none")
+    return values
+
+
+def _interval(text: str) -> tuple:
+    values = _numbers(text)
+    if len(values) != 2:
+        raise ValueError("expected two numbers a, b")
+    return values
+
+
+# how each config key that is not a plain float is read; an unknown
+# statistics label is passed on for ``ExperimentConfig`` to reject
+_PARSERS = {
+    "kind": str, "dispersion": str, "table": str, "out": str,
+    "statistics": lambda text: {"FD": FD, "BE": BE}.get(text.upper(), text),
+    "dimension": int, "samples": int, "seed": int,
+    "interval": _interval, "sizes": _numbers,
+}
+
+
 def config_from_mapping(raw: dict) -> ExperimentConfig:
-    """Typed config from raw string values, naming bad fields."""
-    def number(key, cast=float):
+    """Typed config from raw string values, naming bad keys."""
+    kwargs = {}
+    for key, text in raw.items():
+        if key not in _FIELDS:
+            raise ConfigError(key, "unknown configuration key")
         try:
-            return cast(raw[key])
+            kwargs[_FIELDS[key]] = _PARSERS.get(key, _number)(text)
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from exc
-
-    kwargs = {}
-    known = set(CONFIG_KEYS)
-    for key in raw:
-        if key not in known:
-            raise ConfigError(key, "unknown configuration key")
-    if "kind" in raw:
-        kwargs["kind"] = raw["kind"]
-    else:
+    if "kind" not in kwargs:
         raise ConfigError("kind", "missing")
-    if "statistics" in raw:
-        label = raw["statistics"].upper()
-        if label not in ("FD", "BE"):
-            raise ConfigError("statistics", f"expected FD or BE, got {raw['statistics']!r}")
-        kwargs["statistics"] = FD if label == "FD" else BE
-    for key, cast in (
-        ("mass", float), ("c", float), ("beta", float), ("mu", float),
-        ("h", float), ("tolerance", float), ("quad_tol", float),
-    ):
-        if key in raw:
-            kwargs[key] = number(key, cast)
-    for key in ("dimension", "samples", "seed"):
-        if key in raw:
-            kwargs[key] = number(key, int)
-    if "dispersion" in raw:
-        kwargs["dispersion"] = raw["dispersion"]
-    if "table" in raw:
-        kwargs["table"] = raw["table"]
-    if "out" in raw:
-        kwargs["out_dir"] = raw["out"]
-    if "lambda" in raw:
-        kwargs["lam"] = number("lambda")
-    if "extent" in raw:
-        kwargs["extent"] = number("extent")
-    if "interval" in raw:
-        parts = [p for p in raw["interval"].replace(",", " ").split() if p]
-        if len(parts) != 2:
-            raise ConfigError("interval", "expected two numbers a, b")
-        kwargs["interval"] = (float(parts[0]), float(parts[1]))
-    if "sizes" in raw:
-        parts = [p for p in raw["sizes"].replace(",", " ").split() if p]
-        if not parts:
-            raise ConfigError("sizes", "empty sweep")
-        kwargs["sizes"] = tuple(float(p) for p in parts)
     return ExperimentConfig(**kwargs)
 
 
@@ -439,15 +414,16 @@ def _run_kac(cfg, state, disp):
     return rows, summary
 
 
-_RUNNERS = {
-    "eos": _run_eos,
-    "rate": _run_rate,
-    "kernel": _run_kernel,
-    "gf": _run_gf,
-    "ldp": _run_ldp,
-    "clt": _run_clt,
-    "modes": _run_modes,
-    "kac": _run_kac,
+# kind -> (runner, config keys the kind requires)
+KINDS = {
+    "eos": (_run_eos, ()),
+    "rate": (_run_rate, ("interval",)),
+    "kernel": (_run_kernel, ()),
+    "gf": (_run_gf, ("lambda", "sizes")),
+    "ldp": (_run_ldp, ("interval", "sizes")),
+    "clt": (_run_clt, ("sizes",)),
+    "modes": (_run_modes, ("sizes",)),
+    "kac": (_run_kac, ("sizes",)),
 }
 
 
@@ -459,10 +435,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, formats=("json",)) -> Ex
     """
     state = cfg.build_state()
     disp = cfg.build_dispersion()
+    runner, _ = KINDS[cfg.kind]
     record = ExperimentRecord(config=asdict(cfg), results=[], summary={}, timings={})
     start = time.perf_counter()
     try:
-        rows, summary = _RUNNERS[cfg.kind](cfg, state, disp)
+        rows, summary = runner(cfg, state, disp)
         record.results = rows
         record.summary = summary
     except Exception as exc:

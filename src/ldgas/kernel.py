@@ -82,11 +82,11 @@ class KernelTable:
         write_table(path, ["# kernel table: x, d(x)"], zip(self.x, self.values))
 
 
-def default_extent(state: ThermoState, disp: DispersionRelation, lengths: float = 40.0) -> float:
-    """Extent covering ``lengths`` thermal lengths (1 / k_thermal)."""
+def default_extent(state: ThermoState, disp: DispersionRelation) -> float:
+    """Extent covering 40 thermal lengths (1 / k_thermal)."""
     from .thermo import _thermal_wavevector
 
-    return lengths / _thermal_wavevector(state.beta, disp)
+    return 40.0 / _thermal_wavevector(state.beta, disp)
 
 
 def _build_1d(state, disp, h, n_half):
@@ -187,15 +187,15 @@ def build_kernel(
     )
 
 
-def l1_stability(table: KernelTable, rel_tol: float = 1e-4) -> tuple[float, bool]:
+def l1_stability(table: KernelTable) -> tuple[float, bool]:
     """Surrogate integrability check: rebuild at double extent, compare L1.
 
     Two comparisons are taken: the full L1 norms, and the doubled table
     restricted to the original window.  The second is what exposes slowly
     decaying kernels on periodized grids, where the folded-back tail would
     otherwise keep the full-grid L1 unchanged.  Returns (relative change,
-    ok); near BE condensation the change can exceed the tolerance, which is
-    reported with a warning, not raised.
+    ok = change < 1e-4); near BE condensation the change can exceed 1e-4,
+    which is reported with a warning, not raised.
     """
     doubled = build_kernel(
         table.state, table.disp, table.h, 2.0 * table.extent,
@@ -214,7 +214,7 @@ def l1_stability(table: KernelTable, rel_tol: float = 1e-4) -> tuple[float, bool
     change = max(
         abs(doubled.l1_norm - table.l1_norm), abs(l1_window - table.l1_norm)
     ) / base
-    ok = change < rel_tol
+    ok = change < 1e-4
     if not ok:
         warnings.warn(
             f"kernel L1 norm changed by {change:.2e} under extent doubling; "

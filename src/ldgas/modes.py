@@ -64,7 +64,6 @@ class ModeLattice:
     multiplicities: np.ndarray = field(repr=False)
     discarded_mass: float = 0.0
     tilt_ceiling: float = math.inf
-    seed: int | None = None
 
     @property
     def dimension(self) -> int:
@@ -95,22 +94,14 @@ class ModeLattice:
             )
 
     @classmethod
-    def build(
-        cls,
-        state: ThermoState,
-        disp: DispersionRelation,
-        ell: float,
-        occupation_floor: float = _OCC_FLOOR,
-        fd_tilt_headroom: float | None = None,
-        seed: int | None = None,
-    ) -> "ModeLattice":
+    def build(cls, state: ThermoState, disp: DispersionRelation, ell: float) -> "ModeLattice":
         """Enumerate dual-lattice shells with occupation above the floor.
 
         Truncation is decided at the least favourable admissible potential:
-        mu -> 0- for BE (covers every tilt), mu + headroom for FD (default
-        headroom 4 / beta).  The discarded mean occupation is certified
-        below 1e-9 of the retained total via an integral tail bound; the
-        floor is lowered automatically if the budget fails.
+        mu -> 0- for BE (covers every tilt), mu + 4 / beta for FD.  The
+        discarded mean occupation is certified below 1e-9 of the retained
+        total via an integral tail bound; the floor (first 1e-12) is lowered
+        automatically if the budget fails.
         """
         if ell <= 0:
             raise DomainError("box side must be positive")
@@ -122,13 +113,12 @@ class ModeLattice:
             ceiling = -state.mu  # exclusive: mu + lam < 0
             w_trunc = lambda e: beta * e
         else:
-            head = 4.0 / beta if fd_tilt_headroom is None else fd_tilt_headroom
-            ceiling = head
-            w_trunc = lambda e: beta * (e - (state.mu + head))
+            ceiling = 4.0 / beta
+            w_trunc = lambda e: beta * (e - (state.mu + ceiling))
 
-        floor = occupation_floor
+        floor = _OCC_FLOOR
         for _ in range(8):
-            lattice = cls._enumerate(state, disp, ell, floor, w_trunc, ceiling, seed)
+            lattice = cls._enumerate(state, disp, ell, floor, w_trunc, ceiling)
             retained = float(np.sum(lattice.multiplicities * lattice.occupations(0.0)))
             if lattice.discarded_mass <= _TAIL_BUDGET * max(retained, 1e-300):
                 return lattice
@@ -136,7 +126,7 @@ class ModeLattice:
         raise AccuracyError("mode truncation tail budget not met")
 
     @classmethod
-    def _enumerate(cls, state, disp, ell, floor, w_trunc, ceiling, seed):
+    def _enumerate(cls, state, disp, ell, floor, w_trunc, ceiling):
         d = disp.dimension
         sigma = state.sigma
         dk = 2.0 * math.pi / ell
@@ -195,7 +185,6 @@ class ModeLattice:
             multiplicities=counts,
             discarded_mass=float(discarded),
             tilt_ceiling=ceiling,
-            seed=seed,
         )
 
 
@@ -236,8 +225,8 @@ def box_pmf(lat: ModeLattice, lam: float = 0.0) -> np.ndarray:
     return _law(lat, lam).pmf()[0]
 
 
-def solve_lambda_V(lat: ModeLattice, a: float, tol: float = 1e-10) -> float:
-    """Tilt lam_V with box mean density a: rho^V(mu + lam_V) = a.
+def solve_lambda_V(lat: ModeLattice, a: float) -> float:
+    """Tilt lam_V with box mean density a: rho^V(mu + lam_V) = a, within 1e-10 a.
 
     For BE the solution exists for every a > 0 (the ground mode diverges
     as mu + lam -> 0-), including the condensation regime a > rho_c.  The
@@ -245,8 +234,6 @@ def solve_lambda_V(lat: ModeLattice, a: float, tol: float = 1e-10) -> float:
     """
     if a <= 0:
         raise DomainError("target density must be positive")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     st = lat.state
     f = lambda lam: mean_density(lat, lam) - a
 
@@ -268,7 +255,7 @@ def solve_lambda_V(lat: ModeLattice, a: float, tol: float = 1e-10) -> float:
         if -lo > 2.0 ** 40 * st.beta:
             raise AccuracyError("density bracket failed on the dilute side")
     lam = _brent(f, lo, hi, xtol=1e-14, rtol=9e-16, maxiter=300)
-    if abs(f(lam)) > tol * a:
+    if abs(f(lam)) > 1e-10 * a:
         raise AccuracyError("lambda_V residual above tolerance", estimate=abs(f(lam)))
     return lam
 
@@ -288,9 +275,9 @@ def sample_NV(
     N_0 by u < n_0 (FD) or floor(-log1p(-u) / w_0) (BE, P(N_0 >= k) =
     exp(-w_0 k)).  Term j (N_0 is j = 0) reads the j-th jump of the PCG64
     stream of ``np.random.default_rng(seed)`` (an integer, a ``SeedSequence``
-    or ``lat.seed``): equal seeds give equal samples, and the first k samples
-    equal the k-sample call.  The sampled law is within the summed group
-    ``tail_mass`` of the exact law in total variation; a sum above 1e-14
+    or None for fresh entropy): equal seeds give equal samples, and the first
+    k samples equal the k-sample call.  The sampled law is within the summed
+    group ``tail_mass`` of the exact law in total variation; a sum above 1e-14
     raises ``AccuracyError`` before any draw (BE d = 3 at 2 rho_c: ell >= 62).
     """
     if samples < 1:
@@ -307,7 +294,7 @@ def sample_NV(
     tail = sum(t for _, t in pmfs)
     if tail > _PMF_BUDGET:
         raise AccuracyError(f"summed group tail mass {tail:.2e} over {_PMF_BUDGET:.0e}", estimate=tail)
-    bits = np.random.default_rng(lat.seed if seed is None else seed).bit_generator
+    bits = np.random.default_rng(seed).bit_generator
     uniform = lambda j: np.random.Generator(bits.jumped(j)).random(samples)
     u, cdfs = uniform(0), [np.cumsum(pmf) for pmf, _ in pmfs]
     n = u < occ[0] if st.sigma == FD else np.floor(-np.log1p(-u) / w[0])

@@ -115,16 +115,14 @@ def _first_rung(ctx: RateContext, rungs, hit, failure: str):
     raise AccuracyError(failure)
 
 
-def minimizer(x: float, ctx: RateContext, tol: float = 1e-10) -> float:
+def minimizer(x: float, ctx: RateContext) -> float:
     """Tilt lam_o minimizing g(lam) - lam x.
 
     -inf for x <= 0; the unique root of g'(lam) = x for 0 < x < rho_c
-    (residual below tol * max(x, rho_bar)); -mu for x >= rho_c (BE).
+    (residual below ctx.tol * max(x, rho_bar)); -mu for x >= rho_c (BE).
     The root comes from bracket-safeguarded Newton steps, taken until a
     step falls below 1e-13 / beta.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     if x <= 0:
         return -math.inf
     if x >= ctx.rho_c:
@@ -165,7 +163,7 @@ def minimizer(x: float, ctx: RateContext, tol: float = 1e-10) -> float:
         step = math.log(gp / x) * gp / gpp if gp > 0 and gpp > 0 else math.inf
         nxt = lam - step
         if abs(step) <= 1e-13 / beta + 4e-16 * abs(lam) or hi - lo <= 1e-13 / beta:
-            if residual > tol * max(x, ctx.rho_bar):
+            if residual > ctx.tol * max(x, ctx.rho_bar):
                 raise AccuracyError(
                     f"minimizer residual {residual:.3e} above tolerance", estimate=residual
                 )
@@ -174,7 +172,7 @@ def minimizer(x: float, ctx: RateContext, tol: float = 1e-10) -> float:
     raise AccuracyError("Newton iteration did not converge", estimate=residual)
 
 
-def rate_value(x: float, ctx: RateContext, tol: float = 1e-10) -> RatePoint:
+def rate_value(x: float, ctx: RateContext) -> RatePoint:
     """Rate function f(x) = inf_lam (g(lam) - lam x) with its minimizer.
 
     f = -inf for x < 0; f(0) = -p(mu) (the lam -> -inf limit); the affine
@@ -188,15 +186,15 @@ def rate_value(x: float, ctx: RateContext, tol: float = 1e-10) -> RatePoint:
     if x >= ctx.rho_c:
         mu = ctx.state.mu
         return RatePoint(x=x, lam0=-mu, f=ctx.g(ctx.lambda_upper) + mu * x)
-    lam0 = minimizer(x, ctx, tol)
+    lam0 = minimizer(x, ctx)
     f = ctx.g(lam0) - lam0 * x
     return RatePoint(x=x, lam0=lam0, f=f)
 
 
-def interval_rate(a: float, b: float, ctx: RateContext, tol: float = 1e-10, known=()) -> float:
+def interval_rate(a: float, b: float, ctx: RateContext, known=()) -> float:
     """sup of f over [a, b], exploiting concavity of f (maximum at rho_bar).
 
-    ``known`` holds ``RatePoint``s already evaluated at ``tol``; the end
+    ``known`` holds ``RatePoint``s already evaluated with ``ctx``; the end
     that carries the sup is read from them instead of being solved again.
     """
     if a > b:
@@ -207,4 +205,4 @@ def interval_rate(a: float, b: float, ctx: RateContext, tol: float = 1e-10, know
     for pt in known:
         if pt.x == x:
             return pt.f
-    return rate_value(x, ctx, tol).f
+    return rate_value(x, ctx).f

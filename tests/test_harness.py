@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -74,9 +75,9 @@ def test_rate_experiment_solves_each_end_once(monkeypatch, interval):
     calls = []
     original = rate.rate_value
 
-    def counted(x, ctx, tol=1e-10):
+    def counted(x, ctx):
         calls.append(x)
-        return original(x, ctx, tol)
+        return original(x, ctx)
 
     cfg = config_from_mapping({"kind": "rate", "statistics": "FD", "dispersion": "nonrelativistic",
                                "mass": "0.5", "dimension": "1", "beta": "1.0", "mu": "0.0",
@@ -132,6 +133,47 @@ class TestConfigParsing:
     def test_full_file(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, GF_CFG))
         assert cfg.kind == "gf" and cfg.lam == 0.5 and cfg.sizes == (10.0, 20.0, 40.0)
+
+    def test_every_field_set_by_its_key(self):
+        # one valid text per config key and the field value it parses to, never the default
+        samples = {
+            "kind": ("gf", "gf"), "statistics": ("be", BE), "dispersion": ("table", "table"),
+            "mass": ("0.75", 0.75), "c": ("2", 2.0), "table": ("k.txt", "k.txt"),
+            "dimension": ("3", 3), "beta": ("2.5", 2.5), "mu": ("-1.5", -1.5),
+            "lambda": ("0.5", 0.5), "interval": ("0.1, 0.2", (0.1, 0.2)),
+            "sizes": ("10 20", (10.0, 20.0)), "h": ("0.1", 0.1), "extent": ("80", 80.0),
+            "samples": ("50", 50), "seed": ("9", 9), "tolerance": ("0.1", 0.1),
+            "quad_tol": ("1e-8", 1e-8), "out": ("results", "results"),
+        }
+        cfg = config_from_mapping({key: text for key, (text, _) in samples.items()})
+        fields = dataclasses.fields(ExperimentConfig)
+        assert len(fields) == len(samples) == 19
+        for f in fields:
+            _, value = samples[f.metadata.get("key", f.name)]
+            assert getattr(cfg, f.name) == value != f.default
+
+    @pytest.mark.parametrize("bad", ["x", "nan", "inf"])
+    @pytest.mark.parametrize("key", ["mass", "c", "beta", "mu", "lambda", "h", "extent",
+                                     "tolerance", "quad_tol", "interval", "sizes",
+                                     "dimension", "samples", "seed"])
+    def test_bad_number_names_key(self, key, bad):
+        text = {"interval": f"0.2, {bad}", "sizes": f"10, {bad}"}.get(key, bad)
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({"kind": "eos", key: text})
+        assert err.value.field == key
+
+    @pytest.mark.parametrize("key, text", [("mass", "-1"), ("c", "0"), ("dimension", "0"),
+                                           ("extent", "-4")])
+    def test_out_of_domain_names_key(self, key, text):
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({"kind": "eos", key: text})
+        assert err.value.field == key
+
+    def test_repeated_key_names_key_and_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("mu = 0\n# comment\nmu = -1\n")
+        assert err.value.field == "mu"
+        assert "line 3" in err.value.reason
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +323,11 @@ class TestCli:
     def test_config_error_exit_two(self, tmp_path):
         cfg = write_cfg(tmp_path, "kind = eos\nstatistics = BE\nmu = 0.1\n")
         assert main(["eos", "--config", cfg]) == 2
+
+    def test_bad_number_exit_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "kind = rate\ninterval = 0.2, x\n")
+        assert main(["rate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: interval: ")
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["eos", "--config", str(tmp_path / "absent.cfg")]) == 2

@@ -82,8 +82,9 @@ class TestNewton:
         ctx = fd_ctx if which == "fd" else be_ctx
         x = frac * ctx.rho_bar
         for tol in (1e-10, 1e-12):
-            lam0 = minimizer(x, ctx, tol)
-            assert abs(ctx.gprime(lam0) - x) <= tol * max(x, ctx.rho_bar)
+            at_tol = RateContext.build(ctx.state, ctx.disp, tol)
+            lam0 = minimizer(x, at_tol)
+            assert abs(at_tol.gprime(lam0) - x) <= tol * max(x, at_tol.rho_bar)
 
     @pytest.mark.parametrize("which, x", [("fd", 0.05), ("be", 0.01), ("be", 0.12)])
     def test_agrees_with_grid_oracle(self, fd_ctx, be_ctx, which, x):
