@@ -97,7 +97,10 @@ class ExperimentConfig:
             return DispersionRelation.relativistic(self.mass, self.c, self.dimension)
         if self.dispersion == "massless":
             return DispersionRelation.massless(self.c, self.dimension)
-        return DispersionRelation.load_table(self.table, self.dimension)
+        try:
+            return DispersionRelation.load_table(self.table, self.dimension)
+        except (OSError, ValueError) as exc:  # unreadable file or a table that is not a dispersion
+            raise ConfigError("table", str(exc)) from exc
 
     def build_state(self) -> ThermoState:
         return ThermoState(self.beta, self.mu, self.statistics)

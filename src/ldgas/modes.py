@@ -380,16 +380,16 @@ def kac_test(lat: ModeLattice, a: float, samples: int, seed: int | None = None) 
     n = xs.size
     ecdf_hi = np.arange(1, n + 1) / n
     ecdf_lo = np.arange(0, n) / n
-    ks = float(max(np.max(np.abs(ecdf_hi - target)), np.max(np.abs(ecdf_lo - target))))
+    # sup |ecdf - cdf| on the sorted sample: the ecdf steps from lo to hi at each point
+    ks = lambda cdf: float(max(np.max(ecdf_hi - cdf), np.max(cdf - ecdf_lo)))
 
     occ = lat.occupations(lam_v)
     normal = float(np.sum(lat.multiplicities[1:] * occ[1:])) / lat.volume
     box_target = -np.expm1(-np.maximum(xs - normal, 0.0) / (a - normal))
-    ks_box = float(max(np.max(ecdf_hi - box_target), np.max(box_target - ecdf_lo)))
 
     return KacResult(
-        ks_distance=ks,
-        ks_box=ks_box,
+        ks_distance=ks(target),
+        ks_box=ks(box_target),
         lambda_v=lam_v,
         location=rho_c,
         scale=scale,

@@ -10,20 +10,22 @@ and doubling panels beyond, k1 being the thermal wavevector (beta eps = 1);
 for BE the first panel runs in k = t^2.  Panels are added until the
 integrand's share falls below 1e-16.  Each panel is certified by node
 doubling, 24 against 48 nodes, against its share of ``tol``, and bisected
-while it misses that share; past 400 leaves per mu the miss raises
-``AccuracyError`` carrying the estimate.  No estimate is below the rounding
-floor 50 eps |value|, so a budget under it raises too.  Nodes, energies
-and k1 are cached per (beta, dispersion), and w = beta (eps - mu) is formed
-once per node, so p, rho and d rho / d mu come out of one pass for a scalar
-or an array of mu (``pressure_derivatives``).  Each mu's result depends on
-that mu alone: an array call equals the scalar calls bit for bit.
+while it misses that share, at most 200 times (400 leaves) per mu or per
+integral; a total estimate above ``tol`` raises ``AccuracyError`` carrying
+it.  No estimate is below the rounding floor 50 eps |value|, so a budget
+under it raises too.  Nodes, energies and k1 are cached per (beta,
+dispersion), and w = beta (eps - mu) is formed once per node, so p, rho
+and d rho / d mu come out of one pass for a scalar or an array of mu
+(``pressure_derivatives``).  Each mu's result depends on that mu alone:
+an array call equals the scalar calls bit for bit.
 
 The numerics are in-house and need numpy only: the Gauss-Legendre rule
 (``_gauss_legendre``, Newton on the Legendre recurrence, also behind the
 ``counting`` Nystrom nodes), a bracketed Brent root-finder (``_brent``,
 also behind ``modes.solve_lambda_V``) and a certified finite-interval
-integrator on the engine's rule pair (``_integrate``, behind the trace
-targets in ``counting``, the kernel's d(0) and the box truncation bound).
+integrator (``_integrate``, behind the trace targets in ``counting``, the
+kernel's d(0) and the box truncation bound) on the engine's own rule pair,
+bisection and certificate.
 
 Conventions: hbar = 1, no unit conversions.  Infinite answers that are
 semantically meaningful (critical density in low dimension, the translated
@@ -62,7 +64,7 @@ FD = -1
 _TRUNCATION_RATIO = 1e-16  # stop extending the domain below this integrand share
 _NODES = 24                # lower rule per panel; the certificate compares it with 2 * _NODES
 _MAX_PANELS = 60           # geometric panels: k up to 2^60 k1
-_MAX_LEAVES = 400          # bisected leaves per mu before the budget counts as missed
+_MAX_LEAVES = 400          # leaves per mu or per integral: at most 200 bisections
 _LEAF_CACHE = 4096         # bisected leaves kept per grid
 _ROUNDOFF = float(50 * np.finfo(float).eps)  # relative floor of an error estimate (QUADPACK's choice)
 _LOG2 = math.log(2.0)
@@ -284,52 +286,77 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-@functools.lru_cache(maxsize=None)
-def _rules():
-    """Legendre nodes and weights on [-1, 1]: the m-point rule, then the 2m-point rule."""
+def _panel(a: float, b: float):
+    """Nodes and weights on [a, b] of the m-point Gauss-Legendre rule, then the 2m-point rule."""
     (x1, w1), (x2, w2) = _gauss_legendre(_NODES), _gauss_legendre(2 * _NODES)
-    return np.concatenate([x1, x2]), np.concatenate([w1, w2])
+    half = 0.5 * (b - a)
+    return 0.5 * (a + b) + half * np.concatenate([x1, x2]), half * np.concatenate([w1, w2])
+
+
+def _pair_sum(fw):
+    """(2m-node sums, |2m - m| estimates) over the last axis of f * weight at both rules' nodes."""
+    fine = fw[..., _NODES:].sum(axis=-1)
+    with np.errstate(invalid="ignore"):  # inf - inf: caught as non-finite by the certificate
+        return fine, np.abs(fine - fw[..., :_NODES].sum(axis=-1))
+
+
+def _bisect(pair, span, budget, spent, ids):
+    """Bisect ``span`` for the columns ``ids`` until each half meets half the budget.
+
+    ``pair(half, ids)`` gives a panel's (values, estimates), arrays (rows,
+    len(ids)); ``budget`` is the span's, (rows, len(ids)).  ``spent``
+    counts each column's leaves, two per bisection, and no half is bisected
+    once that would pass ``_MAX_LEAVES``; its miss then stands.
+    """
+    a, b, *rest = span
+    mid = 0.5 * (a + b)
+    spent[ids] += 2
+    value = error = 0.0
+    for half in ((a, mid, *rest), (mid, b, *rest)):
+        v, e = pair(half, ids)
+        miss = (e > 0.5 * budget).any(axis=0) & (spent[ids] + 2 <= _MAX_LEAVES)
+        if miss.any():
+            sub = np.flatnonzero(miss)
+            v[:, sub], e[:, sub] = _bisect(pair, half, 0.5 * budget[:, sub], spent, ids[sub])
+        value, error = value + v, error + e
+    return value, error
+
+
+def _certify(total, error, tol, pref=1.0):
+    """(pref * total, pref * error) once each error is within tol |total|.
+
+    Each error is first raised to the rounding floor ``_ROUNDOFF`` |total|.
+    A miss raises ``AccuracyError`` carrying the worst estimate in the units
+    of the returned value; a non-finite total or error raises it too.
+    """
+    if not (np.isfinite(total).all() and np.isfinite(error).all()):
+        raise AccuracyError("quadrature produced a non-finite value")
+    error = np.maximum(error, _ROUNDOFF * np.abs(total))
+    worst = error / np.maximum(np.abs(total), 1e-300)
+    if (worst > tol).any():
+        i = np.unravel_index(np.argmax(worst), worst.shape)
+        raise AccuracyError(f"quadrature achieved {worst[i]:.3e} relative, requested {tol:.3e}",
+                            estimate=float((pref * error)[i]))
+    return pref * total, pref * error
 
 
 def _integrate(f, a: float, b: float, tol: float = 1e-10):
-    """(int_a^b f, error estimate) by the engine's rule pair on bisected panels.
+    """(int_a^b f, error estimate) by the radial engine's rule pair, bisection and certificate.
 
-    ``f`` maps an array of points to an array of values.  A panel is
-    certified when its 24- and 48-node sums agree within its share of
-    ``tol`` |integral| (all of it for [a, b], halved at each bisection);
-    past ``_MAX_LEAVES`` panels the misses stand, and a total error above
-    ``tol`` relative raises ``AccuracyError`` carrying the estimate.  The
-    estimate is at least the rounding floor ``_ROUNDOFF`` |integral|.
+    ``f`` maps an array of points to an array of values.  [a, b] is
+    bisected while a panel's 24- and 48-node sums miss its share of ``tol``
+    |integral| (all of it for [a, b], halved at each bisection), for at most
+    ``_MAX_LEAVES`` leaves; a total error above ``tol`` relative raises
+    ``AccuracyError`` carrying the estimate.
     """
-    x, w = _rules()
+    def pair(span, ids):
+        s, w = _panel(*span)
+        return _pair_sum((np.asarray(f(s), dtype=float) * w).reshape(1, 1, -1))
 
-    def pair(lo, hi):
-        half = 0.5 * (hi - lo)
-        fw = np.asarray(f(0.5 * (lo + hi) + half * x), dtype=float) * (half * w)
-        fine = float(fw[_NODES:].sum())
-        return fine, abs(fine - float(fw[:_NODES].sum()))
-
-    first = pair(a, b)
-    pending = [(a, b, *first, tol * abs(first[0]))]
-    value = error = 0.0
-    leaves = 1
-    while pending:
-        lo, hi, v, e, share = pending.pop()
-        if e > share and leaves < _MAX_LEAVES:
-            mid = 0.5 * (lo + hi)
-            pending += [(lo, mid, *pair(lo, mid), 0.5 * share), (mid, hi, *pair(mid, hi), 0.5 * share)]
-            leaves += 1
-        else:
-            value, error = value + v, error + e
-    if not (math.isfinite(value) and math.isfinite(error)):
-        raise AccuracyError("quadrature produced a non-finite value")
-    error = max(error, _ROUNDOFF * abs(value))
-    if error > tol * abs(value):
-        raise AccuracyError(
-            f"quadrature achieved {error / max(abs(value), 1e-300):.3e} relative, requested {tol:.3e}",
-            estimate=error,
-        )
-    return value, error
+    value, error = pair((a, b), None)
+    if error[0, 0] > tol * abs(value[0, 0]):
+        value, error = _bisect(pair, (a, b), tol * np.abs(value), np.zeros(1, int), np.zeros(1, int))
+    return tuple(x.item() for x in _certify(value, error, tol))
 
 
 class _Grid:
@@ -361,9 +388,7 @@ class _Grid:
         hit = self.leaves.get(key)
         if hit is not None:
             return hit
-        x, w = _rules()
-        s = 0.5 * (a + b) + 0.5 * (b - a) * x
-        w = 0.5 * (b - a) * w
+        s, w = _panel(a, b)
         d = self.disp.dimension
         if substituted:
             k, w = s * s, 2.0 * w * s ** (2 * d - 1)
@@ -402,32 +427,6 @@ def _integrands(w, orders, beta, sigma):
     return np.stack([rows[o]() for o in orders])
 
 
-def _rule_pair(eps, weight, mu, orders, beta, sigma):
-    """(2m-node values, |2m - m| estimates) of the leaves stacked in ``eps``."""
-    fw = _integrands(beta * (eps - mu), orders, beta, sigma) * weight
-    fine = fw[..., _NODES:].sum(axis=-1)
-    with np.errstate(invalid="ignore"):  # inf - inf: caught as non-finite by the caller
-        return fine, np.abs(fine - fw[..., :_NODES].sum(axis=-1))
-
-
-def _refine(grid, span, mu, budget, spent, ids, orders, beta, sigma):
-    """Bisect the leaf ``span`` for the mus ``ids`` until each half meets half the budget."""
-    a, b, substituted = span
-    mid = 0.5 * (a + b)
-    spent[ids] += 2
-    value = error = 0.0
-    for half in ((a, mid, substituted), (mid, b, substituted)):
-        eps, weight = grid.leaf(*half)
-        v, e = _rule_pair(eps, weight, mu[ids, None], orders, beta, sigma)
-        miss = np.any(e > 0.5 * budget, axis=0) & (spent[ids] + 2 <= _MAX_LEAVES)
-        if miss.any():
-            sub = np.flatnonzero(miss)
-            v[:, sub], e[:, sub] = _refine(grid, half, mu, 0.5 * budget[:, sub], spent,
-                                           ids[sub], orders, beta, sigma)
-        value, error = value + v, error + e
-    return value, error
-
-
 def _derivatives(beta, mu, sigma, disp, orders, tol):
     """(values, errors) of d^n p / d mu^n for n in ``orders``: arrays (len(orders), mu.size).
 
@@ -438,11 +437,14 @@ def _derivatives(beta, mu, sigma, disp, orders, tol):
         raise DomainError("tol must be positive")
     d = disp.dimension
     grid = _grid(beta, disp, sigma == BE)
-    mus = mu[:, None, None]
+
+    def rule_pair(eps, weight, mu):  # (2m-node values, |2m - m| estimates) of the leaves in eps
+        return _pair_sum(_integrands(beta * (eps - mu), orders, beta, sigma) * weight)
+
     count = 2
     while True:
         spans, eps, weight, ends, eps_ends = grid.panels(count)
-        fine, err = _rule_pair(eps, weight, mus, orders, beta, sigma)  # (q, mu, panel)
+        fine, err = rule_pair(eps, weight, mu[:, None, None])  # (q, mu, panel)
         running = np.cumsum(fine, axis=-1)
         tail = np.abs(_integrands(beta * (eps_ends - mu[:, None]), orders, beta, sigma)) * ends ** d
         stop = np.all(tail < _TRUNCATION_RATIO * np.maximum(np.abs(running), 1e-300), axis=0)
@@ -459,25 +461,15 @@ def _derivatives(beta, mu, sigma, disp, orders, tol):
     budget = 0.5 * tol * scale / panels                      # per panel, (q, mu)
     miss = np.any(err > budget[..., None], axis=0) & used
     spent = np.zeros(mu.size, dtype=int)
+    pair = lambda half, ids: rule_pair(*grid.leaf(*half), mu[ids, None])
     for j in np.flatnonzero(miss.any(axis=0)):
         ids = np.flatnonzero(miss[:, j])
-        fine[:, ids, j], err[:, ids, j] = _refine(grid, spans[j], mu, budget[:, ids], spent,
-                                                  ids, orders, beta, sigma)
+        fine[:, ids, j], err[:, ids, j] = _bisect(pair, spans[j], budget[:, ids], spent, ids)
 
     total = np.cumsum(fine, axis=-1)[:, np.arange(mu.size), panels - 1]
-    error = np.maximum(np.where(used, err, 0.0).sum(axis=-1), _ROUNDOFF * np.abs(total))
-    worst = error / np.maximum(np.abs(total), 1e-300)
     pref = _surface_area(d) / (2.0 * math.pi) ** d
     pref = np.array([pref / beta if o == 0 else pref for o in orders])[:, None]
-    if not np.all(np.isfinite(total)):
-        raise AccuracyError("radial quadrature produced a non-finite value")
-    if np.any(worst > tol):
-        q, i = np.unravel_index(np.argmax(worst), worst.shape)
-        raise AccuracyError(
-            f"quadrature achieved {worst[q, i]:.3e} relative, requested {tol:.3e}",
-            estimate=float(pref[q, 0] * error[q, i]),
-        )
-    return pref * total, pref * error
+    return _certify(total, np.where(used, err, 0.0).sum(axis=-1), tol, pref)
 
 
 def pressure_derivatives(mu, beta: float, sigma: int, disp: DispersionRelation,

@@ -329,6 +329,15 @@ class TestCli:
         assert main(["rate", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: interval: ")
 
+    @pytest.mark.parametrize("rows", [None, "0\n1\n2\n3\n"], ids=["missing", "one_column"])
+    def test_bad_table_exit_two(self, tmp_path, capsys, rows):
+        table = tmp_path / "eps.txt"
+        if rows is not None:  # one column, no energies
+            table.write_text(rows)
+        cfg = write_cfg(tmp_path, f"kind = eos\ndispersion = table\ntable = {table}\n")
+        assert main(["eos", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: table: ")
+
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["eos", "--config", str(tmp_path / "absent.cfg")]) == 2
 

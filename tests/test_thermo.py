@@ -439,6 +439,17 @@ class TestIntegrate:
             thermo._integrate(lambda x: np.sin(1e5 * x), 0.0, 1.0, 1e-10)
         assert info.value.estimate > 1e-10 * (1.0 - math.cos(1e5)) / 1e5
 
+    def test_leaf_cap_shared_with_radial_engine(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.sin(1e5 * x)
+
+        with pytest.raises(AccuracyError):
+            thermo._integrate(f, 0.0, 1.0, 1e-10)
+        assert len(calls) <= 1 + thermo._MAX_LEAVES  # [a, b], then two panels per bisection
+
     def test_budget_below_rounding_raises(self):
         with pytest.raises(AccuracyError) as info:
             thermo._integrate(np.sin, 0.0, math.pi, 1e-20)
