@@ -1,10 +1,13 @@
 """Counting statistics of particles in an interval of the infinite gas.
 
 The number of particles in [0, L] is governed by the compression of the
-occupation operator to the interval.  A Gauss-Legendre Nystrom
-discretization (Bornemann, Math. Comp. 79, 2010: exponentially convergent
-for analytic kernels, certified here by node doubling) gives a dense
-symmetric matrix whose eigenvalues kappa_i determine everything:
+occupation operator to the interval.  It commutes with the reflection
+about the interval's centre, so it splits into even and odd blocks.  A
+Gauss-Legendre Nystrom discretization of each, read from the momentum
+symbol on Gauss-Legendre wavevectors (Bornemann, Math. Comp. 79, 2010:
+exponentially convergent for analytic kernels, certified here by node
+doubling), gives two dense symmetric matrices whose eigenvalues kappa_i
+determine everything:
 
   * the generating function  <zeta^N> = prod (1 + (zeta-1) kappa_i)^{-sigma},
   * the exact law of N as an independent sum of Bernoulli(kappa_i) (FD)
@@ -46,8 +49,9 @@ __all__ = [
 
 _SPECTRUM_TOL_FACTOR = 1e-8     # discretization-noise allowance, times ||K||
 _DISCRETIZATION_BUDGET = 1e-10  # node-doubling eigenvalue estimate allowed, times ||K||
-_NODE_MARGIN = 24               # Gauss-Legendre nodes beyond the band-limit count
-_MAX_NODES = 4096               # largest doubled-node check rule (a 134 MB matrix)
+_R_MARGIN = 12                  # r-nodes per block beyond the band-limit count
+_K_MARGIN = 24                  # k-nodes, halved, beyond the band-limit count
+_MAX_NODES = 2048               # largest doubled-node check rule, r-nodes per block
 _SYMBOL_FLOOR = 1e-20           # symbol magnitude below which wavevectors are dropped
 
 
@@ -55,7 +59,8 @@ _SYMBOL_FLOOR = 1e-20           # symbol magnitude below which wavevectors are d
 class CountingMatrix:
     """Nystrom discretization of the interval-compressed occupation operator.
 
-    ``nodes`` is the number of Gauss-Legendre nodes (the matrix order) and
+    ``blocks`` holds its even and odd parity blocks, ``nodes`` their summed
+    order, ``eigenvalues`` their joint spectrum, sorted, and
     ``discretization_error`` the node-doubling estimate of the largest
     eigenvalue error.
     """
@@ -63,7 +68,7 @@ class CountingMatrix:
     kernel: KernelTable
     length: float
     nodes: int
-    matrix: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     discretization_error: float
 
@@ -106,8 +111,7 @@ class CountingMatrix:
         n = -self.statistics * self.eigenvalues
         if n.min() < -tol or n.max() > abs(self.spectral_bound) + tol:
             raise AccuracyError(
-                "eigenvalues violate the continuum spectrum containment; "
-                "check the kernel table's grid spacing and extent"
+                "eigenvalues violate the continuum spectrum containment"
             )
         return FactorLaw(n, np.ones(n.size, dtype=np.int64), self.statistics)
 
@@ -116,42 +120,27 @@ class CountingMatrix:
         write_table(path, ["# counting-matrix spectrum: index, kappa"], enumerate(self.eigenvalues))
 
 
-def _cosine_series(kernel: KernelTable, dk: float) -> np.ndarray:
-    """Coefficients of the table's own Fourier series d(x) = sum_j c_j cos(j dk x).
+def _parity_blocks(sym, k_max, n_k, radius, n_r, sign):
+    """Even and odd blocks sign * B B^T of the Nystrom operator, with their spectra.
 
-    The FFT table has period 2 X (X the extent), so dk = pi / X with
-    c_0 = symbol(0) / 2X and c_j = symbol(j dk) / X; the series is cut
-    where the symbol drops below ``_SYMBOL_FLOOR``.
+    On [-R, R] the kernel d(x - y) = (1/pi) int_0^inf s(k) cos(k(x - y)) dk
+    splits by the reflection into d(x - y) +- d(x + y) on [0, R], i.e.
+    (2/pi) int s(k) cos(kx) cos(ky) dk and the same with sin.  Gauss-Legendre
+    rules of n_r nodes on [0, R] and n_k nodes on [0, k_max] give
+    B[i, q] = sqrt(w_i) cos(k_q x_i) sqrt((2/pi) omega_q |s(k_q)|) (sin for odd).
     """
-    nyquist = kernel.x.size // 2
-    k = dk * np.arange(min(math.ceil(_symbol_cutoff(kernel.symbol) / dk), nyquist - 1) + 1)
-    sym = kernel.symbol(k)
-    if abs(sym[-1]) >= _SYMBOL_FLOOR:
-        raise AccuracyError(
-            "the kernel grid does not resolve the symbol; use a smaller h",
-            estimate=float(abs(sym[-1])),
-        )
-    c = sym[: np.flatnonzero(np.abs(sym) >= _SYMBOL_FLOOR)[-1] + 1] / kernel.extent
-    c[0] *= 0.5
-    return c
-
-
-def _nystrom(dk, c, x, w, sign):
-    """K[i, j] = sqrt(w_i w_j) d(x_i - x_j) on the given nodes, and its spectrum.
-
-    With a one-signed symbol, K = sign * B B^T where row i of B holds
-    sqrt(w_i |c_j|) e^{i j dk x_i} as interleaved (cos, sin) pairs.  The
-    phases come from angle addition over two levels of j, one complex
-    exponential per block instead of one per entry.
-    """
-    step = math.isqrt(c.size) + 1
-    low = np.exp(1j * dk * np.outer(x, np.arange(step)))
-    high = np.exp(1j * dk * step * np.outer(x, np.arange(-(-c.size // step))))
-    phases = (high[:, :, None] * low[:, None, :]).reshape(x.size, -1)[:, : c.size]
-    b = (phases * (np.sqrt(w)[:, None] * np.sqrt(np.abs(c)))).view(float)
-    K = b @ b.T
-    K *= sign
-    return K, np.linalg.eigvalsh(K)
+    t, w = _gauss_legendre(n_r)
+    x, w = 0.5 * radius * (t + 1.0), 0.5 * radius * w
+    t, omega = _gauss_legendre(n_k)
+    k, omega = 0.5 * k_max * (t + 1.0), 0.5 * k_max * omega
+    scale = np.sqrt(w)[:, None] * np.sqrt((2.0 / math.pi) * omega * np.abs(sym(k)))
+    phase = np.outer(x, k)
+    out = []
+    for b in (np.cos(phase) * scale, np.sin(phase) * scale):
+        K = b @ b.T
+        K *= sign
+        out.append((K, np.linalg.eigvalsh(K)))
+    return out
 
 
 def _spectral_distance(coarse, fine, sign):
@@ -166,52 +155,49 @@ def _spectral_distance(coarse, fine, sign):
 
 
 def build_counting_matrix(kernel: KernelTable, length: float) -> CountingMatrix:
-    """Gauss-Legendre Nystrom matrix of the occupation operator on [0, L], diagonalized.
+    """Nystrom parity blocks of the occupation operator on an interval of length L.
 
-    The kernel comes from the table's own cosine series, so it is exact at
-    any node offset; L must lie within the kernel extent, which keeps the
-    series' 2X period alias-free.  The node count m starts at the band
-    limit, ceil(L k_max / pi) plus ``_NODE_MARGIN``, with k_max where the
-    symbol drops below 1e-20.  Doubling the nodes, as the same rule on each
-    half of the interval, must move no sorted eigenvalue by more than
-    ``_DISCRETIZATION_BUDGET`` ||K||; otherwise m doubles while the 2m-node
-    check fits in ``_MAX_NODES``, past which ``AccuracyError`` carries the
-    last estimate.  The eigenvalues must also respect the continuum
-    spectrum containment (``CountingMatrix.law``).
+    Only the table's state and symbol are read, so neither its grid spacing
+    nor its extent changes the spectrum.  The interval is centred at 0 with
+    R = L/2 and split into even and odd blocks (``_parity_blocks``): n_r =
+    ceil(k_max R / pi) + 12 Gauss-Legendre nodes on [0, R] and n_k =
+    2 (ceil(k_max R / pi) + 24) on [0, k_max], k_max where the symbol stays
+    below 1e-20.  Doubling both node counts must move no sorted eigenvalue
+    of either block by more than ``_DISCRETIZATION_BUDGET`` ||K||; otherwise
+    both double while the doubled rule fits ``_MAX_NODES`` r-nodes per
+    block, past which ``AccuracyError`` carries the last estimate.  The
+    eigenvalues must also respect the continuum spectrum containment
+    (``CountingMatrix.law``).
     """
     if kernel.dimension != 1:
         raise DomainError("counting matrices are built at desk scale, d = 1 only")
     if not length > 0:
         raise DomainError("interval length must be positive")
-    if length > kernel.extent:
-        raise DomainError("interval exceeds the kernel extent guard")
 
     sign = 1.0 if kernel.state.sigma == FD else -1.0
-    dk = math.pi / kernel.extent
-    c = _cosine_series(kernel, dk)
-    nodes = math.ceil(length * dk * (c.size - 1) / math.pi) + _NODE_MARGIN
-    error = math.inf
-    while 2 * nodes <= _MAX_NODES:
-        t, w = _gauss_legendre(nodes)
-        # nodes centred on the interval (d depends on offsets only)
-        x, w = 0.5 * length * t, 0.5 * length * w
-        K, eig = _nystrom(dk, c, x, w, sign)
-        halves = np.concatenate([0.5 * x - 0.25 * length, 0.5 * x + 0.25 * length])
-        fine = _nystrom(dk, c, halves, np.concatenate([0.5 * w, 0.5 * w]), sign)[1]
-        error = _spectral_distance(eig, fine, sign)
-        budget = _DISCRETIZATION_BUDGET * float(np.max(np.abs(eig)))
-        if error <= budget:
+    radius, k_max = 0.5 * length, _band_limit(kernel.symbol)
+    band = math.ceil(k_max * radius / math.pi)
+    n_r, n_k = band + _R_MARGIN, 2 * (band + _K_MARGIN)
+    coarse, error = None, math.inf
+    while 2 * n_r <= _MAX_NODES:
+        coarse = coarse or _parity_blocks(kernel.symbol, k_max, n_k, radius, n_r, sign)
+        fine = _parity_blocks(kernel.symbol, k_max, 2 * n_k, radius, 2 * n_r, sign)
+        error = max(_spectral_distance(c[1], f[1], sign) for c, f in zip(coarse, fine))
+        norm = max(float(np.max(np.abs(c[1]))) for c in coarse)
+        if error <= _DISCRETIZATION_BUDGET * norm:
             break
-        nodes *= 2
+        coarse, n_r, n_k = fine, 2 * n_r, 2 * n_k
     else:
         raise AccuracyError(
-            f"Nystrom eigenvalues not certified within {_MAX_NODES} nodes "
+            f"Nystrom eigenvalues not certified within {_MAX_NODES} nodes per block "
             f"(node-doubling estimate {error:.2e}, budget {_DISCRETIZATION_BUDGET:.0e} ||K||)",
             estimate=error,
         )
 
     m = CountingMatrix(
-        kernel=kernel, length=float(length), nodes=nodes, matrix=K, eigenvalues=eig,
+        kernel=kernel, length=float(length), nodes=2 * n_r,
+        blocks=tuple(K for K, _ in coarse),
+        eigenvalues=np.sort(np.concatenate([eig for _, eig in coarse])),
         discretization_error=error,
     )
     m.law  # checks the spectrum containment
@@ -280,6 +266,13 @@ def _symbol_cutoff(sym) -> float:
             return k
         k *= 2.0
     return k
+
+
+def _band_limit(sym) -> float:
+    """k beyond which the symbol stays below ``_SYMBOL_FLOOR``, to 1/1024 of the cutoff."""
+    k = _symbol_cutoff(sym) * np.arange(1, 1025) / 1024
+    above = np.flatnonzero(np.abs(sym(k)) >= _SYMBOL_FLOOR)
+    return float(k[min(above[-1] + 1, k.size - 1)]) if above.size else float(k[0])
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Configs are plain-text ``key = value`` files whose keys are the fields of
 ``ExperimentConfig`` (the README lists them); ``KINDS`` maps each experiment
-kind to its runner and the keys it requires.  Records echo the config, hold
-one result row per sweep size with oracle targets and gaps, and are written
-atomically (temp file + rename).  Identical configs with identical seeds
+kind to its runner, the keys it requires and the dimensions and statistics
+it supports.  Records echo the config, hold one result row per sweep size
+with oracle targets and gaps, and are written atomically (temp file +
+rename).  Identical configs with identical seeds
 produce byte-identical numeric payloads; wall-clock timings live in a
 separate section excluded from such comparisons.
 
@@ -21,6 +22,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,7 +64,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError("kind", f"unknown kind {self.kind!r}")
-        if self.statistics not in (BE, FD):
+        if self.statistics not in _STATISTICS:
             raise ConfigError("statistics", f"expected FD or BE, got {self.statistics!r}")
         for key in ("mass", "c", "beta", "h", "extent", "tolerance", "quad_tol"):
             value = getattr(self, key)
@@ -82,9 +84,16 @@ class ExperimentConfig:
             a, b = self.interval
             if a > b:
                 raise ConfigError("interval", "requires a <= b")
-        for key in KINDS[self.kind][1]:
+        kind = KINDS[self.kind]
+        for key in kind.required:
             if getattr(self, _FIELDS[key]) in (None, ()):
                 raise ConfigError(key, f"required by {self.kind} experiments")
+        if kind.dimensions and self.dimension not in kind.dimensions:
+            supported = ", ".join(map(str, kind.dimensions))
+            raise ConfigError("dimension", f"{self.kind} experiments support d = {supported}")
+        if self.statistics not in kind.statistics:
+            supported = " or ".join(_STATISTICS[s] for s in kind.statistics)
+            raise ConfigError("statistics", f"{self.kind} experiments support {supported}")
         if self.dispersion not in ("nonrelativistic", "relativistic", "massless", "table"):
             raise ConfigError("dispersion", f"unknown dispersion {self.dispersion!r}")
         if self.dispersion == "table" and not self.table:
@@ -105,6 +114,8 @@ class ExperimentConfig:
     def build_state(self) -> ThermoState:
         return ThermoState(self.beta, self.mu, self.statistics)
 
+
+_STATISTICS = {FD: "FD", BE: "BE"}
 
 # config key -> ExperimentConfig field
 _FIELDS = {f.metadata.get("key", f.name): f.name for f in fields(ExperimentConfig)}
@@ -231,12 +242,13 @@ def _gap_summary(rows):
 # per-kind runners
 # ---------------------------------------------------------------------------
 
-def _shared_kernel(cfg, state, disp, needed_length):
-    extent = cfg.extent
-    if extent is None:
-        extent = max(2.0 * needed_length, kernel.default_extent(state, disp))
-        extent = math.ceil(extent / cfg.h) * cfg.h
-    return kernel.build_kernel(state, disp, cfg.h, extent)
+def _symbol_table(cfg, state, disp):
+    """Kernel table carrying the state and symbol that counting reads.
+
+    Counting never reads the table's samples, so their boundary-decay check
+    is waived: neither ``h`` nor ``extent`` can change or fail a sweep.
+    """
+    return kernel.build_kernel(state, disp, cfg.h, cfg.extent, boundary_decay_tol=math.inf)
 
 
 def _run_eos(cfg, state, disp):
@@ -292,7 +304,7 @@ def _run_kernel(cfg, state, disp):
 def _run_gf(cfg, state, disp):
     lam = cfg.lam
     target = thermo.translated_pressure(lam, state, disp, order=0, tol=cfg.quad_tol)
-    tab = _shared_kernel(cfg, state, disp, max(cfg.sizes))
+    tab = _symbol_table(cfg, state, disp)
 
     def one(i, length):
         m = counting.build_counting_matrix(tab, length)
@@ -310,7 +322,7 @@ def _run_ldp(cfg, state, disp):
     a, b = cfg.interval
     ctx = rate.RateContext.build(state, disp, cfg.quad_tol)
     target = rate.interval_rate(a, b, ctx)
-    tab = _shared_kernel(cfg, state, disp, max(cfg.sizes))
+    tab = _symbol_table(cfg, state, disp)
 
     def one(i, length):
         m = counting.build_counting_matrix(tab, length)
@@ -332,7 +344,7 @@ def _run_ldp(cfg, state, disp):
 
 
 def _run_clt(cfg, state, disp):
-    tab = _shared_kernel(cfg, state, disp, max(cfg.sizes))
+    tab = _symbol_table(cfg, state, disp)
     target = thermo.translated_pressure(0.0, state, disp, order=2, tol=cfg.quad_tol) / cfg.beta
 
     def one(i, length):
@@ -417,16 +429,25 @@ def _run_kac(cfg, state, disp):
     return rows, summary
 
 
-# kind -> (runner, config keys the kind requires)
+class Kind(NamedTuple):
+    """An experiment kind: its runner, the config keys it requires, and the
+    dimensions (empty: any) and statistics it supports."""
+
+    runner: Callable
+    required: tuple = ()
+    dimensions: tuple = ()
+    statistics: tuple = (FD, BE)
+
+
 KINDS = {
-    "eos": (_run_eos, ()),
-    "rate": (_run_rate, ("interval",)),
-    "kernel": (_run_kernel, ()),
-    "gf": (_run_gf, ("lambda", "sizes")),
-    "ldp": (_run_ldp, ("interval", "sizes")),
-    "clt": (_run_clt, ("sizes",)),
-    "modes": (_run_modes, ("sizes",)),
-    "kac": (_run_kac, ("sizes",)),
+    "eos": Kind(_run_eos),
+    "rate": Kind(_run_rate, ("interval",)),
+    "kernel": Kind(_run_kernel, dimensions=(1, 3)),
+    "gf": Kind(_run_gf, ("lambda", "sizes"), (1,)),
+    "ldp": Kind(_run_ldp, ("interval", "sizes"), (1,)),
+    "clt": Kind(_run_clt, ("sizes",), (1,)),
+    "modes": Kind(_run_modes, ("sizes",), (1, 2, 3)),
+    "kac": Kind(_run_kac, ("sizes",), (3,), (BE,)),
 }
 
 
@@ -438,7 +459,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, formats=("json",)) -> Ex
     """
     state = cfg.build_state()
     disp = cfg.build_dispersion()
-    runner, _ = KINDS[cfg.kind]
+    runner = KINDS[cfg.kind].runner
     record = ExperimentRecord(config=asdict(cfg), results=[], summary={}, timings={})
     start = time.perf_counter()
     try:

@@ -21,6 +21,7 @@ from ldgas.errors import AccuracyError, DomainError
 from ldgas.kernel import build_kernel
 from ldgas.rate import RateContext, minimizer
 from ldgas.thermo import BE, FD, ThermoState, density, translated_pressure
+from ldgas.thermo import _gauss_legendre as gauss_legendre
 
 import oracle_series as oracle
 
@@ -53,9 +54,32 @@ def synthetic_matrix(kernel, eigenvalues):
     """Matrix object with a prescribed spectrum (factor-level unit tests)."""
     eig = np.asarray(eigenvalues, dtype=float)
     return CountingMatrix(
-        kernel=kernel, length=1.0, nodes=eig.size, matrix=np.diag(eig), eigenvalues=eig,
+        kernel=kernel, length=1.0, nodes=eig.size, blocks=(np.diag(eig),), eigenvalues=eig,
         discretization_error=0.0,
     )
+
+
+def block_trace(m):
+    return sum(np.trace(block) for block in m.blocks)
+
+
+def full_nystrom_eigenvalues(sym, length):
+    """Unsplit symmetric Nystrom matrix on the mirrored r-nodes of the build's rules.
+
+    K[i, j] = sqrt(w_i w_j) d(x_i - x_j) with d(u) = (1/pi) sum_q omega_q s(k_q)
+    cos(k_q u), the k-rule and the r-rule (reflected onto [-R, 0]) of
+    ``build_counting_matrix``'s first, certified pass.
+    """
+    radius, k_max = 0.5 * length, counting._band_limit(sym)
+    band = math.ceil(k_max * radius / math.pi)
+    n_r, n_k = band + counting._R_MARGIN, 2 * (band + counting._K_MARGIN)
+    t, w = gauss_legendre(n_r)
+    x = 0.5 * radius * (t + 1.0)
+    x, w = np.concatenate([-x, x]), np.tile(0.5 * radius * w, 2)
+    t, omega = gauss_legendre(n_k)
+    k, omega = 0.5 * k_max * (t + 1.0), 0.5 * k_max * omega
+    d = np.cos(np.subtract.outer(x, x)[:, :, None] * k) @ (omega * sym(k)) / math.pi
+    return np.linalg.eigvalsh(np.sqrt(np.outer(w, w)) * d)
 
 
 class TestBuild:
@@ -63,13 +87,14 @@ class TestBuild:
         # a short interval is the rank-one limit: one eigenvalue L d(0)
         m = build_counting_matrix(fd_kernel, 0.05)
         d0 = fd_kernel.at_offsets(np.array([0]))[0]
-        assert np.trace(m.matrix) == pytest.approx(0.05 * d0, rel=1e-14)
+        assert block_trace(m) == pytest.approx(0.05 * d0, rel=1e-14)
         assert m.eigenvalues.max() == pytest.approx(0.05 * d0, rel=1e-3)
 
     def test_trace_identity_exact(self, fd_m40):
-        # |I|^{-1} tr K = d(0) by construction
+        # |I|^{-1} tr K = d(0) by construction, summed over both parity blocks
         d0 = fd_m40.kernel.at_offsets(np.array([0]))[0]
-        assert np.trace(fd_m40.matrix) / fd_m40.volume == pytest.approx(d0, rel=1e-14)
+        assert block_trace(fd_m40) / fd_m40.volume == pytest.approx(d0, rel=1e-14)
+        assert np.sum(fd_m40.eigenvalues) / fd_m40.volume == pytest.approx(d0, rel=1e-14)
 
     def test_fd_spectrum_containment(self, fd_kernel):
         for L in (10.0, 20.0, 40.0):
@@ -92,18 +117,51 @@ class TestBuild:
                 build_counting_matrix(fd_kernel, bad)
         assert build_counting_matrix(fd_kernel, 10.013).volume == 10.013
 
-    def test_length_within_extent(self, fd_kernel):
-        with pytest.raises(DomainError):
-            build_counting_matrix(fd_kernel, 400.0)
+    def test_spectrum_independent_of_table(self, fd_kernel):
+        # a grid too coarse and an extent too short for the interval: the
+        # build reads only the state and the symbol
+        coarse = build_kernel(FD0, D1, h=0.5, extent=30.0)
+        a = build_counting_matrix(coarse, 40.0)
+        b = build_counting_matrix(fd_kernel, 40.0)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        for m in (a, b):
+            assert m.discretization_error <= 1e-10 * m.norm
+
+    @pytest.mark.parametrize("statistics", ["FD", "BE"])
+    @pytest.mark.parametrize("length", [10.0, 40.0])
+    def test_parity_blocks_match_full_matrix(self, fd_kernel, be_kernel, statistics, length):
+        kernel = fd_kernel if statistics == "FD" else be_kernel
+        m = build_counting_matrix(kernel, length)
+        full = full_nystrom_eigenvalues(kernel.symbol, length)
+        assert full.size == m.eigenvalues.size
+        assert np.max(np.abs(full - m.eigenvalues)) <= 1e-13 * m.norm
 
     def test_nodes_grow_and_are_certified(self, fd_kernel):
         nodes = []
         for L in (10.0, 20.0, 40.0, 80.0):
             m = build_counting_matrix(fd_kernel, L)
-            assert m.matrix.shape == (m.nodes, m.nodes)
+            assert sum(block.shape[0] for block in m.blocks) == m.nodes == m.eigenvalues.size
+            assert all(block.shape[0] == block.shape[1] for block in m.blocks)
             assert m.discretization_error <= 1e-10 * m.norm
             nodes.append(m.nodes)
         assert nodes == sorted(set(nodes))
+
+    def test_eigensolves_stay_within_a_block(self, fd_kernel, monkeypatch):
+        # the doubled check rule of one parity block is the largest eigensolve:
+        # 2 (ceil(k_max R / pi) + 12) at R = 40, about 200, where one unsplit
+        # matrix on the doubled nodes is about 400
+        orders = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a):
+            orders.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        m = build_counting_matrix(fd_kernel, 80.0)
+        band = math.ceil(counting._band_limit(fd_kernel.symbol) * 40.0 / math.pi)
+        assert orders and max(orders) <= 2 * (band + counting._R_MARGIN) <= 210
+        assert m.nodes == 2 * (band + counting._R_MARGIN)
 
     def test_doubles_nodes_until_certified(self, fd_kernel):
         # at L = 160 the band-limit rule misses the budget; doubling meets it
@@ -117,11 +175,6 @@ class TestBuild:
         with pytest.raises(AccuracyError) as err:
             build_counting_matrix(fd_kernel, 10.0)
         assert err.value.estimate > 0.0
-
-    def test_unresolved_symbol_raises(self):
-        coarse = build_kernel(FD0, D1, h=0.5, extent=160.0)
-        with pytest.raises(AccuracyError, match="smaller h"):
-            build_counting_matrix(coarse, 10.0)
 
 
 class TestGeneratingFunction:

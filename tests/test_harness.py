@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ldgas.cli import main
-from ldgas.errors import ConfigError
+from ldgas.errors import AccuracyError, ConfigError
 from ldgas.export import atomic_write
 from ldgas.harness import (
     ExperimentConfig,
@@ -46,6 +46,20 @@ def write_cfg(tmp_path, body, name="exp.cfg"):
     return str(path)
 
 
+def fail_mid_sweep(monkeypatch):
+    """Make the counting build of the second sweep size raise ``AccuracyError``."""
+    from ldgas import counting
+
+    build = counting.build_counting_matrix
+
+    def failing(kernel, length):
+        if length > 10.0:
+            raise AccuracyError("Nystrom eigenvalues not certified", estimate=1.0)
+        return build(kernel, length)
+
+    monkeypatch.setattr(counting, "build_counting_matrix", failing)
+
+
 def test_clt_variance_target_computed_once(monkeypatch):
     from ldgas import counting, thermo
 
@@ -66,6 +80,17 @@ def test_clt_variance_target_computed_once(monkeypatch):
     assert calls == [2]
     target = original(0.0, cfg.build_state(), cfg.build_dispersion(), order=2) / cfg.beta
     assert {row["c2_target"] for row in record.results} == {target}
+
+
+def test_counting_sweep_does_not_read_table_samples():
+    # at mu = -0.1 the BE kernel has not decayed at the default extent, which
+    # a kernel experiment refuses; the counting sweep reads only the symbol
+    raw = {"kind": "gf", "statistics": "BE", "mass": "0.5", "dimension": "1", "mu": "-0.1",
+           "lambda": "0.05", "sizes": "10, 20, 40"}
+    record = run_experiment(config_from_mapping(raw))
+    assert record.passed
+    with pytest.raises(AccuracyError, match="not decayed"):
+        run_experiment(config_from_mapping(dict(raw, kind="kernel", sizes="40")))
 
 
 @pytest.mark.parametrize("interval", ["0.25, 0.30", "0.05, 0.10", "0.10, 0.30"])
@@ -137,7 +162,7 @@ class TestConfigParsing:
     def test_every_field_set_by_its_key(self):
         # one valid text per config key and the field value it parses to, never the default
         samples = {
-            "kind": ("gf", "gf"), "statistics": ("be", BE), "dispersion": ("table", "table"),
+            "kind": ("kac", "kac"), "statistics": ("be", BE), "dispersion": ("table", "table"),
             "mass": ("0.75", 0.75), "c": ("2", 2.0), "table": ("k.txt", "k.txt"),
             "dimension": ("3", 3), "beta": ("2.5", 2.5), "mu": ("-1.5", -1.5),
             "lambda": ("0.5", 0.5), "interval": ("0.1, 0.2", (0.1, 0.2)),
@@ -167,6 +192,16 @@ class TestConfigParsing:
     def test_out_of_domain_names_key(self, key, text):
         with pytest.raises(ConfigError) as err:
             config_from_mapping({"kind": "eos", key: text})
+        assert err.value.field == key
+
+    @pytest.mark.parametrize("kind, key, text", [("gf", "dimension", "3"), ("ldp", "dimension", "2"),
+                                                 ("modes", "dimension", "4"), ("kernel", "dimension", "2"),
+                                                 ("kac", "dimension", "2"), ("kac", "statistics", "FD")])
+    def test_unsupported_setting_names_key(self, kind, key, text):
+        raw = {"kind": kind, "statistics": "BE", "mu": "-1", "dimension": "3", "lambda": "0.5",
+               "interval": "0.1, 0.2", "sizes": "10"}
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(dict(raw, **{key: text}))
         assert err.value.field == key
 
     def test_repeated_key_names_key_and_line(self):
@@ -345,10 +380,18 @@ class TestCli:
         cfg = write_cfg(tmp_path, GF_CFG)
         assert main(["eos", "--config", cfg]) == 2
 
-    def test_internal_error_exit_three(self, tmp_path):
-        # interval longer than the kernel extent -> domain error inside the sweep
-        body = GF_CFG.replace("sizes = 10, 20, 40", "extent = 30\n    sizes = 10, 40")
+    @pytest.mark.parametrize("kind, dimension", [("gf", 3), ("modes", 4)])
+    def test_unsupported_dimension_exit_two(self, tmp_path, capsys, kind, dimension):
+        body = GF_CFG.replace("kind = gf", f"kind = {kind}").replace(
+            "dimension = 1", f"dimension = {dimension}")
         cfg = write_cfg(tmp_path, body)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: dimension: ")
+        assert not (tmp_path / f"{kind}.json").exists()
+
+    def test_internal_error_exit_three(self, tmp_path, monkeypatch):
+        fail_mid_sweep(monkeypatch)
+        cfg = write_cfg(tmp_path, GF_CFG)
         assert main(["gf", "--config", cfg, "--out", str(tmp_path)]) == 3
 
     def test_seed_override(self, tmp_path):
@@ -372,9 +415,9 @@ class TestCli:
         payload = json.load(open(tmp_path / "kac.json"))
         assert payload["config"]["seed"] == 2
 
-    def test_failure_marker_persisted(self, tmp_path):
-        body = GF_CFG.replace("sizes = 10, 20, 40", "extent = 30\n    sizes = 10, 40")
-        cfg = write_cfg(tmp_path, body)
+    def test_failure_marker_persisted(self, tmp_path, monkeypatch):
+        fail_mid_sweep(monkeypatch)
+        cfg = write_cfg(tmp_path, GF_CFG)
         main(["gf", "--config", cfg, "--out", str(tmp_path)])
         payload = json.load(open(tmp_path / "gf.json"))
         assert payload["failure"] is not None
