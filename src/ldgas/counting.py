@@ -19,6 +19,7 @@ Desk scale fixes d = 1: the dense eigensolve is the cost ceiling.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,11 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
 from .export import write_table
 from .factors import FactorLaw, window_log_prob
-from .kernel import KernelTable
-from .thermo import BE, FD, _gauss_legendre, _integrate, translated_pressure
+from .kernel import KernelTable, symbol
+from .thermo import BE, FD, ThermoState, _gauss_legendre, _integrate, translated_pressure
 
 __all__ = [
     "CountingMatrix",
@@ -157,7 +159,7 @@ def _spectral_distance(coarse, fine, sign):
 def build_counting_matrix(kernel: KernelTable, length: float) -> CountingMatrix:
     """Nystrom parity blocks of the occupation operator on an interval of length L.
 
-    Only the table's state and symbol are read, so neither its grid spacing
+    Only kernel.state, .disp and .symbol are read, so neither its grid spacing
     nor its extent changes the spectrum.  The interval is centred at 0 with
     R = L/2 and split into even and odd blocks (``_parity_blocks``): n_r =
     ceil(k_max R / pi) + 12 Gauss-Legendre nodes on [0, R] and n_k =
@@ -175,7 +177,7 @@ def build_counting_matrix(kernel: KernelTable, length: float) -> CountingMatrix:
         raise DomainError("interval length must be positive")
 
     sign = 1.0 if kernel.state.sigma == FD else -1.0
-    radius, k_max = 0.5 * length, _band_limit(kernel.symbol)
+    radius, k_max = 0.5 * length, _band_limit(kernel.state, kernel.disp)
     band = math.ceil(k_max * radius / math.pi)
     n_r, n_k = band + _R_MARGIN, 2 * (band + _K_MARGIN)
     coarse, error = None, math.inf
@@ -268,8 +270,13 @@ def _symbol_cutoff(sym) -> float:
     return k
 
 
-def _band_limit(sym) -> float:
-    """k beyond which the symbol stays below ``_SYMBOL_FLOOR``, to 1/1024 of the cutoff."""
+@functools.lru_cache(maxsize=32)
+def _band_limit(state: ThermoState, disp: DispersionRelation) -> float:
+    """k beyond which the symbol stays below ``_SYMBOL_FLOOR``, to 1/1024 of the cutoff.
+
+    Cached: every size of a sweep reads the same (state, dispersion).
+    """
+    sym = lambda k: symbol(k, state, disp)
     k = _symbol_cutoff(sym) * np.arange(1, 1025) / 1024
     above = np.flatnonzero(np.abs(sym(k)) >= _SYMBOL_FLOOR)
     return float(k[min(above[-1] + 1, k.size - 1)]) if above.size else float(k[0])
@@ -377,5 +384,5 @@ def chebyshev_bound(m: CountingMatrix, a: float) -> float:
     top = lambda_max(m)
     hi = 4.0 / m.beta if math.isinf(top) else top * (1.0 - 1e-6)
     lam_grid = np.linspace(0.0, hi, 81)[1:]
-    vals = [log_generating_function(m, float(l)) / m.beta - float(l) * a for l in lam_grid]
-    return float(min(vals))
+    zeta_minus_one = np.array([math.expm1(m.beta * l) for l in lam_grid.tolist()])
+    return float(np.min(m.law.log_pgf(zeta_minus_one) / m.volume / m.beta - lam_grid * a))

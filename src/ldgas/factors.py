@@ -4,10 +4,12 @@ N is a sum of independent factors of mean occupation n_i, each repeated r_i
 times: binomial (FD) or negative-binomial (BE) blocks.  The interval route's
 factors are the counting-matrix eigenvalues (determinantal factorization:
 Hough, Krishnapur, Peres and Virag, Probab. Surveys 3, 2006), the box
-route's the mode shells.  FD pmfs keep their full support; BE blocks and
+route's the mode shells.  FD blocks end at their last entry that does not
+underflow to 0, and FD pmfs keep the rest of their support; BE blocks and
 pmfs drop tails below ``_FACTOR_TAIL`` and ``_PMF_TAIL``, all summed into
-``tail_mass``.  Blocks with r > 1 come from log-factorials: a cached table
-of ``math.lgamma`` values for arrays, ``math.lgamma`` itself for scalars.
+``tail_mass``.  All blocks of a law are built in one pass: those with r > 1
+from one flat log-pmf over a cached table of ``math.lgamma`` values, with
+the BE block ends searched across all factors at once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = ["FactorLaw", "window_log_prob"]
 _PMF_TAIL = 1e-17
 _FACTOR_TAIL = 1e-21
 _PMF_BUDGET = 1e-14
+_UNDERFLOW = -746.0  # exp of a log below -745.14 rounds to 0.0
 _LOG_FACTORIALS = np.zeros(1)  # log k! for k < size; replaced whole when it grows
 
 
@@ -52,12 +55,16 @@ class FactorLaw:
     multiplicities: np.ndarray = field(repr=False)
     sigma: int
 
-    def log_pgf(self, zeta_minus_one: float) -> float:
-        """log <zeta^N> = -sigma sum r log1p(-sigma (zeta-1) n); inf (BE) once (zeta-1) n >= 1."""
-        x = -self.sigma * zeta_minus_one * self.occupations
-        if self.sigma == BE and x.min() <= -1.0:
-            return math.inf
-        return -self.sigma * float(np.sum(self.multiplicities * np.log1p(x)))
+    def log_pgf(self, zeta_minus_one):
+        """log <zeta^N> = -sigma sum r log1p(-sigma (zeta-1) n); inf (BE) once (zeta-1) n >= 1.
+
+        A float gives a float; an array of zeta - 1 gives an array of the same shape.
+        """
+        x = -self.sigma * np.asarray(zeta_minus_one, dtype=float)[..., None] * self.occupations
+        with np.errstate(divide="ignore", invalid="ignore"):  # diverged entries are set to inf
+            values = -self.sigma * np.sum(self.multiplicities * np.log1p(x), axis=-1)
+        values = np.where(self.sigma == BE and x.min(axis=-1) <= -1.0, math.inf, values)
+        return float(values) if values.ndim == 0 else values
 
     def tilted(self, zeta: float) -> "FactorLaw":
         """The law of N weighted by zeta^N: n -> zeta n / (1 - sigma (zeta - 1) n)."""
@@ -80,8 +87,7 @@ class FactorLaw:
         floor = _PMF_TAIL if self.sigma == BE else 0.0
         occupations = np.clip(self.occupations, 0.0, 1.0 if self.sigma == FD else np.inf)
         pmf, tail = np.array([1.0]), 0.0
-        for n, r in zip(occupations.tolist(), self.multiplicities.tolist()):
-            block, dropped = _block(n, r, self.sigma)
+        for block, dropped in zip(*_blocks(occupations, self.multiplicities, self.sigma)):
             tail += dropped
             if block is None:
                 continue
@@ -97,53 +103,106 @@ class FactorLaw:
         return pmf, tail
 
 
-def _block(n: float, r: int, sigma: int):
-    """pmf of one factor (``None`` for a point mass at 0) and a bound on the mass it drops.
+def _blocks(occupations: np.ndarray, multiplicities: np.ndarray, sigma: int) -> tuple[list, list]:
+    """Every factor's pmf block (``None`` for a point mass at 0) and a bound on the mass it drops.
 
-    FD: Binomial(r, n), full support.  BE: NegativeBinomial(r, q = n / (1 + n)), whose
-    ratio rho(k) = pmf(k + 1) / pmf(k) = q (k + r) / (k + 1) falls with k: once rho(k) < 1
-    the mass beyond k is below pmf(k) rho(k) / (1 - rho(k)), a bound that falls with k too,
-    and the block ends at the first k where it meets ``_FACTOR_TAIL`` (a bisection search;
-    for r = 1 the exact tail q^k).  Blocks with r > 1 come from log-factorials, rescaled to
-    sum 1.
+    FD: Binomial(r, n), ended at its last entry that does not underflow to 0.  BE:
+    NegativeBinomial(r, q = n / (1 + n)), ended where the tail bound of ``_ends`` meets
+    ``_FACTOR_TAIL`` (for r = 1 the exact tail q^k).  Blocks with r > 1 come from one flat
+    log-pmf and one ``np.exp``, each rescaled to sum 1; the per-factor scalars (q, log q,
+    log p0, the dropped bound) stay ``math`` values.
     """
-    if n == 0.0:
-        return None, 0.0
+    # spec: (index, r, a, b, q) of each log-factorial block: a, b, q are log n, log(1 - n),
+    # n / (1 - n) (FD) or log q, log p0, q (BE)
+    blocks, dropped, spec = [], [], []
+    for n, r in zip(occupations.tolist(), multiplicities.tolist()):
+        block, tail = None, 0.0
+        if n == 0.0:
+            pass
+        elif sigma == FD:
+            if r == 1:
+                block = [1.0 - n, n]
+            elif n == 1.0:  # every mode occupied
+                block = np.eye(1, r + 1, r)[0]
+            else:
+                spec.append((len(blocks), r, math.log(n), math.log1p(-n), n / (1.0 - n)))
+        else:
+            log_p0 = -r * math.log1p(n)
+            off_zero, q = -math.expm1(log_p0), n / (1.0 + n)
+            if off_zero < _FACTOR_TAIL:
+                tail = off_zero
+            elif r == 1:  # rho = q
+                end = math.ceil(math.log(_FACTOR_TAIL) / math.log(q))
+                block, tail = (1.0 - q) * q ** np.arange(end + 1), q ** (end + 1)
+            else:
+                spec.append((len(blocks), r, math.log(q), log_p0, q))
+        blocks.append(block)
+        dropped.append(tail)
+    if not spec:
+        return blocks, dropped
+    ids, r, a, b, q = (np.array(column) for column in zip(*spec))
+    lengths = _ends(r, a, b, q, sigma) + 1
+    starts = np.cumsum(lengths) - lengths
+    k = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+    values = np.exp(_log_pmf(k, *(np.repeat(column, lengths) for column in (r, a, b)), sigma))
     if sigma == FD:
-        if r == 1:
-            return [1.0 - n, n], 0.0
-        if n == 1.0:  # every mode occupied
-            return np.eye(1, r + 1, r)[0], 0.0
-        k, dropped = np.arange(r + 1), 0.0
-        log_fact = _log_factorials(r)[: r + 1]
-        log_pmf = log_fact[r] - log_fact - log_fact[::-1] + k * math.log(n) + (r - k) * math.log1p(-n)
+        nonzero = np.flatnonzero(values)  # each block's mode is far above underflow
+        stops = nonzero[np.searchsorted(nonzero, starts + lengths) - 1] + 1
     else:
-        off_zero = -math.expm1(-r * math.log1p(n))
-        if off_zero < _FACTOR_TAIL:
-            return None, off_zero
-        q = n / (1.0 + n)
-        if r == 1:  # rho = q
-            end = math.ceil(math.log(_FACTOR_TAIL) / math.log(q))
-            return (1.0 - q) * q ** np.arange(end + 1), q ** (end + 1)
-        log_q, log_p0 = math.log(q), -r * math.log1p(n)
-        log_nb = lambda k: math.lgamma(k + r) - math.lgamma(r) - math.lgamma(k + 1.0) + log_p0 + k * log_q
-        rho = lambda k: q * (k + r) / (k + 1)
-        log_bound = lambda k: log_nb(k) + math.log(rho(k)) - math.log1p(-rho(k))
-        k0 = max(0, math.floor((q * r - 1.0) / (1.0 - q)) + 1)
-        while rho(k0) >= 1.0:  # rounding at the boundary
-            k0 += 1
-        target = math.log(_FACTOR_TAIL)
-        lo, end = k0 - 1, k0  # the bound misses at lo (or lo < k0) and is tested at end
-        while log_bound(end) > target:
-            lo, end = end, k0 + 2 * (end - k0) + 1
-        while end - lo > 1:
-            mid = (lo + end) // 2
-            lo, end = (mid, end) if log_bound(mid) > target else (lo, mid)
-        dropped = math.exp(log_bound(end))
-        k, log_fact = np.arange(end + 1), _log_factorials(end + r)
-        log_pmf = log_fact[k + r - 1] - log_fact[r - 1] - log_fact[k] + log_p0 + k * log_q
-    block = np.exp(log_pmf)
-    return block / block.sum(), dropped  # log-gamma rounding, not the tail, moves the sum off 1
+        stops, end = starts + lengths, lengths - 1
+        log_nb, rho = _log_pmf(end, r, a, b, sigma).tolist(), (q * (r + end) / (end + 1)).tolist()
+        for i, x, ratio in zip(ids.tolist(), log_nb, rho):  # the bound in math: tail_mass bits
+            dropped[i] = math.exp(x + math.log(ratio) - math.log1p(-ratio))
+    for i, s, e in zip(ids.tolist(), starts.tolist(), stops.tolist()):
+        block = values[s:e]
+        blocks[i] = block / block.sum()  # log-gamma rounding, not the tail, moves the sum off 1
+    return blocks, dropped
+
+
+def _log_pmf(k, r, a, b, sigma):
+    """log pmf(k) from the log-factorial table: Binomial(r, n) with a, b = log n, log(1 - n) (FD),
+    NegativeBinomial(r, q) with a, b = log q, log p0 (BE)."""
+    table = _log_factorials(int(np.max(k + r)))
+    if sigma == FD:
+        return table[r] - table[k] - table[r - k] + k * a + (r - k) * b
+    return table[k + r - 1] - table[r - 1] - table[k] + b + k * a
+
+
+def _ends(r, a, b, q, sigma) -> np.ndarray:
+    """Each block's last k, searched across all factors at once.
+
+    The ratio rho(k) = pmf(k + 1) / pmf(k) = q (r + sigma k) / (k + 1) falls with k: once
+    rho(k) < 1 the mass beyond k is below pmf(k) rho(k) / (1 - rho(k)), a bound that falls
+    with k too.  A block ends at the first such k where the bound meets ``_FACTOR_TAIL`` (BE)
+    or ``_UNDERFLOW``, past which every FD entry is 0 (doubling, then bisection; FD at most
+    at r, where rho = 0).  The search compares ``np.log`` values, which may differ from
+    ``math.log`` in the last bit: an end could move only if a bound fell within rounding of
+    the target.
+    """
+    if sigma == FD:
+        target, top = _UNDERFLOW, r
+    else:
+        target, top = math.log(_FACTOR_TAIL), np.iinfo(np.int64).max
+    rho = lambda k: q * (r + sigma * k) / (k + 1)
+
+    def misses(k):  # the log bound at k is above the target
+        ratio = rho(k)
+        with np.errstate(divide="ignore"):  # log 0 at the FD top
+            return _log_pmf(k, r, a, b, sigma) + np.log(ratio) - np.log1p(-ratio) > target
+
+    k0 = np.maximum(np.floor((q * r - 1.0) / (1.0 - sigma * q)).astype(np.int64) + 1, 0)
+    while (up := rho(k0) >= 1.0).any():  # rounding at the boundary
+        k0 = k0 + up
+    lo, end = k0 - 1, k0  # the bound misses at lo (or lo < k0) and is tested at end
+    miss = misses(end)
+    while miss.any():
+        lo, end = np.where(miss, end, lo), np.where(miss, np.minimum(2 * end - k0 + 1, top), end)
+        miss &= misses(end)
+    while (open_ := end - lo > 1).any():
+        mid = np.where(open_, (lo + end) // 2, end)
+        above = misses(mid)
+        lo, end = np.where(open_ & above, mid, lo), np.where(open_ & ~above, mid, end)
+    return end
 
 
 def window_log_prob(pmf: np.ndarray, volume: float, beta: float, a: float, b: float) -> float:

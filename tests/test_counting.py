@@ -63,14 +63,15 @@ def block_trace(m):
     return sum(np.trace(block) for block in m.blocks)
 
 
-def full_nystrom_eigenvalues(sym, length):
+def full_nystrom_eigenvalues(kernel, length):
     """Unsplit symmetric Nystrom matrix on the mirrored r-nodes of the build's rules.
 
     K[i, j] = sqrt(w_i w_j) d(x_i - x_j) with d(u) = (1/pi) sum_q omega_q s(k_q)
     cos(k_q u), the k-rule and the r-rule (reflected onto [-R, 0]) of
     ``build_counting_matrix``'s first, certified pass.
     """
-    radius, k_max = 0.5 * length, counting._band_limit(sym)
+    sym = kernel.symbol
+    radius, k_max = 0.5 * length, counting._band_limit(kernel.state, kernel.disp)
     band = math.ceil(k_max * radius / math.pi)
     n_r, n_k = band + counting._R_MARGIN, 2 * (band + counting._K_MARGIN)
     t, w = gauss_legendre(n_r)
@@ -119,7 +120,7 @@ class TestBuild:
 
     def test_spectrum_independent_of_table(self, fd_kernel):
         # a grid too coarse and an extent too short for the interval: the
-        # build reads only the state and the symbol
+        # build reads only the state, the dispersion and the symbol
         coarse = build_kernel(FD0, D1, h=0.5, extent=30.0)
         a = build_counting_matrix(coarse, 40.0)
         b = build_counting_matrix(fd_kernel, 40.0)
@@ -127,12 +128,17 @@ class TestBuild:
         for m in (a, b):
             assert m.discretization_error <= 1e-10 * m.norm
 
+    def test_band_limit_is_found_once_per_gas(self, fd_kernel, monkeypatch):
+        a = build_counting_matrix(fd_kernel, 10.0)
+        monkeypatch.setattr(counting, "_symbol_cutoff", None)  # a second search would fail
+        assert build_counting_matrix(fd_kernel, 10.0).nodes == a.nodes
+
     @pytest.mark.parametrize("statistics", ["FD", "BE"])
     @pytest.mark.parametrize("length", [10.0, 40.0])
     def test_parity_blocks_match_full_matrix(self, fd_kernel, be_kernel, statistics, length):
         kernel = fd_kernel if statistics == "FD" else be_kernel
         m = build_counting_matrix(kernel, length)
-        full = full_nystrom_eigenvalues(kernel.symbol, length)
+        full = full_nystrom_eigenvalues(kernel, length)
         assert full.size == m.eigenvalues.size
         assert np.max(np.abs(full - m.eigenvalues)) <= 1e-13 * m.norm
 
@@ -159,7 +165,7 @@ class TestBuild:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         m = build_counting_matrix(fd_kernel, 80.0)
-        band = math.ceil(counting._band_limit(fd_kernel.symbol) * 40.0 / math.pi)
+        band = math.ceil(counting._band_limit(fd_kernel.state, fd_kernel.disp) * 40.0 / math.pi)
         assert orders and max(orders) <= 2 * (band + counting._R_MARGIN) <= 210
         assert m.nodes == 2 * (band + counting._R_MARGIN)
 
@@ -339,6 +345,17 @@ class TestLdp:
             m = build_counting_matrix(fd_kernel, L)
             value = ldp_log_prob(m, 0.25, 0.30)
             assert value <= chebyshev_bound(m, 0.25)
+
+    @pytest.mark.parametrize("statistics", ["FD", "BE"])
+    def test_chebyshev_bound_equals_the_per_tilt_loop(self, fd_kernel, be_kernel, statistics):
+        kernel = fd_kernel if statistics == "FD" else be_kernel
+        for L in (10.0, 40.0):
+            m = build_counting_matrix(kernel, L)
+            top = lambda_max(m)
+            hi = 4.0 / m.beta if math.isinf(top) else top * (1.0 - 1e-6)
+            loop = [log_generating_function(m, float(l)) / m.beta - float(l) * 0.3
+                    for l in np.linspace(0.0, hi, 81)[1:]]
+            assert chebyshev_bound(m, 0.3) == min(loop)
 
 
 class TestCumulants:

@@ -43,18 +43,28 @@ class TestMultiplicity:
             assert got == pytest.approx(want, rel=1e-13)
 
 
+def one_block(n, r, sigma):
+    """The block and dropped bound of a single factor."""
+    blocks, dropped = factors._blocks(np.array([float(n)]), np.array([r]), sigma)
+    return blocks[0], dropped[0]
+
+
 class TestBlocks:
     @pytest.mark.parametrize("r", [1, 2, 7, 40, 300])
     @pytest.mark.parametrize("n", [1e-6, 0.01, 0.3, 0.9])
     def test_binomial_against_scipy(self, n, r):
-        block, dropped = factors._block(n, r, FD)
-        assert len(block) == r + 1 and dropped == 0.0
-        assert np.max(np.abs(np.asarray(block) - binom.pmf(np.arange(r + 1), r, n))) < 1e-13
+        block, dropped = one_block(n, r, FD)
+        block, k = np.asarray(block), np.arange(r + 1)
+        assert 1 <= block.size <= r + 1 and block[-1] > 0.0 and dropped == 0.0
+        assert np.max(np.abs(np.pad(block, (0, r + 1 - block.size)) - binom.pmf(k, r, n))) < 1e-13
+        # only entries that underflow to 0 are trimmed
+        smallest_subnormal = np.nextafter(0.0, 1.0)
+        assert np.all(binom.logpmf(k[block.size:], r, n) < math.log(smallest_subnormal))
 
     @pytest.mark.parametrize("r", [1, 2, 7, 40, 300])
     @pytest.mark.parametrize("n", [1e-6, 0.05, 0.6, 3.0, 40.0])
     def test_negative_binomial_against_scipy(self, n, r):
-        block, dropped = factors._block(n, r, BE)
+        block, dropped = one_block(n, r, BE)
         p = 1.0 / (1.0 + n)
         k = np.arange(block.size)
         assert np.max(np.abs(block - nbinom.pmf(k, r, p))) < 1e-13
@@ -64,7 +74,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("r", [1, 2, 40])
     def test_fully_occupied_fermion_block_is_a_point_mass(self, r):
-        block, dropped = factors._block(1.0, r, FD)
+        block, dropped = one_block(1.0, r, FD)
         assert np.array_equal(block, np.eye(1, r + 1, r)[0]) and dropped == 0.0
 
     def test_log_factorial_table(self):
@@ -74,8 +84,32 @@ class TestBlocks:
         assert np.array_equal(table[k], [math.lgamma(j + 1.0) for j in k])
 
     def test_negligible_factor_is_dropped(self):
-        block, dropped = factors._block(1e-23, 3, BE)
+        block, dropped = one_block(1e-23, 3, BE)
         assert block is None and dropped == pytest.approx(3e-23)
+
+    @pytest.mark.parametrize("sigma", [FD, BE], ids=["FD", "BE"])
+    def test_mixed_batch_against_scipy(self, sigma):
+        if sigma == FD:
+            n = [0.3, 0.0, 1.0, 0.7, 1e-4, 0.5, 0.02, 0.999]
+            r = [1, 3, 5, 1, 4000, 2, 900, 30]
+        else:
+            n = [0.3, 0.0, 1e-23, 12.5, 0.01, 2.0, 0.4, 1e-3]
+            r = [1, 3, 3, 6, 4000, 1, 900, 2]
+        blocks, dropped = factors._blocks(np.array(n), np.array(r), sigma)
+        assert len(blocks) == len(dropped) == len(n)
+        for ni, ri, block, tail in zip(n, r, blocks, dropped):
+            if block is None:  # a point mass at 0, or a factor whose mass off 0 is negligible
+                off_zero = 0.0 if ni == 0.0 else -math.expm1(-ri * math.log1p(ni))
+                assert tail == off_zero <= factors._FACTOR_TAIL
+                continue
+            block, k = np.asarray(block), np.arange(len(block))
+            law = binom(ri, ni) if sigma == FD else nbinom(ri, 1.0 / (1.0 + ni))
+            # log-gamma rounding grows with r + k: about 1e-11 relative at r = 4000
+            assert np.max(np.abs(block - law.pmf(k))) < 1e-10 * block.max()
+            if sigma == FD:  # only entries that underflow to 0 are trimmed
+                assert tail == 0.0 and law.sf(k[-1]) < 1e-300
+            else:
+                assert law.sf(k[-1]) <= tail * (1.0 + 1e-9) and tail <= factors._FACTOR_TAIL
 
 
 def test_fd_keeps_full_support():
@@ -89,7 +123,7 @@ def test_fd_keeps_full_support():
 @pytest.mark.parametrize("n", [0.01, 0.5, 5.0, 40.0, 300.0])
 def test_be_block_tail(n, r):
     """The BE block's reported tail bounds nbinom.sf, and its length is all but minimal."""
-    block, dropped = factors._block(n, r, BE)
+    block, dropped = one_block(n, r, BE)
     end = len(block) - 1
     tails = nbinom.sf(np.arange(end + 1), r, 1.0 / (1.0 + n))  # P(X > k)
     assert dropped >= tails[-1] * (1.0 - 1e-9)
@@ -98,17 +132,45 @@ def test_be_block_tail(n, r):
     assert minimal <= end <= minimal + 3
 
 
+@pytest.mark.parametrize("sigma", [FD, BE], ids=["FD", "BE"])
+def test_block_pass_cost_does_not_grow_with_the_factor_count(sigma, monkeypatch):
+    rng = np.random.default_rng(3)
+    calls = {"lgamma": 0, "exp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def cost(size):
+        n = rng.uniform(0.05, 0.9, size) if sigma == FD else rng.uniform(0.05, 3.0, size)
+        r = rng.integers(2, 60, size)
+        factors._blocks(n, r, sigma)  # warms the log-factorial table
+        calls.update(lgamma=0, exp=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "lgamma", counted("lgamma", math.lgamma))
+            patch.setattr(np, "exp", counted("exp", np.exp))
+            factors._blocks(n, r, sigma)
+        return dict(calls)
+
+    assert cost(10) == cost(1000) == {"lgamma": 0, "exp": 1}
+
+
 def test_threads_growing_the_log_factorial_table_agree_with_a_serial_run(monkeypatch):
     import threading
 
-    cases = [(0.5 + 0.1 * i, r, sigma) for i, r in enumerate((2, 30, 300, 900, 2000, 4000))
-             for sigma in (FD, BE)]
-    reference = [factors._block(*case)[0] for case in cases]
+    n, r = np.array([0.5 + 0.1 * i for i in range(6)]), np.array([2, 30, 300, 900, 2000, 4000])
+    reference = {sigma: factors._blocks(n, r, sigma)[0] for sigma in (FD, BE)}
     monkeypatch.setattr(factors, "_LOG_FACTORIALS", np.zeros(1))  # every thread grows it anew
     results = [None] * 8
 
-    def work(i):
-        results[i] = [factors._block(*case)[0] for case in cases[i:] + cases[:i]]  # each its own order
+    def work(i):  # each its own order of statistics and of factors
+        got = {}
+        for sigma in (FD, BE) if i % 2 else (BE, FD):
+            blocks = factors._blocks(np.roll(n, i), np.roll(r, i), sigma)[0]
+            got[sigma] = blocks[i % 6 :] + blocks[: i % 6]  # undo the roll
+        results[i] = got
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -121,8 +183,22 @@ def test_threads_growing_the_log_factorial_table_agree_with_a_serial_run(monkeyp
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    for i, got in enumerate(results):
-        assert all(np.array_equal(g, w) for g, w in zip(got, reference[i:] + reference[:i]))
+    for got in results:
+        for sigma, want in reference.items():
+            assert all(np.array_equal(g, w) for g, w in zip(got[sigma], want))
+
+
+@pytest.mark.parametrize("sigma", [FD, BE], ids=["FD", "BE"])
+def test_log_pgf_of_an_array_equals_the_per_tilt_values(sigma):
+    law = random_law(sigma, size=40)
+    edge = 1.0 / law.occupations.max()  # BE diverges from zeta - 1 = 1 / max n on
+    zt = np.array([-0.5, -0.1, 0.0, 0.2, 0.5 * edge, edge, 2.0 * edge])
+    got = law.log_pgf(zt)
+    assert got.shape == zt.shape
+    assert np.array_equal(got, [law.log_pgf(float(z)) for z in zt])
+    assert np.array_equal(law.log_pgf(zt.reshape(7, 1)), got.reshape(7, 1))
+    if sigma == BE:
+        assert got[-2] == got[-1] == math.inf and np.all(np.isfinite(got[:-2]))
 
 
 def test_import_loads_no_scipy():
