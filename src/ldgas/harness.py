@@ -267,7 +267,7 @@ def _run_eos(cfg, state, disp):
 def _run_rate(cfg, state, disp):
     ctx = rate.RateContext.build(state, disp, cfg.quad_tol)
     a, b = cfg.interval
-    points = [rate.rate_value(x, ctx) for x in (a, b)]
+    points = rate.rate_values((a, b), ctx)
     rows = [{"x": pt.x, "lambda0": pt.lam0, "f": pt.f} for pt in points]
     sup = rate.interval_rate(a, b, ctx, known=points)
     summary = {"interval_sup": sup, "rho_bar": ctx.rho_bar, "rho_c": ctx.rho_c, "passed": True}
@@ -370,8 +370,8 @@ def _run_clt(cfg, state, disp):
 
 
 def _run_modes(cfg, state, disp):
-    target = thermo.pressure(state, disp, cfg.quad_tol)
     ctx = rate.RateContext.build(state, disp, cfg.quad_tol) if cfg.interval else None
+    target = ctx.p_mu if ctx else thermo.pressure(state, disp, cfg.quad_tol)
     target_f = rate.interval_rate(*cfg.interval, ctx) if ctx else None
 
     def one(i, ell):

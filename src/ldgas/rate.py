@@ -11,10 +11,16 @@ turns f into an affine segment with slope mu there).  f <= 0 with maximum
 0 at the mean density.
 
 ``minimizer`` brackets the root with ladders of tilts (doubling to the
-left, doubling or halving toward -mu to the right), each rung batch one
-array call of ``thermo.pressure_derivatives``, then runs Newton's method
-on log g'(lam) = log x with g'' from the same quadrature pass, falling back
-to bisection whenever a step would leave the bracket.
+left, doubling or halving toward -mu to the right), then runs Newton's
+method on log g'(lam) = log x with g'' from the same quadrature pass,
+falling back to bisection whenever a step would leave the bracket.  The
+solve for one x is a generator that yields its requests: each ladder
+chunk, then each Newton step.  ``rate_values`` runs the solves of several
+x in lockstep, merging each round's requests that share an order set into
+one array call of ``thermo.pressure_derivatives``, and takes g at every
+minimizer from one more call.  The engine's values depend on their own mu
+only within one order set, so each x takes exactly the steps, and gets
+exactly the bits, that it gets alone.
 """
 
 from __future__ import annotations
@@ -26,18 +32,9 @@ import numpy as np
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
-from .thermo import (
-    BE,
-    FD,
-    ThermoState,
-    critical_density,
-    density,
-    pressure,
-    pressure_derivatives,
-    translated_pressure,
-)
+from .thermo import BE, FD, ThermoState, pressure, pressure_derivatives, translated_pressure
 
-__all__ = ["RateContext", "RatePoint", "minimizer", "rate_value", "interval_rate"]
+__all__ = ["RateContext", "RatePoint", "minimizer", "rate_value", "rate_values", "interval_rate"]
 
 _BRACKET_LIMIT_POW = 40  # expanding search stops at lam = -2^40 / beta
 _RUNGS = 8               # ladder rungs in the first array call; the rest follow in one more
@@ -63,8 +60,10 @@ class RateContext:
 
     @classmethod
     def build(cls, state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -> "RateContext":
-        rho_bar = density(state, disp, tol)
-        rho_c = critical_density(state.beta, disp, statistics=state.sigma, tol=tol)
+        # rho_bar, and for BE rho_c (the mu = 0 density; inf when d <= gamma), in one pass
+        mus = [state.mu, 0.0] if state.sigma == BE else [state.mu]
+        rho = pressure_derivatives(np.array(mus), state.beta, state.sigma, disp, (1,), tol)[0]
+        rho_bar, rho_c = float(rho[0]), float(rho[1]) if state.sigma == BE else math.inf
         if not rho_bar < rho_c:
             raise DomainError("mean density must lie below the critical density")
         lam_up = math.inf if state.sigma == FD else -state.mu
@@ -72,18 +71,16 @@ class RateContext:
                    lambda_upper=lam_up, p_mu=pressure(state, disp, tol), tol=tol)
 
     def derivatives(self, lam, orders):
-        """Rows of g^(n)(lam) for n in ``orders`` (1 or 2) at an array of tilts."""
+        """Rows of p^(n)(mu + lam) for n in ``orders`` at an array of tilts: g^(n)(lam) for n >= 1."""
         st = self.state
         return pressure_derivatives(st.mu + np.asarray(lam, dtype=float), st.beta, st.sigma,
                                     self.disp, orders, self.tol)
 
     def g(self, lam: float) -> float:
         """g(lam) = p(mu + lam) - p(mu); inf beyond the BE domain."""
-        st = self.state
-        if st.sigma == BE and st.mu + lam > 0:
+        if self.state.sigma == BE and self.state.mu + lam > 0:
             return math.inf
-        return float(pressure_derivatives(st.mu + lam, st.beta, st.sigma, self.disp, (0,),
-                                          self.tol)[0]) - self.p_mu
+        return float(self.derivatives(lam, (0,))[0]) - self.p_mu
 
     def gprime(self, lam: float) -> float:
         return translated_pressure(lam, self.state, self.disp, order=1, tol=self.tol)
@@ -101,27 +98,36 @@ class RatePoint:
     f: float
 
 
-def _first_rung(ctx: RateContext, rungs, hit, failure: str):
-    """First tilt of ``rungs`` whose g' satisfies ``hit``, with that g'.
+def _first_rungs(*ladders):
+    """Per (rungs, hit, failure) ladder, its first tilt whose g' satisfies ``hit``, with that g'.
 
-    The first ``_RUNGS`` rungs go in one array call, the rest in one more.
+    A solver step: the first ``_RUNGS`` rungs of every ladder go in one
+    request, the rest of the ladders not yet settled in one more.  A ladder
+    with no hit raises ``AccuracyError(failure)``.
     """
-    for chunk in (rungs[:_RUNGS], rungs[_RUNGS:]):
-        if chunk.size:
-            gp = ctx.derivatives(chunk, (1,))[0]
-            found = np.flatnonzero(hit(gp))
-            if found.size:
-                return float(chunk[found[0]]), float(gp[found[0]])
-    raise AccuracyError(failure)
+    found = [None] * len(ladders)
+    for part in (slice(None, _RUNGS), slice(_RUNGS, None)):
+        chunks = [rungs[part] if rung is None else rungs[:0]
+                  for (rungs, _, _), rung in zip(ladders, found)]
+        if not any(chunk.size for chunk in chunks):
+            break
+        gp = (yield np.concatenate(chunks), (1,))[0]
+        for i, ((_, hit, _), chunk) in enumerate(zip(ladders, chunks)):
+            mine, gp = gp[:chunk.size], gp[chunk.size:]
+            first = np.flatnonzero(hit(mine))
+            if first.size:
+                found[i] = float(chunk[first[0]]), float(mine[first[0]])
+    for rung, (_, _, failure) in zip(found, ladders):
+        if rung is None:
+            raise AccuracyError(failure)
+    return found
 
 
-def minimizer(x: float, ctx: RateContext) -> float:
-    """Tilt lam_o minimizing g(lam) - lam x.
+def _solve(x: float, ctx: RateContext):
+    """The minimizer of g(lam) - lam x, as a generator of engine requests.
 
-    -inf for x <= 0; the unique root of g'(lam) = x for 0 < x < rho_c
-    (residual below ctx.tol * max(x, rho_bar)); -mu for x >= rho_c (BE).
-    The root comes from bracket-safeguarded Newton steps, taken until a
-    step falls below 1e-13 / beta.
+    Yields ``(tilts, orders)``, is sent the rows ``ctx.derivatives(tilts,
+    orders)`` and returns lam_o; see ``minimizer``.
     """
     if x <= 0:
         return -math.inf
@@ -130,18 +136,19 @@ def minimizer(x: float, ctx: RateContext) -> float:
 
     beta = ctx.state.beta
     doubling = 2.0 ** np.arange(_BRACKET_LIMIT_POW + 1) / beta
-    lo, g_lo = _first_rung(ctx, -doubling, lambda gp: gp <= x,
-                           "no bracket: g' stays above x down to the search limit")
+    left = (-doubling, lambda gp: gp <= x, "no bracket: g' stays above x down to the search limit")
     if x <= ctx.rho_bar:
+        [(lo, g_lo)] = yield from _first_rungs(left)
         hi, g_hi = 0.0, ctx.rho_bar
     elif ctx.state.sigma == FD:
-        hi, g_hi = _first_rung(ctx, doubling, lambda gp: gp >= x,
-                               "no bracket: g' stays below x up to the search limit")
+        (lo, g_lo), (hi, g_hi) = yield from _first_rungs(
+            left, (doubling, lambda gp: gp >= x, "no bracket: g' stays below x up to the search limit"))
     else:
         # approach -mu from below; g' -> rho_c > x guarantees success
+        [(lo, g_lo)] = yield from _first_rungs(left)
         edge = ctx.lambda_upper
-        hi, g_hi = _first_rung(ctx, edge - (edge - lo) * 0.5 ** np.arange(1, 201),
-                               lambda gp: gp >= x, "no bracket below the BE domain edge")
+        [(hi, g_hi)] = yield from _first_rungs((edge - (edge - lo) * 0.5 ** np.arange(1, 201),
+                                                lambda gp: gp >= x, "no bracket below the BE domain edge"))
     if g_lo == x or hi == lo:
         return lo
     if g_hi == x:
@@ -152,7 +159,8 @@ def minimizer(x: float, ctx: RateContext) -> float:
     if not lo < lam < hi:
         lam = 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
-        gp, gpp = ctx.derivatives(lam, (1, 2))
+        rows = yield np.array([lam]), (1, 2)
+        gp, gpp = float(rows[0, 0]), float(rows[1, 0])
         residual = abs(gp - x)
         if gp == x:
             return lam
@@ -172,23 +180,86 @@ def minimizer(x: float, ctx: RateContext) -> float:
     raise AccuracyError("Newton iteration did not converge", estimate=residual)
 
 
+def _lockstep(solvers, ctx: RateContext) -> list:
+    """The return values of ``_solve`` generators, run side by side.
+
+    Each round answers every live solver's request, with one array call per
+    order set: a (1,) request is never answered from a (1, 2) call, since
+    the engine bisects a column when any of its rows misses its budget.
+    """
+    results = [None] * len(solvers)
+    requests = {}
+
+    def advance(i, rows):
+        try:
+            requests[i] = solvers[i].send(rows)
+        except StopIteration as done:
+            requests.pop(i, None)
+            results[i] = done.value
+
+    for i in range(len(solvers)):
+        advance(i, None)
+    while requests:
+        rounds = {}
+        for i, (tilts, orders) in requests.items():
+            rounds.setdefault(orders, []).append((i, tilts))
+        for orders, asked in rounds.items():
+            # each distinct request once: the solvers' ladders start alike
+            where, parts, size = {}, [], 0
+            for _, tilts in asked:
+                key = tilts.tobytes()
+                if key not in where:
+                    where[key] = size
+                    parts.append(tilts)
+                    size += tilts.size
+            rows = ctx.derivatives(np.concatenate(parts), orders)
+            for i, tilts in asked:
+                start = where[tilts.tobytes()]
+                advance(i, rows[:, start:start + tilts.size])
+    return results
+
+
+def minimizer(x: float, ctx: RateContext) -> float:
+    """Tilt lam_o minimizing g(lam) - lam x.
+
+    -inf for x <= 0; the unique root of g'(lam) = x for 0 < x < rho_c
+    (residual below ctx.tol * max(x, rho_bar)); -mu for x >= rho_c (BE).
+    The root comes from bracket-safeguarded Newton steps, taken until a
+    step falls below 1e-13 / beta.
+    """
+    return _lockstep([_solve(x, ctx)], ctx)[0]
+
+
+def rate_values(xs, ctx: RateContext) -> list:
+    """``rate_value`` at each x of ``xs``, bit for bit, with the minimizers solved in lockstep.
+
+    g at every minimizer comes from one array call; ends at or above rho_c
+    share the BE domain edge -mu.
+    """
+    lams = _lockstep([_solve(x, ctx) for x in xs], ctx)
+    tilts = sorted({lam for x, lam in zip(xs, lams) if x > 0})
+    p = ctx.derivatives(np.array(tilts), (0,))[0] if tilts else ()
+    g = {lam: float(v) - ctx.p_mu for lam, v in zip(tilts, p)}
+    points = []
+    for x, lam in zip(xs, lams):
+        if x < 0:
+            points.append(RatePoint(x=x, lam0=-math.inf, f=-math.inf))
+        elif x == 0:
+            # lim_{lam -> -inf} g(lam) = -p(mu), and lam * x = 0 on this ray
+            points.append(RatePoint(x=x, lam0=-math.inf, f=-ctx.p_mu))
+        else:
+            # above rho_c lam = -mu: the affine branch p(0) - p(mu) + mu x
+            points.append(RatePoint(x=x, lam0=lam, f=g[lam] - lam * x))
+    return points
+
+
 def rate_value(x: float, ctx: RateContext) -> RatePoint:
     """Rate function f(x) = inf_lam (g(lam) - lam x) with its minimizer.
 
     f = -inf for x < 0; f(0) = -p(mu) (the lam -> -inf limit); the affine
     condensation branch p(0) - p(mu) + mu x applies for x >= rho_c (BE).
     """
-    if x < 0:
-        return RatePoint(x=x, lam0=-math.inf, f=-math.inf)
-    if x == 0:
-        # lim_{lam -> -inf} g(lam) = -p(mu), and lam * x = 0 on this ray
-        return RatePoint(x=x, lam0=-math.inf, f=-ctx.p_mu)
-    if x >= ctx.rho_c:
-        mu = ctx.state.mu
-        return RatePoint(x=x, lam0=-mu, f=ctx.g(ctx.lambda_upper) + mu * x)
-    lam0 = minimizer(x, ctx)
-    f = ctx.g(lam0) - lam0 * x
-    return RatePoint(x=x, lam0=lam0, f=f)
+    return rate_values((x,), ctx)[0]
 
 
 def interval_rate(a: float, b: float, ctx: RateContext, known=()) -> float:

@@ -14,10 +14,14 @@ while it misses that share, at most 200 times (400 leaves) per mu or per
 integral; a total estimate above ``tol`` raises ``AccuracyError`` carrying
 it.  No estimate is below the rounding floor 50 eps |value|, so a budget
 under it raises too.  Nodes, energies and k1 are cached per (beta,
-dispersion), and w = beta (eps - mu) is formed once per node, so p, rho
-and d rho / d mu come out of one pass for a scalar or an array of mu
+dispersion); each panel's energy row ends with the energy at its right
+end, which the domain rule reads.  w = beta (eps - mu) is formed once per
+node and end, so one integrand pass per panel round gives p, rho and
+d rho / d mu, and the domain test, for a scalar or an array of mu
 (``pressure_derivatives``).  Each mu's result depends on that mu alone:
-an array call equals the scalar calls bit for bit.
+an array call equals the scalar calls bit for bit, for one set of orders
+(a mu is bisected when any of its rows misses its budget, so asking for
+more orders can move a row's last bits).
 
 The numerics are in-house and need numpy only: the Gauss-Legendre rule
 (``_gauss_legendre``, Newton on the Legendre recurrence, also behind the
@@ -122,44 +126,53 @@ class EosResult:
 # integrands (cancellation-free forms; w = beta * (eps - mu))
 # ---------------------------------------------------------------------------
 
-def _occ_from_w(w, sigma):
-    """1 / (e^w - sigma): BE as 1 / expm1(w), FD through t = e^{-|w|}."""
+def _integrands(w, orders, beta, sigma):
+    """Rows of the p, rho and d rho / d mu integrand factors at w, one per entry of ``orders``.
+
+    The caller sets ``np.errstate``.  BE: the pressure factor
+    -log(1 - e^{-w}) is -log(-expm1(-w)) below w = log 2, where 1 - e^{-w}
+    would cancel, and -log1p(-e^{-w}) above it, where the log would; the
+    rho and d rho / d mu rows share the occupation 1 / expm1(w).  FD: every
+    row is formed from t = e^{-|w|}.
+    """
+    if sigma == BE and np.any(w < 0):
+        raise DomainError("BE requires eps(k) >= mu")
+    out = np.empty((len(orders),) + w.shape)
+    shared = None  # BE: the occupation; FD: t
+    for n, o in enumerate(orders):
+        if sigma == BE:
+            if o == 0:
+                out[n] = np.where(w < _LOG2, -np.log(-np.expm1(-w)), -np.log1p(-np.exp(-w)))
+                continue
+            occ = shared = 1.0 / np.expm1(w) if shared is None else shared
+            out[n] = occ if o == 1 else beta * occ * (1.0 + occ)
+        else:
+            t = shared = np.exp(-np.abs(w)) if shared is None else shared
+            if o == 0:
+                out[n] = np.maximum(-w, 0.0) + np.log1p(t)
+            elif o == 1:
+                out[n] = np.where(w >= 0, t, 1.0) / (1.0 + t)
+            else:
+                out[n] = beta * t / (1.0 + t) ** 2
+    return out
+
+
+def _integrand(w, order, sigma):
+    """One integrand factor of ``_integrands`` at a scalar or an array w."""
     w = np.asarray(w, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        if sigma == BE:
-            if np.any(w < 0):
-                raise DomainError("BE occupation requires eps(k) > mu")
-            out = 1.0 / np.expm1(w)
-        else:
-            t = np.exp(-np.abs(w))
-            out = np.where(w >= 0, t, 1.0) / (1.0 + t)
+        out = _integrands(w, (order,), 1.0, sigma)[0]
     return out if out.ndim else float(out)
+
+
+def _occ_from_w(w, sigma):
+    """1 / (e^w - sigma), the mean occupation."""
+    return _integrand(w, 1, sigma)
 
 
 def _log_weight_from_w(w, sigma):
-    """-sigma * log(1 - sigma e^{-w}), the pressure integrand factor.
-
-    BE: -log(-expm1(-w)) below w = log 2, where 1 - e^{-w} would cancel,
-    and -log1p(-e^{-w}) above it, where log(1 - e^{-w}) would.
-    """
-    w = np.asarray(w, dtype=float)
-    with np.errstate(divide="ignore"):
-        if sigma == BE:
-            if np.any(w < 0):
-                raise DomainError("BE pressure requires eps(k) > mu")
-            out = np.where(w < _LOG2, -np.log(-np.expm1(-w)), -np.log1p(-np.exp(-w)))
-        else:
-            out = np.maximum(-w, 0.0) + np.log1p(np.exp(-np.abs(w)))
-    return out if out.ndim else float(out)
-
-
-def _susceptibility_from_w(w, beta, sigma):
-    """beta e^{-w} / (1 - sigma e^{-w})^2 = d(occupation)/d(mu)."""
-    if sigma == BE:
-        occ = _occ_from_w(w, BE)
-        return beta * occ * (1.0 + occ)
-    t = np.exp(-np.abs(np.asarray(w, dtype=float)))  # FD is even in w
-    return beta * t / (1.0 + t) ** 2
+    """-sigma * log(1 - sigma e^{-w}), the pressure integrand factor."""
+    return _integrand(w, 0, sigma)
 
 
 def occupation(k, state: ThermoState, disp: DispersionRelation):
@@ -294,10 +307,12 @@ def _panel(a: float, b: float):
 
 
 def _pair_sum(fw):
-    """(2m-node sums, |2m - m| estimates) over the last axis of f * weight at both rules' nodes."""
+    """(2m-node sums, |2m - m| estimates) over the last axis of f * weight at both rules' nodes.
+
+    inf - inf gives nan, which the certificate rejects; callers set ``np.errstate``.
+    """
     fine = fw[..., _NODES:].sum(axis=-1)
-    with np.errstate(invalid="ignore"):  # inf - inf: caught as non-finite by the certificate
-        return fine, np.abs(fine - fw[..., :_NODES].sum(axis=-1))
+    return fine, np.abs(fine - fw[..., :_NODES].sum(axis=-1))
 
 
 def _bisect(pair, span, budget, spent, ids):
@@ -327,13 +342,15 @@ def _certify(total, error, tol, pref=1.0):
 
     Each error is first raised to the rounding floor ``_ROUNDOFF`` |total|.
     A miss raises ``AccuracyError`` carrying the worst estimate in the units
-    of the returned value; a non-finite total or error raises it too.
+    of the returned value; a non-finite total or error raises it too (it
+    makes ``worst`` nan or inf; callers set ``np.errstate``).
     """
-    if not (np.isfinite(total).all() and np.isfinite(error).all()):
-        raise AccuracyError("quadrature produced a non-finite value")
-    error = np.maximum(error, _ROUNDOFF * np.abs(total))
-    worst = error / np.maximum(np.abs(total), 1e-300)
-    if (worst > tol).any():
+    size = np.abs(total)
+    error = np.maximum(error, _ROUNDOFF * size)
+    worst = error / np.maximum(size, 1e-300)
+    if not (worst <= tol).all():
+        if not (np.isfinite(total).all() and np.isfinite(error).all()):
+            raise AccuracyError("quadrature produced a non-finite value")
         i = np.unravel_index(np.argmax(worst), worst.shape)
         raise AccuracyError(f"quadrature achieved {worst[i]:.3e} relative, requested {tol:.3e}",
                             estimate=float((pref * error)[i]))
@@ -353,10 +370,11 @@ def _integrate(f, a: float, b: float, tol: float = 1e-10):
         s, w = _panel(*span)
         return _pair_sum((np.asarray(f(s), dtype=float) * w).reshape(1, 1, -1))
 
-    value, error = pair((a, b), None)
-    if error[0, 0] > tol * abs(value[0, 0]):
-        value, error = _bisect(pair, (a, b), tol * np.abs(value), np.zeros(1, int), np.zeros(1, int))
-    return tuple(x.item() for x in _certify(value, error, tol))
+    with np.errstate(invalid="ignore"):
+        value, error = pair((a, b), None)
+        if error[0, 0] > tol * abs(value[0, 0]):
+            value, error = _bisect(pair, (a, b), tol * np.abs(value), np.zeros(1, int), np.zeros(1, int))
+        return tuple(x.item() for x in _certify(value, error, tol))
 
 
 class _Grid:
@@ -400,17 +418,19 @@ class _Grid:
         return leaf
 
     def panels(self, count: int):
-        """(spans, energies, weights, right ends, energies there) of at least ``count`` panels.
+        """(spans, energies, weights, tail factors) of at least ``count`` panels.
 
-        The first panel's end is in t when substituted; the domain rule never reads it.
+        Each energy row holds both rules' nodes and, last, the panel's right
+        end b; the tail factor is b^d.  The first panel's end is in t when
+        substituted; the domain rule never reads it.
         """
         if len(self.stack) and len(self.stack[0]) >= count:
             return self.stack
         spans = [self.span(j) for j in range(count)]
         leaves = [self.leaf(*span) for span in spans]
         ends = np.array([b for _, b, _ in spans])
-        self.stack = (spans, np.stack([e for e, _ in leaves]), np.stack([w for _, w in leaves]),
-                      ends, np.asarray(self.disp.evaluate(ends), dtype=float))
+        eps = np.column_stack([np.stack([e for e, _ in leaves]), self.disp.evaluate(ends)])
+        self.stack = (spans, eps, np.stack([w for _, w in leaves]), ends ** self.disp.dimension)
         return self.stack
 
 
@@ -419,57 +439,53 @@ def _grid(beta: float, disp: DispersionRelation, substitute: bool) -> _Grid:
     return _Grid(beta, disp, substitute)
 
 
-def _integrands(w, orders, beta, sigma):
-    """The p, rho and d rho / d mu integrand factors at w, one row per entry of ``orders``."""
-    rows = {0: lambda: _log_weight_from_w(w, sigma),
-            1: lambda: _occ_from_w(w, sigma),
-            2: lambda: _susceptibility_from_w(w, beta, sigma)}
-    return np.stack([rows[o]() for o in orders])
-
-
 def _derivatives(beta, mu, sigma, disp, orders, tol):
     """(values, errors) of d^n p / d mu^n for n in ``orders``: arrays (len(orders), mu.size).
 
     ``mu`` is a 1-D array inside the domain (BE: mu <= 0, and mu < 0 for
-    order 2).  Raises ``AccuracyError`` when a budget is missed.
+    order 2).  One integrand pass per panel round gives every panel's rule
+    pair and the integrand at its right end, which the domain rule reads.
+    Raises ``AccuracyError`` when a budget is missed.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    d = disp.dimension
     grid = _grid(beta, disp, sigma == BE)
+    columns = np.arange(mu.size)
 
-    def rule_pair(eps, weight, mu):  # (2m-node values, |2m - m| estimates) of the leaves in eps
-        return _pair_sum(_integrands(beta * (eps - mu), orders, beta, sigma) * weight)
+    def pair(half, ids):  # (2m-node values, |2m - m| estimates) of one leaf
+        eps, weight = grid.leaf(*half)
+        return _pair_sum(_integrands(beta * (eps - mu[ids, None]), orders, beta, sigma) * weight)
 
-    count = 2
-    while True:
-        spans, eps, weight, ends, eps_ends = grid.panels(count)
-        fine, err = rule_pair(eps, weight, mu[:, None, None])  # (q, mu, panel)
-        running = np.cumsum(fine, axis=-1)
-        tail = np.abs(_integrands(beta * (eps_ends - mu[:, None]), orders, beta, sigma)) * ends ** d
-        stop = np.all(tail < _TRUNCATION_RATIO * np.maximum(np.abs(running), 1e-300), axis=0)
-        stop[:, 0] = False  # the first panel never ends the domain
-        if stop.any(axis=1).all():
-            break
-        if len(spans) >= _MAX_PANELS:
-            raise AccuracyError("radial integrand failed to decay within the search range")
-        count = min(2 * len(spans), _MAX_PANELS)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        count = 2
+        while True:
+            spans, eps, weight, reach = grid.panels(count)
+            f = _integrands(beta * (eps - mu[:, None, None]), orders, beta, sigma)  # (q, mu, panel, node)
+            fine, err = _pair_sum(f[..., :-1] * weight)
+            running = np.cumsum(fine, axis=-1)
+            tail = np.abs(f[..., -1]) * reach
+            stop = np.all(tail < _TRUNCATION_RATIO * np.maximum(np.abs(running), 1e-300), axis=0)
+            stop[:, 0] = False  # the first panel never ends the domain
+            if stop.any(axis=1).all():
+                break
+            if len(spans) >= _MAX_PANELS:
+                raise AccuracyError("radial integrand failed to decay within the search range")
+            count = min(2 * len(spans), _MAX_PANELS)
 
-    panels = stop.argmax(axis=1) + 1                         # per mu
-    used = np.arange(fine.shape[-1]) < panels[:, None]       # (mu, panel)
-    scale = np.maximum(np.abs(running[:, np.arange(mu.size), panels - 1]), 1e-300)
-    budget = 0.5 * tol * scale / panels                      # per panel, (q, mu)
-    miss = np.any(err > budget[..., None], axis=0) & used
-    spent = np.zeros(mu.size, dtype=int)
-    pair = lambda half, ids: rule_pair(*grid.leaf(*half), mu[ids, None])
-    for j in np.flatnonzero(miss.any(axis=0)):
-        ids = np.flatnonzero(miss[:, j])
-        fine[:, ids, j], err[:, ids, j] = _bisect(pair, spans[j], budget[:, ids], spent, ids)
-
-    total = np.cumsum(fine, axis=-1)[:, np.arange(mu.size), panels - 1]
-    pref = _surface_area(d) / (2.0 * math.pi) ** d
-    pref = np.array([pref / beta if o == 0 else pref for o in orders])[:, None]
-    return _certify(total, np.where(used, err, 0.0).sum(axis=-1), tol, pref)
+        panels = stop.argmax(axis=1) + 1                         # per mu
+        used = np.arange(fine.shape[-1]) < panels[:, None]       # (mu, panel)
+        total = running[:, columns, panels - 1]
+        budget = 0.5 * tol * np.maximum(np.abs(total), 1e-300) / panels  # per panel, (q, mu)
+        miss = np.any(err > budget[..., None], axis=0) & used
+        if miss.any():
+            spent = np.zeros(mu.size, dtype=int)
+            for j in np.flatnonzero(miss.any(axis=0)):
+                ids = np.flatnonzero(miss[:, j])
+                fine[:, ids, j], err[:, ids, j] = _bisect(pair, spans[j], budget[:, ids], spent, ids)
+            total = np.cumsum(fine, axis=-1)[:, columns, panels - 1]
+        pref = _surface_area(disp.dimension) / (2.0 * math.pi) ** disp.dimension
+        pref = np.array([pref / beta if o == 0 else pref for o in orders])[:, None]
+        return _certify(total, np.where(used, err, 0.0).sum(axis=-1), tol, pref)
 
 
 def pressure_derivatives(mu, beta: float, sigma: int, disp: DispersionRelation,

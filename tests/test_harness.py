@@ -98,9 +98,9 @@ def test_rate_experiment_solves_each_end_once(monkeypatch, interval):
     from ldgas import rate
 
     calls = []
-    original = rate.rate_value
+    original = rate._solve
 
-    def counted(x, ctx):
+    def counted(x, ctx):  # one minimizer solve per x, whichever entry runs it
         calls.append(x)
         return original(x, ctx)
 
@@ -109,7 +109,7 @@ def test_rate_experiment_solves_each_end_once(monkeypatch, interval):
                                "interval": interval})
     ctx = rate.RateContext.build(cfg.build_state(), cfg.build_dispersion(), cfg.quad_tol)
     expected = rate.interval_rate(*cfg.interval, ctx)
-    monkeypatch.setattr(rate, "rate_value", counted)
+    monkeypatch.setattr(rate, "_solve", counted)
     record = run_experiment(cfg)
     assert calls == list(cfg.interval)
     assert record.summary["interval_sup"] == expected  # bit for bit

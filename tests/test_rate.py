@@ -5,7 +5,7 @@ import pytest
 
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import DomainError
-from ldgas.rate import RateContext, interval_rate, minimizer, rate_value
+from ldgas.rate import RateContext, interval_rate, minimizer, rate_value, rate_values
 from ldgas.thermo import BE, FD, ThermoState, pressure, translated_pressure
 
 D1 = DispersionRelation.nonrelativistic(mass=0.5, dimension=1)
@@ -169,3 +169,81 @@ class TestIntervalRate:
     def test_interval_ordering(self, fd_ctx):
         with pytest.raises(DomainError):
             interval_rate(0.3, 0.2, fd_ctx)
+
+
+REL = DispersionRelation.relativistic(mass=1.0, c=1.0, dimension=3)
+LOCKSTEP_GASES = {
+    "fd1": (ThermoState(1.0, 0.0, FD), D1),        # rho_bar 0.1706
+    # rho_bar 0.0898; the rung lam = 1 lands on mu + lam = 0.1, where the order-2
+    # row bisects, so there a (1,) pass and a (1, 2) pass differ in g' bits
+    "fd1_shifted": (ThermoState(1.0, -0.9, FD), D1),
+    "be3": (ThermoState(1.0, -1.0, BE), D3),       # rho_bar 0.0272, rho_c 0.1659
+    "relfd3": (ThermoState(1.0, 0.0, FD), REL),    # rho_bar 0.190
+    "relbe3": (ThermoState(1.0, -0.5, BE), REL),   # rho_bar 0.161, rho_c 0.373
+}
+
+
+def scalar_point(x, ctx):
+    """rate_value's point with every engine request answered one tilt at a time."""
+    from ldgas import rate
+
+    solve, rows = rate._solve(x, ctx), None
+    while True:
+        try:
+            tilts, orders = solve.send(rows)
+        except StopIteration as done:
+            lam = done.value
+            break
+        rows = np.stack([ctx.derivatives(t, orders) for t in tilts], axis=-1)
+    if x <= 0:
+        return repr((x, -math.inf, -math.inf if x < 0 else -ctx.p_mu))
+    return repr((x, lam, ctx.g(lam) - lam * x))
+
+
+class TestLockstep:
+    """``rate_values`` solves several x together and must equal one ``rate_value`` per x, bit for bit.
+
+    Both must also equal each solve answered by scalar engine calls.
+    """
+
+    @pytest.mark.parametrize("gas, window", [
+        ("fd1", (0.25, 0.30)), ("fd1", (0.05, 0.10)), ("fd1_shifted", (0.1, 0.2)),
+        ("be3", (0.005, 0.015)),                  # dilute
+        ("be3", (0.05, 0.12)),                    # between rho_bar and rho_c
+        ("be3", (0.2, 0.35)),                     # condensed: both ends affine
+        ("fd1", (0.1, 0.3)), ("be3", (0.01, 0.1)), ("relfd3", (0.1, 0.3)),  # around rho_bar
+        ("be3", (0.1, 0.3)), ("relbe3", (0.3, 0.5)),                        # around rho_c
+        ("fd1", (0.0, 0.1)), ("be3", (0.0, 0.3)),                           # x = 0
+        ("relfd3", (0.21, 0.24)), ("relbe3", (0.02, 0.05)), ("relbe3", (0.18, 0.21)),
+    ])
+    def test_window_ends_equal_solo_solves(self, gas, window):
+        ctx = RateContext.build(*LOCKSTEP_GASES[gas])
+        together = rate_values(window, ctx)
+        alone = [rate_value(x, ctx) for x in window]
+        assert [repr((p.x, p.lam0, p.f)) for p in together] == [repr((p.x, p.lam0, p.f)) for p in alone]
+        assert [repr((p.x, p.lam0, p.f)) for p in alone] == [scalar_point(x, ctx) for x in window]
+
+    def test_many_points_equal_solo_solves(self, be_ctx):
+        xs = [-0.1, 0.0, 0.004, 0.02, be_ctx.rho_bar, 0.1, be_ctx.rho_c, 0.3, 0.3]
+        together = rate_values(xs, be_ctx)
+        assert [repr((p.x, p.lam0, p.f)) for p in together] == [scalar_point(x, be_ctx) for x in xs]
+        assert [p.lam0 for p in together] == [minimizer(x, be_ctx) for x in xs]
+
+    def test_fd_window_engine_calls(self, monkeypatch):
+        from ldgas import thermo
+        from ldgas.harness import config_from_mapping, run_experiment
+
+        calls = []
+        original = thermo._derivatives
+
+        def counted(*args):
+            calls.append(args[4])
+            return original(*args)
+
+        cfg = config_from_mapping({"kind": "rate", "statistics": "FD", "dispersion": "nonrelativistic",
+                                   "mass": "0.5", "dimension": "1", "beta": "1.0", "mu": "0.0",
+                                   "interval": "0.25, 0.30"})
+        monkeypatch.setattr(thermo, "_derivatives", counted)
+        run_experiment(cfg)
+        # rho_bar, p(mu), both ends' ladders, the Newton steps side by side, g at both minimizers
+        assert len(calls) <= 9

@@ -244,14 +244,20 @@ class TestIntegrandForms:
 class TestEngine:
     """The Gauss-Legendre radial engine behind every public thermo function."""
 
-    @pytest.mark.parametrize("gas", ["FD1", "BE3", "relBE3"])
+    @pytest.mark.parametrize("gas", ["FD1", "BE1", "BE3", "relFD3", "relBE3"])
     def test_array_call_equals_scalar_calls_bitwise(self, gas):
-        disp, sigma, mus = {
+        rel = DispersionRelation.relativistic(1.0, 1.0, 3)
+        disp, sigma, all_mus = {
             "FD1": (D1, FD, np.linspace(-6.0, 6.0, 25)),
+            # mu = 0: the density diverges and is left out of the order-1 pass
+            "BE1": (D1, BE, np.append(-np.logspace(-6.0, 1.0, 12), 0.0)),
             "BE3": (D3, BE, -np.logspace(-9.0, 1.0, 21)),
-            "relBE3": (DispersionRelation.relativistic(1.0, 1.0, 3), BE, -np.logspace(-6.0, 1.0, 15)),
+            # the domain needs the panel-doubling round: 4 panels, 8 from mu = 20
+            "relFD3": (rel, FD, np.linspace(-4.0, 40.0, 12)),
+            "relBE3": (rel, BE, -np.logspace(-6.0, 1.0, 15)),
         }[gas]
         for orders in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)):
+            mus = all_mus[all_mus < 0] if sigma == BE and 2 in orders else all_mus
             batch = pressure_derivatives(mus, 1.0, sigma, disp, orders)
             one_by_one = np.stack([pressure_derivatives(mu, 1.0, sigma, disp, orders) for mu in mus], axis=-1)
             assert batch.shape == (len(orders), mus.size)
