@@ -3,7 +3,7 @@
 The number of particles in [0, L] is governed by the compression of the
 occupation operator to the interval.  It commutes with the reflection
 about the interval's centre, so it splits into even and odd blocks.  A
-Gauss-Legendre Nystrom discretization of each, read from the momentum
+Gauss-Legendre Nystrom discretization of each, read from the gas's momentum
 symbol on Gauss-Legendre wavevectors (Bornemann, Math. Comp. 79, 2010:
 exponentially convergent for analytic kernels, certified here by node
 doubling), gives two dense symmetric matrices whose eigenvalues kappa_i
@@ -14,7 +14,9 @@ determine everything:
     or geometric factors of mean |kappa_i| (BE), computed by ``factors``,
   * exponential tilts, cumulants and large-deviation probabilities.
 
-Desk scale fixes d = 1: the dense eigensolve is the cost ceiling.
+A build takes the gas itself, a ``ThermoState`` and a ``DispersionRelation``;
+no position-space kernel table is sampled.  Desk scale fixes d = 1: the
+dense eigensolve is the cost ceiling.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
 from .export import write_table
 from .factors import FactorLaw, window_log_prob
-from .kernel import KernelTable, symbol
+from .kernel import symbol
 from .thermo import BE, FD, ThermoState, _gauss_legendre, _integrate, translated_pressure
 
 __all__ = [
@@ -61,13 +63,15 @@ _SYMBOL_FLOOR = 1e-20           # symbol magnitude below which wavevectors are d
 class CountingMatrix:
     """Nystrom discretization of the interval-compressed occupation operator.
 
+    ``state`` and ``disp`` are the gas whose symbol it discretizes.
     ``blocks`` holds its even and odd parity blocks, ``nodes`` their summed
     order, ``eigenvalues`` their joint spectrum, sorted, and
     ``discretization_error`` the node-doubling estimate of the largest
     eigenvalue error.
     """
 
-    kernel: KernelTable
+    state: ThermoState
+    disp: DispersionRelation
     length: float
     nodes: int
     blocks: tuple = field(repr=False)
@@ -76,11 +80,11 @@ class CountingMatrix:
 
     @property
     def statistics(self) -> int:
-        return self.kernel.state.sigma
+        return self.state.sigma
 
     @property
     def beta(self) -> float:
-        return self.kernel.state.beta
+        return self.state.beta
 
     @property
     def volume(self) -> float:
@@ -88,7 +92,7 @@ class CountingMatrix:
 
     @property
     def fugacity(self) -> float:
-        return self.kernel.state.fugacity
+        return self.state.fugacity
 
     @property
     def spectral_bound(self) -> float:
@@ -122,7 +126,7 @@ class CountingMatrix:
         write_table(path, ["# counting-matrix spectrum: index, kappa"], enumerate(self.eigenvalues))
 
 
-def _parity_blocks(sym, k_max, n_k, radius, n_r, sign):
+def _parity_blocks(state, disp, k_max, n_k, radius, n_r, sign):
     """Even and odd blocks sign * B B^T of the Nystrom operator, with their spectra.
 
     On [-R, R] the kernel d(x - y) = (1/pi) int_0^inf s(k) cos(k(x - y)) dk
@@ -135,7 +139,8 @@ def _parity_blocks(sym, k_max, n_k, radius, n_r, sign):
     x, w = 0.5 * radius * (t + 1.0), 0.5 * radius * w
     t, omega = _gauss_legendre(n_k)
     k, omega = 0.5 * k_max * (t + 1.0), 0.5 * k_max * omega
-    scale = np.sqrt(w)[:, None] * np.sqrt((2.0 / math.pi) * omega * np.abs(sym(k)))
+    s = np.abs(symbol(k, state, disp))
+    scale = np.sqrt(w)[:, None] * np.sqrt((2.0 / math.pi) * omega * s)
     phase = np.outer(x, k)
     out = []
     for b in (np.cos(phase) * scale, np.sin(phase) * scale):
@@ -156,34 +161,35 @@ def _spectral_distance(coarse, fine, sign):
     return float(max(np.max(np.abs(a - b[: a.size])), np.max(np.abs(b[a.size:]), initial=0.0)))
 
 
-def build_counting_matrix(kernel: KernelTable, length: float) -> CountingMatrix:
-    """Nystrom parity blocks of the occupation operator on an interval of length L.
+def build_counting_matrix(
+    state: ThermoState, disp: DispersionRelation, length: float
+) -> CountingMatrix:
+    """Nystrom parity blocks of the gas's occupation operator on an interval of length L.
 
-    Only kernel.state, .disp and .symbol are read, so neither its grid spacing
-    nor its extent changes the spectrum.  The interval is centred at 0 with
-    R = L/2 and split into even and odd blocks (``_parity_blocks``): n_r =
-    ceil(k_max R / pi) + 12 Gauss-Legendre nodes on [0, R] and n_k =
-    2 (ceil(k_max R / pi) + 24) on [0, k_max], k_max where the symbol stays
-    below 1e-20.  Doubling both node counts must move no sorted eigenvalue
-    of either block by more than ``_DISCRETIZATION_BUDGET`` ||K||; otherwise
-    both double while the doubled rule fits ``_MAX_NODES`` r-nodes per
-    block, past which ``AccuracyError`` carries the last estimate.  The
-    eigenvalues must also respect the continuum spectrum containment
-    (``CountingMatrix.law``).
+    The gas enters only through its momentum symbol ``kernel.symbol(k, state,
+    disp)``.  The interval is centred at 0 with R = L/2 and split into even
+    and odd blocks (``_parity_blocks``): n_r = ceil(k_max R / pi) + 12
+    Gauss-Legendre nodes on [0, R] and n_k = 2 (ceil(k_max R / pi) + 24) on
+    [0, k_max], k_max where the symbol stays below 1e-20.  Doubling both
+    node counts must move no sorted eigenvalue of either block by more than
+    ``_DISCRETIZATION_BUDGET`` ||K||; otherwise both double while the doubled
+    rule fits ``_MAX_NODES`` r-nodes per block, past which ``AccuracyError``
+    carries the last estimate.  The eigenvalues must also respect the
+    continuum spectrum containment (``CountingMatrix.law``).
     """
-    if kernel.dimension != 1:
+    if disp.dimension != 1:
         raise DomainError("counting matrices are built at desk scale, d = 1 only")
     if not length > 0:
         raise DomainError("interval length must be positive")
 
-    sign = 1.0 if kernel.state.sigma == FD else -1.0
-    radius, k_max = 0.5 * length, _band_limit(kernel.state, kernel.disp)
+    sign = 1.0 if state.sigma == FD else -1.0
+    radius, k_max = 0.5 * length, _band_limit(state, disp)
     band = math.ceil(k_max * radius / math.pi)
     n_r, n_k = band + _R_MARGIN, 2 * (band + _K_MARGIN)
     coarse, error = None, math.inf
     while 2 * n_r <= _MAX_NODES:
-        coarse = coarse or _parity_blocks(kernel.symbol, k_max, n_k, radius, n_r, sign)
-        fine = _parity_blocks(kernel.symbol, k_max, 2 * n_k, radius, 2 * n_r, sign)
+        coarse = coarse or _parity_blocks(state, disp, k_max, n_k, radius, n_r, sign)
+        fine = _parity_blocks(state, disp, k_max, 2 * n_k, radius, 2 * n_r, sign)
         error = max(_spectral_distance(c[1], f[1], sign) for c, f in zip(coarse, fine))
         norm = max(float(np.max(np.abs(c[1]))) for c in coarse)
         if error <= _DISCRETIZATION_BUDGET * norm:
@@ -197,7 +203,7 @@ def build_counting_matrix(kernel: KernelTable, length: float) -> CountingMatrix:
         )
 
     m = CountingMatrix(
-        kernel=kernel, length=float(length), nodes=2 * n_r,
+        state=state, disp=disp, length=float(length), nodes=2 * n_r,
         blocks=tuple(K for K, _ in coarse),
         eigenvalues=np.sort(np.concatenate([eig for _, eig in coarse])),
         discretization_error=error,
@@ -249,22 +255,21 @@ def trace_moments(m: CountingMatrix, m_max: int) -> list[MomentComparison]:
     """
     if not 1 <= m_max <= 8:
         raise DomainError("m_max must lie in 1..8")
-    sym = m.kernel.symbol
-    cutoff = _symbol_cutoff(sym)
+    cutoff = _symbol_cutoff(m.state, m.disp)
     out = []
     for order in range(1, m_max + 1):
         emp = float(np.sum(m.eigenvalues ** order)) / m.volume
-        tgt = _integrate(lambda k: sym(k) ** order, 0.0, cutoff)[0] / math.pi
+        tgt = _integrate(lambda k: symbol(k, m.state, m.disp) ** order, 0.0, cutoff)[0] / math.pi
         gap = abs(emp - tgt) / max(abs(tgt), 1e-300)
         out.append(MomentComparison(order, emp, tgt, gap))
     return out
 
 
-def _symbol_cutoff(sym) -> float:
+def _symbol_cutoff(state: ThermoState, disp: DispersionRelation) -> float:
     """Power-of-two k beyond which the symbol is below ``_SYMBOL_FLOOR``."""
     k = 1.0
     for _ in range(60):
-        if abs(sym(k)) < _SYMBOL_FLOOR:
+        if abs(symbol(k, state, disp)) < _SYMBOL_FLOOR:
             return k
         k *= 2.0
     return k
@@ -276,9 +281,8 @@ def _band_limit(state: ThermoState, disp: DispersionRelation) -> float:
 
     Cached: every size of a sweep reads the same (state, dispersion).
     """
-    sym = lambda k: symbol(k, state, disp)
-    k = _symbol_cutoff(sym) * np.arange(1, 1025) / 1024
-    above = np.flatnonzero(np.abs(sym(k)) >= _SYMBOL_FLOOR)
+    k = _symbol_cutoff(state, disp) * np.arange(1, 1025) / 1024
+    above = np.flatnonzero(np.abs(symbol(k, state, disp)) >= _SYMBOL_FLOOR)
     return float(k[min(above[-1] + 1, k.size - 1)]) if above.size else float(k[0])
 
 
@@ -357,7 +361,7 @@ def cumulants_clt(
     _, k2, k3, k4 = m.law.cumulants() if dist is None else dist.cumulants
     vol = m.volume
     if variance_target is None:
-        variance_target = translated_pressure(0.0, m.kernel.state, m.kernel.disp, order=2) / m.beta
+        variance_target = translated_pressure(0.0, m.state, m.disp, order=2) / m.beta
     return CltReport(
         values=(0.0, k2 / vol, k3 / vol ** 1.5, k4 / vol ** 2),
         variance_target=variance_target,

@@ -242,15 +242,6 @@ def _gap_summary(rows):
 # per-kind runners
 # ---------------------------------------------------------------------------
 
-def _symbol_table(cfg, state, disp):
-    """Kernel table carrying the state and symbol that counting reads.
-
-    Counting never reads the table's samples, so their boundary-decay check
-    is waived: neither ``h`` nor ``extent`` can change or fail a sweep.
-    """
-    return kernel.build_kernel(state, disp, cfg.h, cfg.extent, boundary_decay_tol=math.inf)
-
-
 def _run_eos(cfg, state, disp):
     eos = thermo.equation_of_state(state, disp, cfg.quad_tol)
     rho_c = thermo.critical_density(cfg.beta, disp, statistics=cfg.statistics, tol=cfg.quad_tol)
@@ -304,10 +295,9 @@ def _run_kernel(cfg, state, disp):
 def _run_gf(cfg, state, disp):
     lam = cfg.lam
     target = thermo.translated_pressure(lam, state, disp, order=0, tol=cfg.quad_tol)
-    tab = _symbol_table(cfg, state, disp)
 
     def one(i, length):
-        m = counting.build_counting_matrix(tab, length)
+        m = counting.build_counting_matrix(state, disp, length)
         value = counting.log_generating_function(m, lam) / cfg.beta
         return {"L": length, "value": value, "target": target,
                 "gap": abs(value - target) / abs(target)}
@@ -322,10 +312,9 @@ def _run_ldp(cfg, state, disp):
     a, b = cfg.interval
     ctx = rate.RateContext.build(state, disp, cfg.quad_tol)
     target = rate.interval_rate(a, b, ctx)
-    tab = _symbol_table(cfg, state, disp)
 
     def one(i, length):
-        m = counting.build_counting_matrix(tab, length)
+        m = counting.build_counting_matrix(state, disp, length)
         value = counting.ldp_log_prob(m, a, b)
         bound = counting.chebyshev_bound(m, a)
         return {
@@ -344,11 +333,10 @@ def _run_ldp(cfg, state, disp):
 
 
 def _run_clt(cfg, state, disp):
-    tab = _symbol_table(cfg, state, disp)
     target = thermo.translated_pressure(0.0, state, disp, order=2, tol=cfg.quad_tol) / cfg.beta
 
     def one(i, length):
-        m = counting.build_counting_matrix(tab, length)
+        m = counting.build_counting_matrix(state, disp, length)
         report = counting.cumulants_clt(m, variance_target=target)
         c1, c2, c3, c4 = report.values
         return {

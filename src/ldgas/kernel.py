@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -44,10 +43,12 @@ def symbol(k, state: ThermoState, disp: DispersionRelation):
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Sampled position-space kernel d_sigma(x) with its momentum symbol.
+    """Sampled position-space kernel d_sigma(x) of the gas (``state``, ``disp``).
 
     For d = 1 ``x`` spans the full grid [-X, X); for d = 3 it holds radii
-    [0, X).  ``values`` are the kernel samples on that grid.
+    [0, X).  ``values`` are the kernel samples on that grid; the momentum
+    symbol they transform is ``symbol(k, state, disp)``.  The interval route
+    (``counting``) reads that symbol directly and takes no table.
     """
 
     state: ThermoState
@@ -56,7 +57,6 @@ class KernelTable:
     extent: float
     x: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    symbol: Callable = field(repr=False)
     l1_norm: float = 0.0
     sup_norm: float = 0.0
     boundary_ratio: float = 0.0
@@ -180,7 +180,6 @@ def build_kernel(
         extent=float(extent),
         x=x,
         values=d,
-        symbol=lambda k, s=state, dd=disp: symbol(k, s, dd),
         l1_norm=l1,
         sup_norm=sup,
         boundary_ratio=ratio,

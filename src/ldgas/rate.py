@@ -32,7 +32,7 @@ import numpy as np
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
-from .thermo import BE, FD, ThermoState, pressure, pressure_derivatives, translated_pressure
+from .thermo import BE, FD, ThermoState, pressure_derivatives, translated_pressure
 
 __all__ = ["RateContext", "RatePoint", "minimizer", "rate_value", "rate_values", "interval_rate"]
 
@@ -46,8 +46,8 @@ class RateContext:
     """Frozen inputs for rate-function evaluations.
 
     rho_bar is the mean density g'(0) and p_mu the pressure p(mu), both
-    computed once; rho_c may be ``inf``; lambda_upper is the right edge of
-    the domain of g (inf for FD, -mu for BE).
+    computed once, with rho_c, in one engine call; rho_c may be ``inf``;
+    lambda_upper is the right edge of the domain of g (inf for FD, -mu for BE).
     """
 
     state: ThermoState
@@ -60,15 +60,15 @@ class RateContext:
 
     @classmethod
     def build(cls, state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -> "RateContext":
-        # rho_bar, and for BE rho_c (the mu = 0 density; inf when d <= gamma), in one pass
+        # p(mu), rho_bar and for BE rho_c (the mu = 0 density; inf when d <= gamma) in one call
         mus = [state.mu, 0.0] if state.sigma == BE else [state.mu]
-        rho = pressure_derivatives(np.array(mus), state.beta, state.sigma, disp, (1,), tol)[0]
+        p, rho = pressure_derivatives(np.array(mus), state.beta, state.sigma, disp, (0, 1), tol)
         rho_bar, rho_c = float(rho[0]), float(rho[1]) if state.sigma == BE else math.inf
         if not rho_bar < rho_c:
             raise DomainError("mean density must lie below the critical density")
         lam_up = math.inf if state.sigma == FD else -state.mu
         return cls(state=state, disp=disp, rho_bar=rho_bar, rho_c=rho_c,
-                   lambda_upper=lam_up, p_mu=pressure(state, disp, tol), tol=tol)
+                   lambda_upper=lam_up, p_mu=float(p[0]), tol=tol)
 
     def derivatives(self, lam, orders):
         """Rows of p^(n)(mu + lam) for n in ``orders`` at an array of tilts: g^(n)(lam) for n >= 1."""

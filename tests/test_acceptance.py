@@ -63,18 +63,13 @@ def fd_kernel():
 
 
 @pytest.fixture(scope="module")
-def be_kernel():
-    return build_kernel(BE1_D1, D1, h=0.05, extent=160.0)
+def fd_matrices():
+    return {L: build_counting_matrix(FD0, D1, L) for L in (10.0, 20.0, 40.0, 80.0)}
 
 
 @pytest.fixture(scope="module")
-def fd_matrices(fd_kernel):
-    return {L: build_counting_matrix(fd_kernel, L) for L in (10.0, 20.0, 40.0, 80.0)}
-
-
-@pytest.fixture(scope="module")
-def be_matrices(be_kernel):
-    return {L: build_counting_matrix(be_kernel, L) for L in (10.0, 20.0, 40.0)}
+def be_matrices():
+    return {L: build_counting_matrix(BE1_D1, D1, L) for L in (10.0, 20.0, 40.0)}
 
 
 @pytest.fixture(scope="module")

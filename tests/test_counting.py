@@ -18,7 +18,7 @@ from ldgas.counting import (
 )
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import AccuracyError, DomainError
-from ldgas.kernel import build_kernel
+from ldgas.kernel import build_kernel, symbol
 from ldgas.rate import RateContext, minimizer
 from ldgas.thermo import BE, FD, ThermoState, density, translated_pressure
 from ldgas.thermo import _gauss_legendre as gauss_legendre
@@ -31,30 +31,25 @@ BE1 = ThermoState(1.0, -1.0, BE)
 
 
 @pytest.fixture(scope="module")
-def fd_kernel():
-    return build_kernel(FD0, D1, h=0.05, extent=160.0)
+def fd_m40():
+    return build_counting_matrix(FD0, D1, 40.0)
 
 
 @pytest.fixture(scope="module")
-def be_kernel():
-    return build_kernel(BE1, D1, h=0.05, extent=160.0)
+def be_m20():
+    return build_counting_matrix(BE1, D1, 20.0)
 
 
-@pytest.fixture(scope="module")
-def fd_m40(fd_kernel):
-    return build_counting_matrix(fd_kernel, 40.0)
+def fd_table_d0():
+    """d(0) of the FD gas's FFT kernel table, the position-space route to the trace."""
+    return build_kernel(FD0, D1, h=0.05, extent=160.0).at_offsets(np.array([0]))[0]
 
 
-@pytest.fixture(scope="module")
-def be_m20(be_kernel):
-    return build_counting_matrix(be_kernel, 20.0)
-
-
-def synthetic_matrix(kernel, eigenvalues):
+def synthetic_matrix(state, eigenvalues):
     """Matrix object with a prescribed spectrum (factor-level unit tests)."""
     eig = np.asarray(eigenvalues, dtype=float)
     return CountingMatrix(
-        kernel=kernel, length=1.0, nodes=eig.size, blocks=(np.diag(eig),), eigenvalues=eig,
+        state=state, disp=D1, length=1.0, nodes=eig.size, blocks=(np.diag(eig),), eigenvalues=eig,
         discretization_error=0.0,
     )
 
@@ -63,15 +58,15 @@ def block_trace(m):
     return sum(np.trace(block) for block in m.blocks)
 
 
-def full_nystrom_eigenvalues(kernel, length):
+def full_nystrom_eigenvalues(state, disp, length):
     """Unsplit symmetric Nystrom matrix on the mirrored r-nodes of the build's rules.
 
     K[i, j] = sqrt(w_i w_j) d(x_i - x_j) with d(u) = (1/pi) sum_q omega_q s(k_q)
     cos(k_q u), the k-rule and the r-rule (reflected onto [-R, 0]) of
     ``build_counting_matrix``'s first, certified pass.
     """
-    sym = kernel.symbol
-    radius, k_max = 0.5 * length, counting._band_limit(kernel.state, kernel.disp)
+    sym = lambda k: symbol(k, state, disp)
+    radius, k_max = 0.5 * length, counting._band_limit(state, disp)
     band = math.ceil(k_max * radius / math.pi)
     n_r, n_k = band + counting._R_MARGIN, 2 * (band + counting._K_MARGIN)
     t, w = gauss_legendre(n_r)
@@ -84,75 +79,65 @@ def full_nystrom_eigenvalues(kernel, length):
 
 
 class TestBuild:
-    def test_single_point_interval(self, fd_kernel):
+    def test_single_point_interval(self):
         # a short interval is the rank-one limit: one eigenvalue L d(0)
-        m = build_counting_matrix(fd_kernel, 0.05)
-        d0 = fd_kernel.at_offsets(np.array([0]))[0]
+        m = build_counting_matrix(FD0, D1, 0.05)
+        d0 = fd_table_d0()
         assert block_trace(m) == pytest.approx(0.05 * d0, rel=1e-14)
         assert m.eigenvalues.max() == pytest.approx(0.05 * d0, rel=1e-3)
 
     def test_trace_identity_exact(self, fd_m40):
         # |I|^{-1} tr K = d(0) by construction, summed over both parity blocks
-        d0 = fd_m40.kernel.at_offsets(np.array([0]))[0]
+        d0 = fd_table_d0()
         assert block_trace(fd_m40) / fd_m40.volume == pytest.approx(d0, rel=1e-14)
         assert np.sum(fd_m40.eigenvalues) / fd_m40.volume == pytest.approx(d0, rel=1e-14)
 
-    def test_fd_spectrum_containment(self, fd_kernel):
+    def test_fd_spectrum_containment(self):
         for L in (10.0, 20.0, 40.0):
-            m = build_counting_matrix(fd_kernel, L)
+            m = build_counting_matrix(FD0, D1, L)
             tol = 1e-8 * m.norm
             assert m.eigenvalues.min() >= -tol
             assert m.eigenvalues.max() <= 0.5 + tol
 
-    def test_be_spectrum_containment(self, be_kernel):
+    def test_be_spectrum_containment(self):
         lower = 1.0 / (1.0 - math.e)
         for L in (10.0, 20.0, 40.0):
-            m = build_counting_matrix(be_kernel, L)
+            m = build_counting_matrix(BE1, D1, L)
             tol = 1e-8 * m.norm
             assert m.eigenvalues.min() >= lower - tol
             assert m.eigenvalues.max() <= tol
 
-    def test_any_positive_length_builds(self, fd_kernel):
+    def test_any_positive_length_builds(self):
         for bad in (0.0, -1.0):
             with pytest.raises(DomainError):
-                build_counting_matrix(fd_kernel, bad)
-        assert build_counting_matrix(fd_kernel, 10.013).volume == 10.013
+                build_counting_matrix(FD0, D1, bad)
+        assert build_counting_matrix(FD0, D1, 10.013).volume == 10.013
 
-    def test_spectrum_independent_of_table(self, fd_kernel):
-        # a grid too coarse and an extent too short for the interval: the
-        # build reads only the state, the dispersion and the symbol
-        coarse = build_kernel(FD0, D1, h=0.5, extent=30.0)
-        a = build_counting_matrix(coarse, 40.0)
-        b = build_counting_matrix(fd_kernel, 40.0)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        for m in (a, b):
-            assert m.discretization_error <= 1e-10 * m.norm
-
-    def test_band_limit_is_found_once_per_gas(self, fd_kernel, monkeypatch):
-        a = build_counting_matrix(fd_kernel, 10.0)
+    def test_band_limit_is_found_once_per_gas(self, monkeypatch):
+        a = build_counting_matrix(FD0, D1, 10.0)
         monkeypatch.setattr(counting, "_symbol_cutoff", None)  # a second search would fail
-        assert build_counting_matrix(fd_kernel, 10.0).nodes == a.nodes
+        assert build_counting_matrix(FD0, D1, 10.0).nodes == a.nodes
 
     @pytest.mark.parametrize("statistics", ["FD", "BE"])
     @pytest.mark.parametrize("length", [10.0, 40.0])
-    def test_parity_blocks_match_full_matrix(self, fd_kernel, be_kernel, statistics, length):
-        kernel = fd_kernel if statistics == "FD" else be_kernel
-        m = build_counting_matrix(kernel, length)
-        full = full_nystrom_eigenvalues(kernel, length)
+    def test_parity_blocks_match_full_matrix(self, statistics, length):
+        state = FD0 if statistics == "FD" else BE1
+        m = build_counting_matrix(state, D1, length)
+        full = full_nystrom_eigenvalues(state, D1, length)
         assert full.size == m.eigenvalues.size
         assert np.max(np.abs(full - m.eigenvalues)) <= 1e-13 * m.norm
 
-    def test_nodes_grow_and_are_certified(self, fd_kernel):
+    def test_nodes_grow_and_are_certified(self):
         nodes = []
         for L in (10.0, 20.0, 40.0, 80.0):
-            m = build_counting_matrix(fd_kernel, L)
+            m = build_counting_matrix(FD0, D1, L)
             assert sum(block.shape[0] for block in m.blocks) == m.nodes == m.eigenvalues.size
             assert all(block.shape[0] == block.shape[1] for block in m.blocks)
             assert m.discretization_error <= 1e-10 * m.norm
             nodes.append(m.nodes)
         assert nodes == sorted(set(nodes))
 
-    def test_eigensolves_stay_within_a_block(self, fd_kernel, monkeypatch):
+    def test_eigensolves_stay_within_a_block(self, monkeypatch):
         # the doubled check rule of one parity block is the largest eigensolve:
         # 2 (ceil(k_max R / pi) + 12) at R = 40, about 200, where one unsplit
         # matrix on the doubled nodes is about 400
@@ -164,37 +149,37 @@ class TestBuild:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        m = build_counting_matrix(fd_kernel, 80.0)
-        band = math.ceil(counting._band_limit(fd_kernel.state, fd_kernel.disp) * 40.0 / math.pi)
+        m = build_counting_matrix(FD0, D1, 80.0)
+        band = math.ceil(counting._band_limit(FD0, D1) * 40.0 / math.pi)
         assert orders and max(orders) <= 2 * (band + counting._R_MARGIN) <= 210
         assert m.nodes == 2 * (band + counting._R_MARGIN)
 
-    def test_doubles_nodes_until_certified(self, fd_kernel):
+    def test_doubles_nodes_until_certified(self):
         # at L = 160 the band-limit rule misses the budget; doubling meets it
-        m = build_counting_matrix(fd_kernel, 160.0)
+        m = build_counting_matrix(FD0, D1, 160.0)
         assert m.discretization_error <= 1e-10 * m.norm
-        assert m.nodes > 2 * build_counting_matrix(fd_kernel, 80.0).nodes
+        assert m.nodes > 2 * build_counting_matrix(FD0, D1, 80.0).nodes
 
-    def test_budget_miss_raises(self, fd_kernel, monkeypatch):
+    def test_budget_miss_raises(self, monkeypatch):
         monkeypatch.setattr(counting, "_DISCRETIZATION_BUDGET", 0.0)
         monkeypatch.setattr(counting, "_MAX_NODES", 200)
         with pytest.raises(AccuracyError) as err:
-            build_counting_matrix(fd_kernel, 10.0)
+            build_counting_matrix(FD0, D1, 10.0)
         assert err.value.estimate > 0.0
 
 
 class TestGeneratingFunction:
     @pytest.mark.parametrize("statistics", ["FD", "BE"])
-    def test_against_uniform_nystrom_oracle(self, fd_kernel, be_kernel, statistics):
+    def test_against_uniform_nystrom_oracle(self, statistics):
         # eps = k^2, beta = 1: FD at mu = 0, BE at mu = -1 (symbol -1/(e^{k^2+1} - 1))
         if statistics == "FD":
-            kernel, sign = fd_kernel, 1.0
+            state, sign = FD0, 1.0
             sym = lambda k: np.exp(-k * k) / (1.0 + np.exp(-k * k))
         else:
-            kernel, sign = be_kernel, -1.0
+            state, sign = BE1, -1.0
             sym = lambda k: -np.exp(-k * k - 1.0) / (1.0 - np.exp(-k * k - 1.0))
         for L in (10.0, 20.0):
-            m = build_counting_matrix(kernel, L)
+            m = build_counting_matrix(state, D1, L)
             for lam in (-0.5, 0.5):
                 want = sign * oracle.uniform_nystrom_log_det(sym, L, lam)
                 assert abs(log_generating_function(m, lam) - want) < 1e-10
@@ -214,24 +199,24 @@ class TestGeneratingFunction:
         assert log_generating_function(be_m20, top + 0.1) == math.inf
         assert math.isfinite(log_generating_function(be_m20, top - 1e-3))
 
-    def test_derivative_at_zero_tracks_density(self, fd_kernel):
+    def test_derivative_at_zero_tracks_density(self):
         rho = density(FD0, D1)
         h = 1e-5
         gaps = []
         for L in (20.0, 40.0, 80.0):
-            m = build_counting_matrix(fd_kernel, L)
+            m = build_counting_matrix(FD0, D1, L)
             fd1 = (log_generating_function(m, h) - log_generating_function(m, -h)) / (2 * h)
             gaps.append(abs(fd1 / m.beta - rho))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 0.01 * rho
 
-    def test_second_derivative_tracks_susceptibility(self, fd_kernel):
+    def test_second_derivative_tracks_susceptibility(self):
         # phi''(0) -> beta * d(rho)/d(mu), gaps shrinking as L doubles
         target = translated_pressure(0.0, FD0, D1, order=2)
         h = 1e-3
         gaps = []
         for L in (20.0, 40.0, 80.0):
-            m = build_counting_matrix(fd_kernel, L)
+            m = build_counting_matrix(FD0, D1, L)
             phi = lambda l: log_generating_function(m, l)
             fd2 = (phi(h) - 2.0 * phi(0.0) + phi(-h)) / h ** 2
             gaps.append(abs(fd2 / m.beta ** 2 - target))
@@ -243,13 +228,13 @@ class TestLambdaMax:
     def test_fd_is_infinite(self, fd_m40):
         assert lambda_max(fd_m40) == math.inf
 
-    def test_be_decreasing_above_minus_mu(self, be_kernel):
-        values = [lambda_max(build_counting_matrix(be_kernel, L)) for L in (10.0, 20.0, 40.0)]
+    def test_be_decreasing_above_minus_mu(self):
+        values = [lambda_max(build_counting_matrix(BE1, D1, L)) for L in (10.0, 20.0, 40.0)]
         assert values[0] > values[1] > values[2]
         assert all(v > 1.0 for v in values)
 
-    def test_degenerate_warns(self, be_kernel):
-        degenerate = synthetic_matrix(be_kernel, [0.0])
+    def test_degenerate_warns(self):
+        degenerate = synthetic_matrix(BE1, [0.0])
         with pytest.warns(UserWarning):
             assert lambda_max(degenerate) == math.inf
 
@@ -259,9 +244,9 @@ class TestTraceMoments:
         first = trace_moments(fd_m40, 1)[0]
         assert first.rel_gap < 1e-6
 
-    def test_higher_moments_close_and_shrink(self, fd_kernel):
-        at40 = trace_moments(build_counting_matrix(fd_kernel, 40.0), 4)
-        at80 = trace_moments(build_counting_matrix(fd_kernel, 80.0), 4)
+    def test_higher_moments_close_and_shrink(self):
+        at40 = trace_moments(build_counting_matrix(FD0, D1, 40.0), 4)
+        at80 = trace_moments(build_counting_matrix(FD0, D1, 80.0), 4)
         for m40, m80 in zip(at40[1:], at80[1:]):
             assert m40.rel_gap < 0.05
             assert 0.3 <= m80.rel_gap / m40.rel_gap <= 0.8
@@ -272,8 +257,8 @@ class TestTraceMoments:
 
 
 class TestPmf:
-    def test_single_half_eigenvalue(self, fd_kernel):
-        m = synthetic_matrix(fd_kernel, [0.5])
+    def test_single_half_eigenvalue(self):
+        m = synthetic_matrix(FD0, [0.5])
         dist = counting_pmf(m)
         assert dist.pmf == pytest.approx([0.5, 0.5])
 
@@ -323,11 +308,11 @@ class TestPmf:
 
 
 class TestLdp:
-    def test_typical_interval_vanishes(self, fd_kernel):
+    def test_typical_interval_vanishes(self):
         rho = oracle.FD_RHO_D1_MU0
         vals = []
         for L in (20.0, 40.0, 80.0):
-            m = build_counting_matrix(fd_kernel, L)
+            m = build_counting_matrix(FD0, D1, L)
             vals.append(ldp_log_prob(m, rho - 0.03, rho + 0.03))
         assert abs(vals[-1]) < abs(vals[0])
         assert abs(vals[-1]) < 0.01
@@ -340,17 +325,17 @@ class TestLdp:
         with pytest.raises(DomainError):
             ldp_log_prob(fd_m40, 0.3, 0.2)
 
-    def test_chebyshev_bound_holds_exactly(self, fd_kernel):
+    def test_chebyshev_bound_holds_exactly(self):
         for L in (10.0, 20.0, 40.0):
-            m = build_counting_matrix(fd_kernel, L)
+            m = build_counting_matrix(FD0, D1, L)
             value = ldp_log_prob(m, 0.25, 0.30)
             assert value <= chebyshev_bound(m, 0.25)
 
     @pytest.mark.parametrize("statistics", ["FD", "BE"])
-    def test_chebyshev_bound_equals_the_per_tilt_loop(self, fd_kernel, be_kernel, statistics):
-        kernel = fd_kernel if statistics == "FD" else be_kernel
+    def test_chebyshev_bound_equals_the_per_tilt_loop(self, statistics):
+        state = FD0 if statistics == "FD" else BE1
         for L in (10.0, 40.0):
-            m = build_counting_matrix(kernel, L)
+            m = build_counting_matrix(state, D1, L)
             top = lambda_max(m)
             hi = 4.0 / m.beta if math.isinf(top) else top * (1.0 - 1e-6)
             loop = [log_generating_function(m, float(l)) / m.beta - float(l) * 0.3
@@ -362,16 +347,16 @@ class TestCumulants:
     def test_first_cumulant_exact_zero(self, fd_m40):
         assert cumulants_clt(fd_m40).values[0] == 0.0
 
-    def test_second_cumulant_target(self, fd_kernel):
-        m = build_counting_matrix(fd_kernel, 80.0)
+    def test_second_cumulant_target(self):
+        m = build_counting_matrix(FD0, D1, 80.0)
         report = cumulants_clt(m)
         assert report.variance_target == pytest.approx(oracle.FD_DRHO_D1_MU0, rel=1e-8)
         assert report.values[1] == pytest.approx(report.variance_target, rel=0.02)
 
-    def test_third_cumulant_shrinks_like_sqrt(self, fd_kernel):
+    def test_third_cumulant_shrinks_like_sqrt(self):
         c3 = {}
         for L in (20.0, 80.0):
-            m = build_counting_matrix(fd_kernel, L)
+            m = build_counting_matrix(FD0, D1, L)
             c3[L] = abs(cumulants_clt(m).values[2])
         # kappa_3(N) ~ L, so C(3) ~ L^{-1/2}: quadrupling L halves it
         assert c3[80.0] < 0.6 * c3[20.0]
@@ -384,20 +369,20 @@ class TestTilting:
         assert mean_density == pytest.approx(dist.mean / fd_m40.volume, rel=1e-12)
         assert beta_var == pytest.approx(dist.variance / fd_m40.volume, rel=1e-12)
 
-    def test_tilted_mean_hits_target_density(self, fd_kernel):
+    def test_tilted_mean_hits_target_density(self):
         ctx = RateContext.build(FD0, D1)
         lam0 = minimizer(0.25, ctx)
-        m = build_counting_matrix(fd_kernel, 80.0)
+        m = build_counting_matrix(FD0, D1, 80.0)
         mean_density, beta_var = tilted_moments(m, lam0)
         assert mean_density == pytest.approx(0.25, rel=0.02)
         target_var = translated_pressure(lam0, FD0, D1, order=2)
         assert beta_var == pytest.approx(target_var, rel=0.10)
 
-    def test_tilted_variance_size_stable(self, fd_kernel):
+    def test_tilted_variance_size_stable(self):
         ctx = RateContext.build(FD0, D1)
         lam0 = minimizer(0.25, ctx)
-        _, v40 = tilted_moments(build_counting_matrix(fd_kernel, 40.0), lam0)
-        _, v80 = tilted_moments(build_counting_matrix(fd_kernel, 80.0), lam0)
+        _, v40 = tilted_moments(build_counting_matrix(FD0, D1, 40.0), lam0)
+        _, v80 = tilted_moments(build_counting_matrix(FD0, D1, 80.0), lam0)
         assert 0.8 <= v80 / v40 <= 1.2
 
     def test_be_tilt_domain(self, be_m20):

@@ -52,10 +52,10 @@ def fail_mid_sweep(monkeypatch):
 
     build = counting.build_counting_matrix
 
-    def failing(kernel, length):
+    def failing(state, disp, length):
         if length > 10.0:
             raise AccuracyError("Nystrom eigenvalues not certified", estimate=1.0)
-        return build(kernel, length)
+        return build(state, disp, length)
 
     monkeypatch.setattr(counting, "build_counting_matrix", failing)
 
@@ -82,15 +82,28 @@ def test_clt_variance_target_computed_once(monkeypatch):
     assert {row["c2_target"] for row in record.results} == {target}
 
 
-def test_counting_sweep_does_not_read_table_samples():
+def test_counting_sweep_does_not_read_table_samples(monkeypatch):
     # at mu = -0.1 the BE kernel has not decayed at the default extent, which
     # a kernel experiment refuses; the counting sweep reads only the symbol
+    from ldgas import kernel
+
     raw = {"kind": "gf", "statistics": "BE", "mass": "0.5", "dimension": "1", "mu": "-0.1",
            "lambda": "0.05", "sizes": "10, 20, 40"}
-    record = run_experiment(config_from_mapping(raw))
-    assert record.passed
     with pytest.raises(AccuracyError, match="not decayed"):
         run_experiment(config_from_mapping(dict(raw, kind="kernel", sizes="40")))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a counting sweep built a kernel table")
+
+    monkeypatch.setattr(kernel, "build_kernel", no_table)
+    assert run_experiment(config_from_mapping(raw)).passed
+    # gf, ldp and clt ignore h and extent, so grids a kernel table refuses
+    # (extent not a multiple of h; too few samples) change no result
+    for kind, extra in (("gf", {}), ("ldp", {"interval": "0.7, 0.8"}), ("clt", {})):
+        default = dict(raw, kind=kind, **extra)
+        want = run_experiment(config_from_mapping(default)).results
+        for grid in ({"h": "0.05", "extent": "10.01"}, {"h": "2.0", "extent": "4.0"}):
+            assert run_experiment(config_from_mapping(dict(default, **grid))).results == want
 
 
 @pytest.mark.parametrize("interval", ["0.25, 0.30", "0.05, 0.10", "0.10, 0.30"])

@@ -81,7 +81,7 @@ class TestBuild:
 
     def test_parseval(self, fd_table):
         lhs = fd_table.h * float(np.sum(fd_table.values ** 2))
-        sym = fd_table.symbol
+        sym = lambda k: symbol(k, fd_table.state, fd_table.disp)
         rhs = (1.0 / math.pi) * quad(lambda k: sym(k) ** 2, 0, 60, limit=200)[0]
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
@@ -115,7 +115,7 @@ class TestBuild:
     def test_d3_matches_direct_oscillatory_quadrature(self):
         # independent route: per-half-period quadrature of the sine transform
         tab = build_kernel(FD0, D3M, h=0.05, extent=1024.0)
-        sym = tab.symbol
+        sym = lambda k: symbol(k, tab.state, tab.disp)
         for r in (1.0, 5.0, 20.0):
             period = math.pi / r
             edges = np.arange(0.0, 60.0, period)
@@ -154,7 +154,6 @@ class TestDecayExponent:
         vals = np.exp(-x ** 2 / 4.0) / (2.0 * math.sqrt(math.pi))
         tab = KernelTable(
             state=FD0, disp=D1, h=h, extent=extent, x=x, values=vals,
-            symbol=lambda k: np.exp(-np.asarray(k) ** 2),
             l1_norm=h * float(np.abs(vals).sum()), sup_norm=float(vals.max()),
             boundary_ratio=0.0,
         )

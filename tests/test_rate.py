@@ -99,6 +99,23 @@ class TestNewton:
         assert be_ctx.g(0.0) == 0.0
         assert be_ctx.g(1.5) == math.inf
 
+    @pytest.mark.parametrize("state, disp", [(ThermoState(1.0, 0.0, FD), D1),
+                                             (ThermoState(1.0, -1.0, BE), D3)])
+    def test_context_build_makes_one_engine_call(self, monkeypatch, state, disp):
+        from ldgas import rate
+
+        calls = []
+        original = rate.pressure_derivatives
+
+        def counted(*args):
+            calls.append(args[4])
+            return original(*args)
+
+        monkeypatch.setattr(rate, "pressure_derivatives", counted)
+        ctx = RateContext.build(state, disp, 1e-10)
+        assert calls == [(0, 1)]
+        assert repr(ctx.p_mu) == repr(pressure(state, disp, 1e-10))
+
 
 class TestRateValue:
     def test_zero_at_mean_density(self, fd_ctx):
@@ -245,5 +262,5 @@ class TestLockstep:
                                    "interval": "0.25, 0.30"})
         monkeypatch.setattr(thermo, "_derivatives", counted)
         run_experiment(cfg)
-        # rho_bar, p(mu), both ends' ladders, the Newton steps side by side, g at both minimizers
+        # rho_bar with p(mu), both ends' ladders, the Newton steps side by side, g at both minimizers
         assert len(calls) <= 9
