@@ -1,7 +1,8 @@
 """Density fluctuations in ideal quantum gases.
 
-Equation of state and translated pressure (``thermo``), the Legendre-dual
-rate function (``rate``), position-space occupation kernels (``kernel``),
+Equation of state, translated pressure and the mean occupation
+``ThermoState.occupation`` (``thermo``), the Legendre-dual rate function
+(``rate``), the position-space occupation kernel (``kernel``),
 determinantal counting statistics in an interval (``counting``), periodic
 boxes with mode sampling (``modes``), their shared independent-factor law
 (``factors``), and an experiment harness with a CLI (``harness``, ``cli``).
@@ -17,13 +18,12 @@ from .thermo import (
     critical_density,
     density,
     equation_of_state,
-    occupation,
     pressure,
     pressure_derivatives,
     translated_pressure,
 )
 from .rate import RateContext, RatePoint, interval_rate, minimizer, rate_value
-from .kernel import KernelTable, build_kernel, decay_exponent, symbol
+from .kernel import KernelTable, build_kernel, decay_exponent
 from .counting import (
     CountingDistribution,
     CountingMatrix,

@@ -4,10 +4,10 @@ The number of particles in [0, L] is governed by the compression of the
 occupation operator to the interval.  It commutes with the reflection
 about the interval's centre, so it splits into even and odd blocks.  A
 Gauss-Legendre Nystrom discretization of each, read from the gas's momentum
-symbol on Gauss-Legendre wavevectors (Bornemann, Math. Comp. 79, 2010:
-exponentially convergent for analytic kernels, certified here by node
-doubling), gives two dense symmetric matrices whose eigenvalues kappa_i
-determine everything:
+symbol (-sigma times the occupation ``ThermoState.occupation``) on
+Gauss-Legendre wavevectors (Bornemann, Math. Comp. 79, 2010: exponentially
+convergent for analytic kernels, certified here by node doubling), gives
+two dense symmetric matrices whose eigenvalues kappa_i determine everything:
 
   * the generating function  <zeta^N> = prod (1 + (zeta-1) kappa_i)^{-sigma},
   * the exact law of N as an independent sum of Bernoulli(kappa_i) (FD)
@@ -15,8 +15,8 @@ determine everything:
   * exponential tilts, cumulants and large-deviation probabilities.
 
 A build takes the gas itself, a ``ThermoState`` and a ``DispersionRelation``;
-no position-space kernel table is sampled.  Desk scale fixes d = 1: the
-dense eigensolve is the cost ceiling.
+no position-space kernel table (``kernel``) is sampled.  Desk scale fixes
+d = 1: the dense eigensolve is the cost ceiling.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
 from .export import write_table
 from .factors import FactorLaw, window_log_prob
-from .kernel import symbol
 from .thermo import BE, FD, ThermoState, _gauss_legendre, _integrate, translated_pressure
 
 __all__ = [
@@ -139,7 +138,7 @@ def _parity_blocks(state, disp, k_max, n_k, radius, n_r, sign):
     x, w = 0.5 * radius * (t + 1.0), 0.5 * radius * w
     t, omega = _gauss_legendre(n_k)
     k, omega = 0.5 * k_max * (t + 1.0), 0.5 * k_max * omega
-    s = np.abs(symbol(k, state, disp))
+    s = state.occupation(k, disp)  # |symbol|
     scale = np.sqrt(w)[:, None] * np.sqrt((2.0 / math.pi) * omega * s)
     phase = np.outer(x, k)
     out = []
@@ -166,12 +165,13 @@ def build_counting_matrix(
 ) -> CountingMatrix:
     """Nystrom parity blocks of the gas's occupation operator on an interval of length L.
 
-    The gas enters only through its momentum symbol ``kernel.symbol(k, state,
-    disp)``.  The interval is centred at 0 with R = L/2 and split into even
-    and odd blocks (``_parity_blocks``): n_r = ceil(k_max R / pi) + 12
-    Gauss-Legendre nodes on [0, R] and n_k = 2 (ceil(k_max R / pi) + 24) on
-    [0, k_max], k_max where the symbol stays below 1e-20.  Doubling both
-    node counts must move no sorted eigenvalue of either block by more than
+    The gas enters only through its momentum symbol, -sigma times the
+    occupation ``state.occupation(k, disp)``.  The interval is centred at 0
+    with R = L/2 and split into even and odd blocks (``_parity_blocks``):
+    n_r = ceil(k_max R / pi) + 12 Gauss-Legendre nodes on [0, R] and
+    n_k = 2 (ceil(k_max R / pi) + 24) on [0, k_max], k_max where the symbol
+    stays below 1e-20 (``_band_limit``).  Doubling both node counts must move
+    no sorted eigenvalue of either block by more than
     ``_DISCRETIZATION_BUDGET`` ||K||; otherwise both double while the doubled
     rule fits ``_MAX_NODES`` r-nodes per block, past which ``AccuracyError``
     carries the last estimate.  The eigenvalues must also respect the
@@ -249,40 +249,39 @@ class MomentComparison(NamedTuple):
 def trace_moments(m: CountingMatrix, m_max: int) -> list[MomentComparison]:
     """Normalized traces |I|^{-1} tr K^m against their infinite-volume targets.
 
-    The target of order m is (2 pi)^{-1} int (symbol)^m dk (d = 1 radial
-    quadrature, certified to 1e-10 relative); gaps close like the
-    surface-to-volume ratio.
+    The target of order m is (2 pi)^{-1} int (symbol)^m dk over |k| up to
+    ``_band_limit`` (d = 1 quadrature, certified to 1e-10 relative); gaps
+    close like the surface-to-volume ratio.
     """
     if not 1 <= m_max <= 8:
         raise DomainError("m_max must lie in 1..8")
-    cutoff = _symbol_cutoff(m.state, m.disp)
+    st, disp = m.state, m.disp
+    cutoff = _band_limit(st, disp)
     out = []
     for order in range(1, m_max + 1):
         emp = float(np.sum(m.eigenvalues ** order)) / m.volume
-        tgt = _integrate(lambda k: symbol(k, m.state, m.disp) ** order, 0.0, cutoff)[0] / math.pi
+        tgt = _integrate(lambda k: (-st.sigma * st.occupation(k, disp)) ** order, 0.0, cutoff)[0] / math.pi
         gap = abs(emp - tgt) / max(abs(tgt), 1e-300)
         out.append(MomentComparison(order, emp, tgt, gap))
     return out
 
 
-def _symbol_cutoff(state: ThermoState, disp: DispersionRelation) -> float:
-    """Power-of-two k beyond which the symbol is below ``_SYMBOL_FLOOR``."""
-    k = 1.0
-    for _ in range(60):
-        if abs(symbol(k, state, disp)) < _SYMBOL_FLOOR:
-            return k
-        k *= 2.0
-    return k
-
-
 @functools.lru_cache(maxsize=32)
 def _band_limit(state: ThermoState, disp: DispersionRelation) -> float:
-    """k beyond which the symbol stays below ``_SYMBOL_FLOOR``, to 1/1024 of the cutoff.
+    """k beyond which the occupation stays below ``_SYMBOL_FLOOR``.
 
-    Cached: every size of a sweep reads the same (state, dispersion).
+    The first power of two k where it is below the floor is the cutoff; the
+    band limit is the first of its 1024 multiples of cutoff/1024 past the last
+    one at or above the floor.  Cached: every size of a sweep reads the same
+    (state, dispersion).
     """
-    k = _symbol_cutoff(state, disp) * np.arange(1, 1025) / 1024
-    above = np.flatnonzero(np.abs(symbol(k, state, disp)) >= _SYMBOL_FLOOR)
+    cutoff = 1.0
+    for _ in range(60):
+        if state.occupation(cutoff, disp) < _SYMBOL_FLOOR:
+            break
+        cutoff *= 2.0
+    k = cutoff * np.arange(1, 1025) / 1024
+    above = np.flatnonzero(state.occupation(k, disp) >= _SYMBOL_FLOOR)
     return float(k[min(above[-1] + 1, k.size - 1)]) if above.size else float(k[0])
 
 

@@ -266,18 +266,16 @@ def _run_rate(cfg, state, disp):
 
 
 def _run_kernel(cfg, state, disp):
-    sizes = cfg.sizes or (kernel.default_extent(state, disp),)
-    rho = thermo.density(state, disp, cfg.quad_tol) * (1 if cfg.statistics == FD else -1)
+    rho = -state.sigma * thermo.density(state, disp, cfg.quad_tol)  # the exact d(0)
     rows = []
     tables = []
-    for extent in sizes:
+    for extent in cfg.sizes or (cfg.extent,):
         tab = kernel.build_kernel(state, disp, cfg.h, extent)
         tables.append(tab)
-        d0 = float(tab.at_offsets(np.array([0]))[0])
         rows.append({
-            "extent": extent,
-            "d0": d0,
-            "d0_gap": abs(d0 - rho) / abs(rho),
+            "extent": tab.extent,
+            "d0": tab.d0,
+            "d0_gap": abs(tab.d0 - rho) / abs(rho),
             "l1_norm": tab.l1_norm,
             "sup_norm": tab.sup_norm,
             "boundary_ratio": tab.boundary_ratio,
@@ -286,7 +284,7 @@ def _run_kernel(cfg, state, disp):
     if len(tables) >= 2:
         change = abs(tables[-1].l1_norm - tables[-2].l1_norm) / tables[-2].l1_norm
         summary["l1_change"] = change
-    window = (2.0, max(4.0, sizes[-1] / 8.0))
+    window = (2.0, max(4.0, tables[-1].extent / 8.0))
     summary["decay_slope"] = kernel.decay_exponent(tables[-1], window)
     summary["decay_window"] = list(window)
     return rows, summary

@@ -1,20 +1,21 @@
-"""Position-space kernels of the occupation operators.
+"""Position-space kernel of the occupation operator, for the ``kernel`` experiment.
 
-The momentum symbol is 1/(1 + e^{beta(eps - mu)}) for FD and
-1/(1 - e^{beta(eps - mu)}) for BE (negative; minus the Bose occupation).
-The position kernel is its inverse Fourier transform, built on a uniform
-grid by FFT: directly in one dimension, and through the radial (spherical
-Bessel) representation reduced to a sine transform in three dimensions.
+The kernel d_sigma(x) is the inverse Fourier transform of the momentum
+symbol ``-sigma * state.occupation(k, disp)``: 1/(1 + e^{beta(eps - mu)})
+for FD and 1/(1 - e^{beta(eps - mu)}) for BE (negative; minus the Bose
+occupation).  It is built on a uniform grid by FFT: directly in one
+dimension, and through the radial (spherical Bessel) representation reduced
+to a sine transform in three dimensions.
 
-Tables carry the L1 and sup norms used by the trace-comparison bounds and
+Tables carry the L1 and sup norms and the boundary-decay ratio, and
 support a log-log decay-exponent fit against the |x|^{-(d+1)} envelope
-bound for symbols that are smooth on the half-line.
+bound for symbols that are smooth on the half-line.  The interval route
+(``counting``) reads the occupation itself and builds no table.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,23 +23,11 @@ import numpy as np
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
 from .export import write_table
-from .thermo import FD, ThermoState, _integrate, _occ_from_w
+from .thermo import ThermoState, _integrate, _thermal_wavevector
 
-__all__ = ["KernelTable", "symbol", "build_kernel", "decay_exponent", "default_extent"]
+__all__ = ["KernelTable", "build_kernel", "decay_exponent"]
 
 _BOUNDARY_DECAY_TOL = 1e-12
-
-
-def symbol(k, state: ThermoState, disp: DispersionRelation):
-    """Momentum symbol of the occupation operator.
-
-    FD: 1/(1 + e^{beta(eps - mu)}) in (0, 1/(1 + 1/z)];
-    BE: 1/(1 - e^{beta(eps - mu)}) in [1/(1 - 1/z), 0).
-    """
-    w = state.beta * (np.asarray(disp.evaluate(k), dtype=float) - state.mu)
-    occ = _occ_from_w(w if w.ndim else float(w), state.sigma)
-    # FD symbol equals the occupation; BE symbol is its negative
-    return occ if state.sigma == FD else -occ
 
 
 @dataclass(frozen=True)
@@ -46,9 +35,8 @@ class KernelTable:
     """Sampled position-space kernel d_sigma(x) of the gas (``state``, ``disp``).
 
     For d = 1 ``x`` spans the full grid [-X, X); for d = 3 it holds radii
-    [0, X).  ``values`` are the kernel samples on that grid; the momentum
-    symbol they transform is ``symbol(k, state, disp)``.  The interval route
-    (``counting``) reads that symbol directly and takes no table.
+    [0, X).  ``values`` are the kernel samples on that grid, ``d0`` the
+    sample at the origin.
     """
 
     state: ThermoState
@@ -62,37 +50,19 @@ class KernelTable:
     boundary_ratio: float = 0.0
 
     @property
-    def dimension(self) -> int:
-        return self.disp.dimension
-
-    def at_offsets(self, offsets: np.ndarray) -> np.ndarray:
-        """Kernel values at signed integer multiples of h (radial lookup)."""
-        idx = np.abs(np.asarray(offsets, dtype=int))
-        if self.dimension == 1:
-            zero = np.searchsorted(self.x, 0.0)
-            if idx.max(initial=0) + zero >= self.x.size:
-                raise DomainError("offset beyond kernel extent")
-            return self.values[zero + idx]
-        if idx.max(initial=0) >= self.x.size:
-            raise DomainError("offset beyond kernel extent")
-        return self.values[idx]
+    def d0(self) -> float:
+        """d(0): the density for FD, minus the density for BE."""
+        return float(self.values[np.searchsorted(self.x, 0.0)])
 
     def to_csv(self, path) -> None:
         """Write (x, d(x)) rows for plotting."""
         write_table(path, ["# kernel table: x, d(x)"], zip(self.x, self.values))
 
 
-def default_extent(state: ThermoState, disp: DispersionRelation) -> float:
-    """Extent covering 40 thermal lengths (1 / k_thermal)."""
-    from .thermo import _thermal_wavevector
-
-    return 40.0 / _thermal_wavevector(state.beta, disp)
-
-
 def _build_1d(state, disp, h, n_half):
     n = 2 * n_half
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
-    vals = symbol(k, state, disp)
+    vals = -state.sigma * state.occupation(k, disp)
     half = np.fft.irfft(vals, n)[: n_half + 1] / h
     # mirror the x >= 0 half so evenness is exact by construction
     d = np.concatenate([half[:0:-1], half[:-1]])
@@ -112,7 +82,8 @@ def _build_3d_radial(state, disp, h, n_half):
     m = n_half
     dk = math.pi / (m * h)
     kk = dk * np.arange(m)
-    g = kk * symbol(kk, state, disp)
+    symbol = lambda q: -state.sigma * state.occupation(q, disp)
+    g = kk * symbol(kk)
     # odd extension of length 2m: imaginary part of the FFT gives the sine sum
     ext = np.zeros(2 * m)
     ext[:m] = g
@@ -120,7 +91,7 @@ def _build_3d_radial(state, disp, h, n_half):
     sine_sum = -np.fft.fft(ext).imag[:m] / 2.0
     r = h * np.arange(m)
     d = np.empty(m)
-    d[0] = _integrate(lambda q: q * q * symbol(q, state, disp), 0.0, kk[-1])[0] / (2.0 * math.pi ** 2)
+    d[0] = _integrate(lambda q: q * q * symbol(q), 0.0, kk[-1])[0] / (2.0 * math.pi ** 2)
     d[1:] = sine_sum[1:] * dk / (2.0 * math.pi ** 2 * r[1:])
     l1 = 4.0 * math.pi * h * float(np.sum(r * r * np.abs(d)))
     return r, d, l1
@@ -131,19 +102,18 @@ def build_kernel(
     disp: DispersionRelation,
     h: float,
     extent: float | None = None,
-    boundary_decay_tol: float = _BOUNDARY_DECAY_TOL,
 ) -> KernelTable:
     """Build the kernel table on a uniform grid of spacing h up to ``extent``.
 
-    The extent must be an integer multiple of h and large enough for the
-    kernel to decay below ``boundary_decay_tol`` of its sup near the grid
-    boundary; otherwise an ``AccuracyError`` advises a larger extent.
+    The extent must be an integer multiple of h; left ``None`` it covers 40
+    thermal lengths (1 / k_thermal), rounded up to a multiple of h.  The
+    kernel must decay below 1e-12 of its sup near the grid boundary;
+    otherwise an ``AccuracyError`` advises a larger extent.
     """
     if h <= 0:
         raise DomainError("grid spacing h must be positive")
     if extent is None:
-        extent = default_extent(state, disp)
-        extent = math.ceil(extent / h) * h
+        extent = math.ceil(40.0 / _thermal_wavevector(state.beta, disp) / h) * h
     n_half = int(round(extent / h))
     if abs(n_half * h - extent) > 1e-9 * max(1.0, extent):
         raise DomainError("extent must be an integer multiple of h")
@@ -166,7 +136,7 @@ def build_kernel(
     else:
         boundary = float(np.max(np.abs(d[tail])))
     ratio = boundary / sup
-    if ratio > boundary_decay_tol:
+    if ratio > _BOUNDARY_DECAY_TOL:
         raise AccuracyError(
             f"kernel not decayed at the boundary (ratio {ratio:.2e}); "
             "increase the extent",
@@ -184,43 +154,6 @@ def build_kernel(
         sup_norm=sup,
         boundary_ratio=ratio,
     )
-
-
-def l1_stability(table: KernelTable) -> tuple[float, bool]:
-    """Surrogate integrability check: rebuild at double extent, compare L1.
-
-    Two comparisons are taken: the full L1 norms, and the doubled table
-    restricted to the original window.  The second is what exposes slowly
-    decaying kernels on periodized grids, where the folded-back tail would
-    otherwise keep the full-grid L1 unchanged.  Returns (relative change,
-    ok = change < 1e-4); near BE condensation the change can exceed 1e-4,
-    which is reported with a warning, not raised.
-    """
-    doubled = build_kernel(
-        table.state, table.disp, table.h, 2.0 * table.extent,
-        boundary_decay_tol=math.inf,
-    )
-    if table.dimension == 1:
-        window = np.abs(doubled.x) <= table.extent
-        l1_window = table.h * float(np.sum(np.abs(doubled.values[window])))
-    else:
-        window = doubled.x < table.extent
-        r = doubled.x[window]
-        l1_window = 4.0 * math.pi * table.h * float(
-            np.sum(r * r * np.abs(doubled.values[window]))
-        )
-    base = max(table.l1_norm, 1e-300)
-    change = max(
-        abs(doubled.l1_norm - table.l1_norm), abs(l1_window - table.l1_norm)
-    ) / base
-    ok = change < 1e-4
-    if not ok:
-        warnings.warn(
-            f"kernel L1 norm changed by {change:.2e} under extent doubling; "
-            "integrability is marginal (near-condensation symbol?)",
-            stacklevel=2,
-        )
-    return change, ok
 
 
 def decay_exponent(table: KernelTable, fit_window: tuple[float, float]) -> float:

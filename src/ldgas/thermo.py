@@ -4,6 +4,9 @@ Pressure, density, critical density and the translated pressure
 ``g(lam) = p(mu + lam) - p(mu)`` with its first two derivatives, all from
 one radial-quadrature engine.  Statistics are encoded by ``sigma``: +1 for
 Bose-Einstein (BE), -1 for Fermi-Dirac (FD).
+``ThermoState.occupation`` is the mean occupation 1/(e^{beta(eps - mu)} -
+sigma) of a mode; the occupation operator's momentum symbol, which
+``counting`` and ``kernel`` read, is -sigma times it.
 
 The engine is composite Gauss-Legendre on the panels [0, k1], [k1, 8 k1]
 and doubling panels beyond, k1 being the thermal wavevector (beta eps = 1);
@@ -53,7 +56,6 @@ __all__ = [
     "FD",
     "ThermoState",
     "EosResult",
-    "occupation",
     "pressure",
     "density",
     "equation_of_state",
@@ -106,6 +108,18 @@ class ThermoState:
     @property
     def fugacity(self) -> float:
         return math.exp(self.beta * self.mu)
+
+    def occupation(self, k, disp: DispersionRelation):
+        """Mean occupation 1 / (e^{beta (eps(k) - mu)} - sigma) at wavevectors k.
+
+        The occupation operator's momentum symbol is ``-sigma`` times it.
+        Raises ``DomainError`` for BE if eps(k) <= mu (invalid chemical
+        potential for the mode).
+        """
+        w = self.beta * (np.asarray(disp.evaluate(k), dtype=float) - self.mu)
+        if self.sigma == BE and np.any(w <= 0):
+            raise DomainError("BE requires eps(k) - mu > 0")
+        return _occ_from_w(w if w.ndim else float(w), self.sigma)
 
 
 @dataclass(frozen=True)
@@ -173,18 +187,6 @@ def _occ_from_w(w, sigma):
 def _log_weight_from_w(w, sigma):
     """-sigma * log(1 - sigma e^{-w}), the pressure integrand factor."""
     return _integrand(w, 0, sigma)
-
-
-def occupation(k, state: ThermoState, disp: DispersionRelation):
-    """Mean occupation 1 / (e^{beta (eps(k) - mu)} - sigma).
-
-    Raises ``DomainError`` for BE if eps(k) <= mu (invalid chemical
-    potential for the mode).
-    """
-    w = state.beta * (np.asarray(disp.evaluate(k), dtype=float) - state.mu)
-    if state.sigma == BE and np.any(w <= 0):
-        raise DomainError("BE requires eps(k) - mu > 0")
-    return _occ_from_w(w if w.ndim else float(w), state.sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from ldgas.counting import (
 )
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import AccuracyError, DomainError
-from ldgas.kernel import build_kernel, symbol
+from ldgas.kernel import build_kernel
 from ldgas.rate import RateContext, minimizer
 from ldgas.thermo import BE, FD, ThermoState, density, translated_pressure
 from ldgas.thermo import _gauss_legendre as gauss_legendre
@@ -42,7 +42,7 @@ def be_m20():
 
 def fd_table_d0():
     """d(0) of the FD gas's FFT kernel table, the position-space route to the trace."""
-    return build_kernel(FD0, D1, h=0.05, extent=160.0).at_offsets(np.array([0]))[0]
+    return build_kernel(FD0, D1, h=0.05, extent=160.0).d0
 
 
 def synthetic_matrix(state, eigenvalues):
@@ -65,7 +65,7 @@ def full_nystrom_eigenvalues(state, disp, length):
     cos(k_q u), the k-rule and the r-rule (reflected onto [-R, 0]) of
     ``build_counting_matrix``'s first, certified pass.
     """
-    sym = lambda k: symbol(k, state, disp)
+    sym = lambda k: -state.sigma * state.occupation(k, disp)
     radius, k_max = 0.5 * length, counting._band_limit(state, disp)
     band = math.ceil(k_max * radius / math.pi)
     n_r, n_k = band + counting._R_MARGIN, 2 * (band + counting._K_MARGIN)
@@ -113,10 +113,12 @@ class TestBuild:
                 build_counting_matrix(FD0, D1, bad)
         assert build_counting_matrix(FD0, D1, 10.013).volume == 10.013
 
-    def test_band_limit_is_found_once_per_gas(self, monkeypatch):
+    def test_band_limit_is_found_once_per_gas(self):
+        counting._band_limit.cache_clear()
         a = build_counting_matrix(FD0, D1, 10.0)
-        monkeypatch.setattr(counting, "_symbol_cutoff", None)  # a second search would fail
+        searches = counting._band_limit.cache_info().misses
         assert build_counting_matrix(FD0, D1, 10.0).nodes == a.nodes
+        assert counting._band_limit.cache_info().misses == searches == 1
 
     @pytest.mark.parametrize("statistics", ["FD", "BE"])
     @pytest.mark.parametrize("length", [10.0, 40.0])

@@ -13,6 +13,7 @@ from ldgas.cli import main
 from ldgas.errors import AccuracyError, ConfigError
 from ldgas.export import atomic_write
 from ldgas.harness import (
+    KINDS,
     ExperimentConfig,
     ExperimentRecord,
     config_from_mapping,
@@ -104,6 +105,58 @@ def test_counting_sweep_does_not_read_table_samples(monkeypatch):
         want = run_experiment(config_from_mapping(default)).results
         for grid in ({"h": "0.05", "extent": "10.01"}, {"h": "2.0", "extent": "4.0"}):
             assert run_experiment(config_from_mapping(dict(default, **grid))).results == want
+
+
+# the smallest valid config of each kind: one or two small sizes, few samples
+SMOKE = {
+    "eos": {},
+    "rate": {"interval": "0.25, 0.30"},
+    "kernel": {},
+    "gf": {"lambda": "0.5", "sizes": "10"},
+    "ldp": {"interval": "0.2, 0.3", "sizes": "10"},
+    "clt": {"sizes": "10"},
+    "modes": {"sizes": "8"},
+    "kac": {"statistics": "BE", "dimension": "3", "mu": "-0.1", "sizes": "4, 6", "samples": "100"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_runs_from_its_smallest_config(tmp_path, kind):
+    record = run_experiment(config_from_mapping(dict(SMOKE[kind], kind=kind)), tmp_path, ("both",))
+    assert record.failure is None and record.results
+    assert isinstance(record.summary["passed"], bool)
+    assert sorted(os.listdir(tmp_path)) == [f"{kind}.csv", f"{kind}.json"]
+
+
+class TestKernelExtents:
+    def test_default_extent_is_a_multiple_of_h(self):
+        # 40 thermal lengths of eps = k^2 / 2 is 28.28..., not a multiple of h
+        record = run_experiment(config_from_mapping({"kind": "kernel", "mass": "1.0", "dimension": "1"}))
+        assert record.passed
+        (row,) = record.results
+        assert row["extent"] == pytest.approx(28.3) and row["extent"] >= 40.0 / math.sqrt(2.0)
+
+    def test_extent_key_sets_the_extent(self):
+        record = run_experiment(config_from_mapping({"kind": "kernel", "mass": "0.5", "extent": "100.0"}))
+        assert [row["extent"] for row in record.results] == [100.0]
+        assert record.passed
+
+    def test_sizes_are_swept(self):
+        record = run_experiment(config_from_mapping(
+            {"kind": "kernel", "mass": "0.5", "extent": "100.0", "sizes": "80, 160"}))
+        assert [row["extent"] for row in record.results] == [80.0, 160.0]
+        assert "l1_change" in record.summary
+
+    # the massless |x|^{-4} tail converges like 1/X, so its L1 norm needs a
+    # genuinely large extent to settle under doubling
+    @pytest.mark.parametrize("gas", [
+        {"mass": "0.5", "sizes": "160, 320"},
+        {"dispersion": "massless", "dimension": "3", "sizes": "16384, 32768"},
+    ], ids=["fd_d1", "massless_d3"])
+    def test_l1_norm_stable_under_extent_doubling(self, gas):
+        record = run_experiment(config_from_mapping(dict(gas, kind="kernel")))
+        assert record.passed
+        assert record.summary["l1_change"] < 1e-4
 
 
 @pytest.mark.parametrize("interval", ["0.25, 0.30", "0.05, 0.10", "0.10, 0.30"])

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import AccuracyError, DomainError
-from ldgas.kernel import KernelTable, build_kernel, decay_exponent, l1_stability, symbol
+from ldgas.kernel import KernelTable, build_kernel, decay_exponent
 from ldgas.thermo import BE, FD, ThermoState, density
 
 import oracle_series as oracle
@@ -15,6 +15,11 @@ D1 = DispersionRelation.nonrelativistic(mass=0.5, dimension=1)
 D3M = DispersionRelation.massless(c=1.0, dimension=3)
 FD0 = ThermoState(1.0, 0.0, FD)
 BE1 = ThermoState(1.0, -1.0, BE)
+
+
+def symbol(k, state, disp):
+    """Momentum symbol the kernel transforms: -sigma times the occupation."""
+    return -state.sigma * state.occupation(k, disp)
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +34,10 @@ def be_table():
 
 class TestSymbol:
     def test_fd_at_origin(self):
-        assert symbol(0.0, FD0, D1) == pytest.approx(0.5)
+        assert symbol(0.0, FD0, D1) == FD0.occupation(0.0, D1) == pytest.approx(0.5)
 
     def test_be_at_origin(self):
+        assert symbol(0.0, BE1, D1) == -BE1.occupation(0.0, D1)
         assert symbol(0.0, BE1, D1) == pytest.approx(1.0 / (1.0 - math.e))
 
     def test_fd_decays_to_zero_from_above(self):
@@ -50,13 +56,11 @@ class TestSymbol:
 
 class TestBuild:
     def test_zero_value_matches_density(self, fd_table):
-        d0 = fd_table.at_offsets(np.array([0]))[0]
-        assert d0 == pytest.approx(oracle.FD_RHO_D1_MU0, rel=1e-8)
+        assert fd_table.d0 == pytest.approx(oracle.FD_RHO_D1_MU0, rel=1e-8)
 
     def test_be_zero_value_is_minus_density(self, be_table):
-        d0 = be_table.at_offsets(np.array([0]))[0]
         rho = density(BE1, D1)
-        assert d0 == pytest.approx(-rho, rel=1e-8)
+        assert be_table.d0 == pytest.approx(-rho, rel=1e-8)
 
     def test_even_symmetry_exact(self, fd_table):
         zero = np.searchsorted(fd_table.x, 0.0)
@@ -68,6 +72,11 @@ class TestBuild:
     def test_boundary_decay_enforced(self):
         with pytest.raises(AccuracyError, match="extent"):
             build_kernel(FD0, D1, h=0.05, extent=4.0)
+        # approaching mu = 0- the Bose kernel decays on the diverging length
+        # 1/sqrt(|mu|), far beyond this extent
+        with pytest.raises(AccuracyError, match="extent") as err:
+            build_kernel(ThermoState(1.0, -1e-3, BE), D1, h=0.05, extent=80.0)
+        assert err.value.estimate > 0.1
 
     def test_l1_norm_two_resolutions(self, fd_table):
         finer = build_kernel(FD0, D1, h=0.025, extent=160.0)
@@ -75,37 +84,13 @@ class TestBuild:
 
     def test_resolution_stability_of_d0(self, fd_table):
         finer = build_kernel(FD0, D1, h=0.025, extent=160.0)
-        d0 = fd_table.at_offsets(np.array([0]))[0]
-        d0f = finer.at_offsets(np.array([0]))[0]
-        assert abs(d0 - d0f) < 1e-8 * abs(d0)
+        assert abs(fd_table.d0 - finer.d0) < 1e-8 * abs(fd_table.d0)
 
     def test_parseval(self, fd_table):
         lhs = fd_table.h * float(np.sum(fd_table.values ** 2))
         sym = lambda k: symbol(k, fd_table.state, fd_table.disp)
         rhs = (1.0 / math.pi) * quad(lambda k: sym(k) ** 2, 0, 60, limit=200)[0]
         assert lhs == pytest.approx(rhs, rel=1e-6)
-
-    def test_extent_doubling_l1_stable(self, fd_table):
-        change, ok = l1_stability(fd_table)
-        assert ok
-        assert change < 1e-4
-
-    def test_extent_doubling_l1_stable_power_law(self):
-        # the |x|^{-4} tail converges like 1/X, so the integrability
-        # surrogate needs a genuinely large extent in the massless case
-        tab = build_kernel(FD0, D3M, h=0.05, extent=16384.0)
-        change, ok = l1_stability(tab)
-        assert ok
-        assert change < 1e-4
-
-    def test_near_condensation_warns_instead_of_raising(self):
-        # approaching mu = 0- the Bose kernel decays on the diverging length
-        # 1/sqrt(|mu|); the integrability surrogate degrades gracefully
-        st = ThermoState(1.0, -1e-3, BE)
-        tab = build_kernel(st, D1, h=0.05, extent=80.0, boundary_decay_tol=math.inf)
-        with pytest.warns(UserWarning, match="L1"):
-            change, ok = l1_stability(tab)
-        assert not ok
 
     def test_d3_zero_value(self):
         tab = build_kernel(FD0, D3M, h=0.05, extent=1024.0)
@@ -130,10 +115,6 @@ class TestBuild:
         d2 = DispersionRelation.nonrelativistic(mass=1.0, dimension=2)
         with pytest.raises(DomainError):
             build_kernel(ThermoState(1.0, 0.0, FD), d2, h=0.05, extent=40.0)
-
-    def test_offsets_guard(self, fd_table):
-        with pytest.raises(DomainError):
-            fd_table.at_offsets(np.array([10 ** 9]))
 
 
 class TestDecayExponent:

@@ -15,7 +15,6 @@ from ldgas.thermo import (
     equation_of_state,
     _log_weight_from_w,
     _occ_from_w,
-    occupation,
     pressure,
     pressure_derivatives,
     translated_pressure,
@@ -31,17 +30,17 @@ BE1 = ThermoState(1.0, -1.0, BE)
 
 class TestOccupation:
     def test_fd_zero_momentum(self):
-        assert occupation(0.0, FD0, D1) == pytest.approx(0.5)
+        assert FD0.occupation(0.0, D1) == pytest.approx(0.5)
 
     def test_be_closed_form(self):
-        assert occupation(0.0, BE1, D1) == pytest.approx(1.0 / (math.e - 1.0))
+        assert BE1.occupation(0.0, D1) == pytest.approx(1.0 / (math.e - 1.0))
 
     def test_fd_unit_momentum(self):
-        assert occupation(1.0, FD0, D1) == pytest.approx(1.0 / (math.e + 1.0))
+        assert FD0.occupation(1.0, D1) == pytest.approx(1.0 / (math.e + 1.0))
 
     def test_vectorized(self):
         k = np.array([0.0, 1.0, 2.0])
-        out = occupation(k, FD0, D1)
+        out = FD0.occupation(k, D1)
         assert out.shape == (3,)
         assert np.all(out > 0) and np.all(np.diff(out) < 0)
 
