@@ -72,6 +72,8 @@ class TestBuild:
     def test_boundary_decay_enforced(self):
         with pytest.raises(AccuracyError, match="extent"):
             build_kernel(FD0, D1, h=0.05, extent=4.0)
+
+    def test_near_condensation_refused_by_boundary_decay(self):
         # approaching mu = 0- the Bose kernel decays on the diverging length
         # 1/sqrt(|mu|), far beyond this extent
         with pytest.raises(AccuracyError, match="extent") as err:
