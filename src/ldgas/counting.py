@@ -6,8 +6,9 @@ about the interval's centre, so it splits into even and odd blocks.  A
 Gauss-Legendre Nystrom discretization of each, read from the gas's momentum
 symbol (-sigma times the occupation ``ThermoState.occupation``) on
 Gauss-Legendre wavevectors (Bornemann, Math. Comp. 79, 2010: exponentially
-convergent for analytic kernels, certified here by node doubling), gives
-two dense symmetric matrices whose eigenvalues kappa_i determine everything:
+convergent for analytic kernels, certified here against a partner rule of 5/4
+the nodes), gives two dense symmetric matrices whose eigenvalues kappa_i
+determine everything:
 
   * the generating function  <zeta^N> = prod (1 + (zeta-1) kappa_i)^{-sigma},
   * the exact law of N as an independent sum of Bernoulli(kappa_i) (FD)
@@ -51,10 +52,11 @@ __all__ = [
 ]
 
 _SPECTRUM_TOL_FACTOR = 1e-8     # discretization-noise allowance, times ||K||
-_DISCRETIZATION_BUDGET = 1e-10  # node-doubling eigenvalue estimate allowed, times ||K||
+_DISCRETIZATION_BUDGET = 1e-10  # partner-rule eigenvalue estimate allowed, times ||K||
 _R_MARGIN = 12                  # r-nodes per block beyond the band-limit count
 _K_MARGIN = 24                  # k-nodes, halved, beyond the band-limit count
-_MAX_NODES = 2048               # largest doubled-node check rule, r-nodes per block
+_PARTNER = 1.25                 # partner rule's node counts, times the certified rule's
+_MAX_NODES = 1024               # largest accepted rule, r-nodes per block
 _SYMBOL_FLOOR = 1e-20           # symbol magnitude below which wavevectors are dropped
 
 
@@ -65,7 +67,7 @@ class CountingMatrix:
     ``state`` and ``disp`` are the gas whose symbol it discretizes.
     ``blocks`` holds its even and odd parity blocks, ``nodes`` their summed
     order, ``eigenvalues`` their joint spectrum, sorted, and
-    ``discretization_error`` the node-doubling estimate of the largest
+    ``discretization_error`` the partner-rule estimate of the largest
     eigenvalue error.
     """
 
@@ -170,12 +172,13 @@ def build_counting_matrix(
     with R = L/2 and split into even and odd blocks (``_parity_blocks``):
     n_r = ceil(k_max R / pi) + 12 Gauss-Legendre nodes on [0, R] and
     n_k = 2 (ceil(k_max R / pi) + 24) on [0, k_max], k_max where the symbol
-    stays below 1e-20 (``_band_limit``).  Doubling both node counts must move
-    no sorted eigenvalue of either block by more than
-    ``_DISCRETIZATION_BUDGET`` ||K||; otherwise both double while the doubled
-    rule fits ``_MAX_NODES`` r-nodes per block, past which ``AccuracyError``
-    carries the last estimate.  The eigenvalues must also respect the
-    continuum spectrum containment (``CountingMatrix.law``).
+    stays below 1e-20 (``_band_limit``).  A partner rule of ceil(5/4 n_r)
+    and ceil(5/4 n_k) nodes must move no sorted eigenvalue of either block
+    by more than ``_DISCRETIZATION_BUDGET`` ||K||; otherwise both node counts
+    double, with a new partner, while the rule fits ``_MAX_NODES`` r-nodes
+    per block, past which ``AccuracyError`` carries the last estimate.  The
+    eigenvalues must also respect the continuum spectrum containment
+    (``CountingMatrix.law``).
     """
     if disp.dimension != 1:
         raise DomainError("counting matrices are built at desk scale, d = 1 only")
@@ -186,19 +189,21 @@ def build_counting_matrix(
     radius, k_max = 0.5 * length, _band_limit(state, disp)
     band = math.ceil(k_max * radius / math.pi)
     n_r, n_k = band + _R_MARGIN, 2 * (band + _K_MARGIN)
-    coarse, error = None, math.inf
-    while 2 * n_r <= _MAX_NODES:
-        coarse = coarse or _parity_blocks(state, disp, k_max, n_k, radius, n_r, sign)
-        fine = _parity_blocks(state, disp, k_max, 2 * n_k, radius, 2 * n_r, sign)
-        error = max(_spectral_distance(c[1], f[1], sign) for c, f in zip(coarse, fine))
+    error = math.inf
+    while n_r <= _MAX_NODES:
+        coarse = _parity_blocks(state, disp, k_max, n_k, radius, n_r, sign)
+        partner = _parity_blocks(
+            state, disp, k_max, math.ceil(_PARTNER * n_k), radius, math.ceil(_PARTNER * n_r), sign
+        )
+        error = max(_spectral_distance(c[1], p[1], sign) for c, p in zip(coarse, partner))
         norm = max(float(np.max(np.abs(c[1]))) for c in coarse)
         if error <= _DISCRETIZATION_BUDGET * norm:
             break
-        coarse, n_r, n_k = fine, 2 * n_r, 2 * n_k
+        n_r, n_k = 2 * n_r, 2 * n_k
     else:
         raise AccuracyError(
             f"Nystrom eigenvalues not certified within {_MAX_NODES} nodes per block "
-            f"(node-doubling estimate {error:.2e}, budget {_DISCRETIZATION_BUDGET:.0e} ||K||)",
+            f"(partner-rule estimate {error:.2e}, budget {_DISCRETIZATION_BUDGET:.0e} ||K||)",
             estimate=error,
         )
 

@@ -58,6 +58,13 @@ def block_trace(m):
     return sum(np.trace(block) for block in m.blocks)
 
 
+def first_rule(state, disp, length):
+    """(k_max, n_k, radius, n_r) of ``build_counting_matrix``'s first rule."""
+    radius, k_max = 0.5 * length, counting._band_limit(state, disp)
+    band = math.ceil(k_max * radius / math.pi)
+    return k_max, 2 * (band + counting._K_MARGIN), radius, band + counting._R_MARGIN
+
+
 def full_nystrom_eigenvalues(state, disp, length):
     """Unsplit symmetric Nystrom matrix on the mirrored r-nodes of the build's rules.
 
@@ -66,9 +73,7 @@ def full_nystrom_eigenvalues(state, disp, length):
     ``build_counting_matrix``'s first, certified pass.
     """
     sym = lambda k: -state.sigma * state.occupation(k, disp)
-    radius, k_max = 0.5 * length, counting._band_limit(state, disp)
-    band = math.ceil(k_max * radius / math.pi)
-    n_r, n_k = band + counting._R_MARGIN, 2 * (band + counting._K_MARGIN)
+    k_max, n_k, radius, n_r = first_rule(state, disp, length)
     t, w = gauss_legendre(n_r)
     x = 0.5 * radius * (t + 1.0)
     x, w = np.concatenate([-x, x]), np.tile(0.5 * radius * w, 2)
@@ -140,9 +145,9 @@ class TestBuild:
         assert nodes == sorted(set(nodes))
 
     def test_eigensolves_stay_within_a_block(self, monkeypatch):
-        # the doubled check rule of one parity block is the largest eigensolve:
-        # 2 (ceil(k_max R / pi) + 12) at R = 40, about 200, where one unsplit
-        # matrix on the doubled nodes is about 400
+        # the partner rule of one parity block is the largest eigensolve:
+        # ceil(5/4 (ceil(k_max R / pi) + 12)) = 124 at R = 40, where the
+        # doubled rule was 198 and one unsplit matrix on it about 400
         orders = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -153,7 +158,7 @@ class TestBuild:
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         m = build_counting_matrix(FD0, D1, 80.0)
         band = math.ceil(counting._band_limit(FD0, D1) * 40.0 / math.pi)
-        assert orders and max(orders) <= 2 * (band + counting._R_MARGIN) <= 210
+        assert orders and max(orders) <= math.ceil(1.25 * (band + counting._R_MARGIN)) <= 124
         assert m.nodes == 2 * (band + counting._R_MARGIN)
 
     def test_doubles_nodes_until_certified(self):
@@ -161,6 +166,39 @@ class TestBuild:
         m = build_counting_matrix(FD0, D1, 160.0)
         assert m.discretization_error <= 1e-10 * m.norm
         assert m.nodes > 2 * build_counting_matrix(FD0, D1, 80.0).nodes
+
+    @pytest.mark.parametrize("length", [10.0 * i for i in range(1, 9)])
+    @pytest.mark.parametrize("state", [FD0, BE1], ids=["FD", "BE"])
+    def test_accepted_rule_is_the_first_rule(self, state, length):
+        # the partner certifies the rule the build starts from, bit for bit
+        m = build_counting_matrix(state, D1, length)
+        sign = 1.0 if state.sigma == FD else -1.0
+        blocks = counting._parity_blocks(state, D1, *first_rule(state, D1, length), sign)
+        assert np.array_equal(m.eigenvalues, np.sort(np.concatenate([eig for _, eig in blocks])))
+
+    @pytest.mark.parametrize(
+        "gas, length",
+        [(g, L) for g in ("FD", "BE") for L in (10.0, 40.0, 80.0, 160.0)]
+        + [("FD-relativistic", L) for L in (10.0, 20.0)],
+    )
+    def test_estimate_covers_a_threefold_reference(self, gas, length):
+        # the partner estimate is at least the distance of the accepted
+        # spectra to a rule of three times the accepted node counts
+        state, disp = {
+            "FD": (FD0, D1),
+            "BE": (BE1, D1),
+            "FD-relativistic": (FD0, DispersionRelation.relativistic(mass=1.0, c=1.0, dimension=1)),
+        }[gas]
+        m = build_counting_matrix(state, disp, length)
+        sign = 1.0 if state.sigma == FD else -1.0
+        k_max, n_k, radius, n_r = first_rule(state, disp, length)
+        scale = m.nodes // (2 * n_r)  # 2 ** (doublings past the first rule)
+        reference = counting._parity_blocks(state, disp, k_max, 3 * scale * n_k, radius, 3 * scale * n_r, sign)
+        distance = max(
+            counting._spectral_distance(np.linalg.eigvalsh(K), eig, sign)
+            for K, (_, eig) in zip(m.blocks, reference)
+        )
+        assert m.discretization_error >= distance - 1e-13 * m.norm
 
     def test_budget_miss_raises(self, monkeypatch):
         monkeypatch.setattr(counting, "_DISCRETIZATION_BUDGET", 0.0)
