@@ -4,12 +4,19 @@ N is a sum of independent factors of mean occupation n_i, each repeated r_i
 times: binomial (FD) or negative-binomial (BE) blocks.  The interval route's
 factors are the counting-matrix eigenvalues (determinantal factorization:
 Hough, Krishnapur, Peres and Virag, Probab. Surveys 3, 2006), the box
-route's the mode shells.  FD blocks end at their last entry that does not
-underflow to 0, and FD pmfs keep the rest of their support; BE blocks and
-pmfs drop tails below ``_FACTOR_TAIL`` and ``_PMF_TAIL``, all summed into
-``tail_mass``.  All blocks of a law are built in one pass: those with r > 1
-from one flat log-pmf over a cached table of ``math.lgamma`` values, with
-the BE block ends searched across all factors at once.
+route's the mode shells.
+
+A BE law whose Chernoff support (M entries, past which the mass is below
+``_FACTOR_TAIL``) is no longer than its count F of factors with n > 0 comes
+from the power-sum recurrence n p_n = sum_k S_k p_{n-k}, S_k = sum r q^k,
+q = n / (1 + n): M steps of positive terms, not F convolutions.  Every other
+law convolves one block per factor.  FD blocks end at their last entry that
+does not underflow to 0, and FD pmfs keep the rest of their support; BE
+blocks and pmfs drop tails below ``_FACTOR_TAIL`` and ``_PMF_TAIL``, all
+summed into ``tail_mass`` (with the Chernoff bound on the power-sum route).
+All blocks of a law are built in one pass: those with r > 1 from one flat
+log-pmf over a cached table of ``math.lgamma`` values, with the BE block ends
+searched across all factors at once.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ _PMF_TAIL = 1e-17
 _FACTOR_TAIL = 1e-21
 _PMF_BUDGET = 1e-14
 _UNDERFLOW = -746.0  # exp of a log below -745.14 rounds to 0.0
+# Chernoff tilts u = (z - 1) n_max in (0, 1): even steps, then closing in on the pole at 1
+_CHERNOFF_GRID = np.concatenate([np.arange(1, 32) / 32, 1.0 - 2.0 ** -np.arange(6, 30)])
+_RESCALE = 2.0 ** 600
 _LOG_FACTORIALS = np.zeros(1)  # log k! for k < size; replaced whole when it grows
 
 
@@ -61,9 +71,11 @@ class FactorLaw:
         A float gives a float; an array of zeta - 1 gives an array of the same shape.
         """
         x = -self.sigma * np.asarray(zeta_minus_one, dtype=float)[..., None] * self.occupations
+        diverged = self.sigma == BE and x.min(axis=-1) <= -1.0
         with np.errstate(divide="ignore", invalid="ignore"):  # diverged entries are set to inf
-            values = -self.sigma * np.sum(self.multiplicities * np.log1p(x), axis=-1)
-        values = np.where(self.sigma == BE and x.min(axis=-1) <= -1.0, math.inf, values)
+            x = np.log1p(x, out=x)  # in place: a grid of tilts holds one tilts-by-factors array
+            x *= self.multiplicities
+            values = np.where(diverged, math.inf, -self.sigma * np.sum(x, axis=-1))
         return float(values) if values.ndim == 0 else values
 
     def tilted(self, zeta: float) -> "FactorLaw":
@@ -83,24 +95,86 @@ class FactorLaw:
         return (self.mean(),) + tuple(float(np.sum(self.multiplicities * t)) for t in terms)
 
     def pmf(self) -> tuple[np.ndarray, float]:
-        """Exact pmf of N and its ``tail_mass``; a tail above 1e-14 raises ``AccuracyError``."""
-        floor = _PMF_TAIL if self.sigma == BE else 0.0
+        """Exact pmf of N and its ``tail_mass``; a tail above 1e-14 raises ``AccuracyError``.
+
+        A BE law whose Chernoff support M is at most its count F of factors with n > 0
+        comes from ``_power_sums``, every entry within a few 1e-14 relative, then trimmed
+        once at the floor.  Other laws convolve their blocks and trim after each
+        convolution, which leaves about 1e-17 absolute error on every entry: far out
+        in a BE tail, near the cut, that is tens of percent relative.  ``sample_NV``'s
+        groups of a few long shells (M > F) are such laws.
+        """
         occupations = np.clip(self.occupations, 0.0, 1.0 if self.sigma == FD else np.inf)
+        if self.sigma == BE and (positive := occupations > 0.0).any():
+            law = FactorLaw(occupations[positive], self.multiplicities[positive], BE)
+            support, bound = _support(law)
+            if support <= law.occupations.size:
+                pmf, tail = _trim(_power_sums(law, support), _PMF_TAIL)
+                return _budgeted(pmf, tail + bound)
+        floor = _PMF_TAIL if self.sigma == BE else 0.0
         pmf, tail = np.array([1.0]), 0.0
         for block, dropped in zip(*_blocks(occupations, self.multiplicities, self.sigma)):
             tail += dropped
             if block is None:
                 continue
-            pmf = np.convolve(pmf, block)
-            if pmf[-1] <= floor:  # otherwise no trailing mass is at or below the floor
-                rest = np.cumsum(pmf[::-1])[::-1]
-                cut = int(np.searchsorted(-rest, -floor))  # first index whose tail is <= floor
-                if cut < pmf.size:
-                    tail += float(rest[cut])
-                pmf = pmf[: max(cut, 1)]
-        if tail > _PMF_BUDGET:
-            raise AccuracyError(f"pmf tail mass {tail:.2e} over {_PMF_BUDGET:.0e}", estimate=tail)
-        return pmf, tail
+            pmf, dropped = _trim(np.convolve(pmf, block), floor)
+            tail += dropped
+        return _budgeted(pmf, tail)
+
+
+def _budgeted(pmf: np.ndarray, tail: float) -> tuple[np.ndarray, float]:
+    if tail > _PMF_BUDGET:
+        raise AccuracyError(f"pmf tail mass {tail:.2e} over {_PMF_BUDGET:.0e}", estimate=tail)
+    return pmf, tail
+
+
+def _trim(pmf: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+    """``pmf`` without its longest tail of mass at most ``floor`` (one entry kept), and that mass."""
+    if pmf[-1] > floor:  # no trailing mass is at or below the floor
+        return pmf, 0.0
+    rest = np.cumsum(pmf[::-1])[::-1]
+    cut = int(np.searchsorted(-rest, -floor))  # first index whose tail is <= floor
+    return pmf[: max(cut, 1)], float(rest[cut])
+
+
+def _support(law: FactorLaw) -> tuple[int, float]:
+    """The least M with a Chernoff bound log P(N >= M) <= log <z^N> - M log z at or below
+    log ``_FACTOR_TAIL`` for some z of ``_CHERNOFF_GRID`` in (1, 1/q_max), and that bound."""
+    zeta_minus_one = _CHERNOFF_GRID / law.occupations.max()
+    log_pgf, log_z = law.log_pgf(zeta_minus_one), np.log1p(zeta_minus_one)
+    support = math.ceil(float(np.min((log_pgf - math.log(_FACTOR_TAIL)) / log_z)))
+    return support, math.exp(float(np.min(log_pgf - support * log_z)))
+
+
+def _power_sums(law: FactorLaw, support: int) -> np.ndarray:
+    """P(N = 0..support - 1) of a BE law with every n > 0, normalized over that range.
+
+    n p_n = sum_{k=1..n} S_k p_{n-k} with S_k = sum r q^k: every term is positive, so
+    nothing cancels.  A factor's terms r q^k below ``_FACTOR_TAIL`` q_max^k are left out
+    of S_k (each S_k >= q_max^k, so it moves by under F 1e-21 relative).  The recurrence
+    starts at p_0 = 1, not Prod (1 - q)^r, which underflows once sum r log(1 + n) > 745,
+    and divides the entries so far by 2^600 whenever one passes 2^600 (exact above the
+    subnormal range); the one normalization at the end sets the scale.
+    """
+    log_q, r = -np.log1p(1.0 / law.occupations), law.multiplicities
+    with np.errstate(divide="ignore"):  # q = q_max: the factor's terms reach every k
+        reach = (np.log(r) - math.log(_FACTOR_TAIL)) / (log_q.max() - log_q)
+    order = np.argsort(-reach, kind="stable")
+    log_q, r, reach = log_q[order], r[order], reach[order]
+    # the terms of S_k lie contiguous, k = 1..support - 1, each summed pairwise by reduceat:
+    # a sequential sum of F like terms would cost up to F eps relative
+    counts = np.searchsorted(-reach, -np.arange(1, support), side="right")  # >= 1: q_max's
+    starts = np.cumsum(counts) - counts
+    f = np.arange(int(counts.sum())) - np.repeat(starts, counts)
+    terms = r[f] * np.exp(np.repeat(np.arange(1.0, support), counts) * log_q[f])
+    s = np.add.reduceat(terms, starts)[::-1].copy()  # s[-k] = S_k
+    p = np.zeros(support)
+    p[0] = 1.0
+    for j in range(1, support):
+        p[j] = s[-j:] @ p[:j] / j
+        if p[j] > _RESCALE:
+            p[: j + 1] /= _RESCALE
+    return p / p.sum()
 
 
 def _blocks(occupations: np.ndarray, multiplicities: np.ndarray, sigma: int) -> tuple[list, list]:

@@ -17,7 +17,6 @@ with the limiting shifted exponential.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +24,6 @@ import numpy as np
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError, ResourceError
-from .export import atomic_write, write_table
 from .factors import _PMF_BUDGET, FactorLaw
 from .thermo import (BE, FD, ThermoState, critical_density, _brent, _integrate, _occ_from_w,
                      _log_weight_from_w, _surface_area)
@@ -212,13 +210,15 @@ def mean_density(lat: ModeLattice, lam: float = 0.0) -> float:
 
 
 def box_pmf(lat: ModeLattice, lam: float = 0.0) -> np.ndarray:
-    """Exact pmf of the box particle number by shell-wise convolution.
+    """Exact pmf of the box particle number, the shells as ``factors`` laws.
 
-    Shells convolve as binomial (FD, full support) or negative-binomial
-    (BE) blocks; the truncated BE tail mass stays within 1e-14, else
-    ``AccuracyError``.  Raises ``ResourceError`` above 100000 retained
-    modes (``sample_NV``, which convolves short groups of shells, still
-    runs there).
+    BE boxes with a Chernoff support of at most one entry per shell (the
+    ``box`` workload's gas at lam = 0 from ell = 10) come from the power-sum
+    recurrence; other boxes convolve binomial (FD, full support) or
+    negative-binomial (BE) blocks shell by shell.  The truncated BE tail
+    mass stays within 1e-14, else ``AccuracyError``.  Raises
+    ``ResourceError`` above 100000 retained modes (``sample_NV``, which
+    builds the laws of short groups of shells, still runs there).
     """
     if lat.mode_count > _MODE_BUDGET:
         raise ResourceError("too many modes for exact convolution; use sampling")
@@ -302,16 +302,6 @@ def sample_NV(
     return n / lat.volume
 
 
-def samples_to_csv(samples: np.ndarray, path) -> None:
-    """Write one sampled density per row."""
-    write_table(path, ["# sampled box densities N/ell^d"], ((x,) for x in samples))
-
-
-def pmf_to_csv(pmf: np.ndarray, path) -> None:
-    """Write (n, P(N = n)) rows for a box particle-number law."""
-    write_table(path, ["# box particle-number law: n, probability"], enumerate(pmf))
-
-
 @dataclass(frozen=True)
 class KacResult:
     """Condensation-regime comparison with the limiting shifted exponential.
@@ -332,24 +322,7 @@ class KacResult:
     sample_mean: float
     sample_variance: float
     box_normal_density: float
-    samples: np.ndarray = field(repr=False)
-    empirical_cdf: np.ndarray = field(repr=False)   # columns: x, F_emp(x)
-    target_cdf: np.ndarray = field(repr=False)      # columns: x, F_target(x)
-
-    def summary_to_json(self, path) -> None:
-        """Write the scalar summary (everything but the sample tables)."""
-        payload = {
-            "ks_distance": self.ks_distance,
-            "ks_box": self.ks_box,
-            "lambda_v": self.lambda_v,
-            "location": self.location,
-            "scale": self.scale,
-            "sample_mean": self.sample_mean,
-            "sample_variance": self.sample_variance,
-            "box_normal_density": self.box_normal_density,
-            "n_samples": int(self.samples.size),
-        }
-        atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    samples: np.ndarray = field(repr=False)   # sorted
 
 
 def kac_test(lat: ModeLattice, a: float, samples: int, seed: int | None = None) -> KacResult:
@@ -397,6 +370,4 @@ def kac_test(lat: ModeLattice, a: float, samples: int, seed: int | None = None) 
         sample_variance=float(xs.var()),
         box_normal_density=normal,
         samples=xs,
-        empirical_cdf=np.column_stack([xs, ecdf_hi]),
-        target_cdf=np.column_stack([xs, target]),
     )

@@ -14,6 +14,9 @@ Frozen reference values (computed with mpmath at 30 digits):
                                                     see epstein_zeta3_at_1
     2 |Z_3(1)| / (4 pi^2)   = 0.45156991888151604   box_normal_deficit(1, 1)
 
+``negative_binomial_law`` convolves negative-binomial factors in mpmath from
+exact integer binomials.
+
 ``uniform_nystrom_log_det`` is numpy only: its own FFT kernel, a uniform
 Toeplitz Nystrom matrix and Richardson extrapolation in the grid spacing.
 """
@@ -172,3 +175,21 @@ def uniform_nystrom_log_det(symbol, length, t, extent=160.0):
             raise ValueError("I + (e^t - 1) K is not positive definite")
         values.append(logdet / length)
     return (4.0 * values[1] - values[0]) / 3.0
+
+
+def negative_binomial_law(occupations, multiplicities, length, digits=40):
+    """P(N = k) for k < length, and P(N >= length), for N a sum of independent
+    NegativeBinomial(r, q = n / (1 + n)) factors (mean n r).
+
+    Each factor's weights binom(k + r - 1, k) (1 - q)^r q^k take the exact integer
+    binomial and are convolved at ``digits`` digits on 0..length - 1, where the
+    truncation leaves every entry exact; P(N >= length) is 1 minus their sum.
+    """
+    with mp.workdps(digits):
+        pmf = None
+        for n, r in zip(np.asarray(occupations).tolist(), np.asarray(multiplicities).tolist()):
+            q = mp.mpf(n) / (1 + mp.mpf(n))
+            weights = np.array([math.comb(k + r - 1, k) * (1 - q) ** r * q ** k
+                                for k in range(length)], dtype=object)
+            pmf = weights if pmf is None else np.convolve(pmf, weights)[:length]
+        return np.array([float(x) for x in pmf]), float(1 - mp.fsum(pmf))

@@ -9,8 +9,13 @@ from scipy.stats import binom, nbinom  # independent oracle; the package uses lo
 
 import ldgas
 from ldgas import factors
+from ldgas.counting import build_counting_matrix
+from ldgas.dispersion import DispersionRelation
 from ldgas.factors import FactorLaw
-from ldgas.thermo import BE, FD
+from ldgas.modes import ModeLattice, box_pmf
+from ldgas.thermo import BE, FD, ThermoState
+
+import oracle_series as oracle
 
 
 def random_law(sigma, seed=5, size=12):
@@ -110,6 +115,76 @@ class TestBlocks:
                 assert tail == 0.0 and law.sf(k[-1]) < 1e-300
             else:
                 assert law.sf(k[-1]) <= tail * (1.0 + 1e-9) and tail <= factors._FACTOR_TAIL
+
+
+def spy_paths(monkeypatch):
+    """Record which route each pmf takes: 'power' or 'blocks'."""
+    taken = []
+    for name, label in (("_power_sums", "power"), ("_blocks", "blocks")):
+        def wrapper(*args, fn=getattr(factors, name), label=label):
+            taken.append(label)
+            return fn(*args)
+        monkeypatch.setattr(factors, name, wrapper)
+    return taken
+
+
+class TestPowerSums:
+    """BE laws with a Chernoff support of at most F entries, against the mpmath convolution."""
+
+    @staticmethod
+    def check_against_oracle(law, pmf, tail):
+        n = np.clip(law.occupations, 0.0, None)
+        ref, past = oracle.negative_binomial_law(n[n > 0], law.multiplicities[n > 0], pmf.size)
+        normal = ref >= np.finfo(float).tiny  # the float law cannot resolve subnormal entries
+        assert np.all(pmf[~normal] < 1e-300)
+        assert np.max(np.abs(pmf[normal] / ref[normal] - 1.0)) < 1e-13
+        assert past <= tail <= factors._PMF_BUDGET
+
+    def test_box_pmf(self, monkeypatch):
+        # ell = 8 at lam = -0.3: 77 shells, support 64 (at lam = 0 it is 80: blocks)
+        lat = ModeLattice.build(ThermoState(1.0, -1.0, BE),
+                                DispersionRelation.nonrelativistic(mass=1.0, dimension=3), 8.0)
+        law = FactorLaw(lat.occupations(-0.3), lat.multiplicities, BE)
+        taken = spy_paths(monkeypatch)
+        pmf, tail = law.pmf()
+        assert taken == ["power"]
+        assert np.array_equal(box_pmf(lat, -0.3), pmf)
+        self.check_against_oracle(law, pmf, tail)
+
+    def test_interval_law(self, monkeypatch):
+        # BE d = 1 at L = 40: 95 positive eigenvalues, support 68 (at L = 20, F = 55 < M = 59: blocks)
+        law = build_counting_matrix(ThermoState(1.0, -1.0, BE),
+                                    DispersionRelation.nonrelativistic(mass=0.5, dimension=1), 40.0).law
+        assert law.occupations.min() < 0.0  # eigenvalue noise, clipped to 0 and left out
+        taken = spy_paths(monkeypatch)
+        pmf, tail = law.pmf()
+        assert taken == ["power"]
+        self.check_against_oracle(law, pmf, tail)
+
+    def test_p0_below_the_float_range(self, monkeypatch):
+        # 2000 factors at n = 1/2: p_0 = 1.5^-2000 = e^-811; the law is NegativeBinomial(2000, 1/3)
+        law = FactorLaw(np.full(2000, 0.5), np.ones(2000, dtype=np.int64), BE)
+        assert -2000 * math.log1p(0.5) < -745.0
+        taken = spy_paths(monkeypatch)
+        pmf, tail = law.pmf()
+        assert taken == ["power"] and np.all(np.isfinite(pmf)) and pmf[0] == 0.0
+        self.check_against_oracle(FactorLaw(np.array([0.5]), np.array([2000]), BE), pmf, tail)
+        assert pmf.sum() == pytest.approx(1.0 - tail, abs=1e-15)
+
+    @pytest.mark.parametrize("sigma, n, r", [
+        (FD, [0.3, 0.9, 0.5, 0.01], [40, 300, 2, 7]),       # FD power sums alternate in sign
+        (BE, [50.0, 30.0, 2.0], [1, 2, 5]),                 # few long BE factors: M > F
+        (BE, [0.01] * 3 + [0.0] * 100, [1] * 103),          # zeros do not count toward F
+    ], ids=["FD", "BE-long", "BE-zeros"])
+    def test_blocks_stay(self, sigma, n, r, monkeypatch):
+        law = FactorLaw(np.array(n), np.array(r), sigma)
+        if sigma == BE:
+            positive = law.occupations > 0.0
+            support, _ = factors._support(FactorLaw(law.occupations[positive], law.multiplicities[positive], BE))
+            assert support > positive.sum()
+        taken = spy_paths(monkeypatch)
+        law.pmf()
+        assert taken == ["blocks"]
 
 
 def test_fd_keeps_full_support():

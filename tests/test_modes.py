@@ -15,9 +15,7 @@ from ldgas.modes import (
     box_pressure,
     kac_test,
     mean_density,
-    pmf_to_csv,
     sample_NV,
-    samples_to_csv,
     solve_lambda_V,
 )
 from ldgas.rate import RateContext, interval_rate, rate_value
@@ -331,15 +329,16 @@ class TestSampling:
         assert drawn == []
 
     def test_summed_group_tails_are_budgeted(self, fd_lat40, monkeypatch):
-        # be16's three group tails are at most 2.6e-16 and sum to 4.7e-16: a
-        # budget between the two is met by each group and missed by the sum
+        # be16's three group tails are at most 1.6e-16 and sum to 2.2e-16 (the
+        # 275-shell group comes from power sums, 9.2e-18): a budget between the
+        # two is met by each group and missed by the sum
         lat, lam = self.case("be16", fd_lat40)
-        monkeypatch.setattr(modes, "_PMF_BUDGET", 4e-16)
+        monkeypatch.setattr(modes, "_PMF_BUDGET", 2e-16)
         drawn = []
         monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
         with pytest.raises(AccuracyError) as err:
             sample_NV(lat, lam, 10, seed=0)
-        assert err.value.estimate > 4e-16
+        assert err.value.estimate > 2e-16
         assert drawn == []
 
 
@@ -372,39 +371,12 @@ class TestKac:
         assert math.sqrt(near.sample_variance) < 0.35 * math.sqrt(wide.sample_variance)
         assert near.sample_mean == pytest.approx(1.02 * rc, rel=0.1)
 
-    def test_tables_shape(self, be_lat10):
+    def test_ks_distance_is_the_sup_gap_to_the_limit_law(self, be_lat10):
         rc = critical_density(1.0, D3)
         res = kac_test(be_lat10, 2.0 * rc, 500, seed=21)
-        assert res.empirical_cdf.shape == (500, 2)
-        assert res.target_cdf.shape == (500, 2)
-        assert np.all(np.diff(res.empirical_cdf[:, 0]) >= 0)
-        assert res.ks_distance == pytest.approx(
-            float(np.max(np.abs(res.empirical_cdf[:, 1] - res.target_cdf[:, 1]))),
-            abs=1.0 / 500,
-        )
-
-
-def test_exports(tmp_path, fd_lat40):
-    import json
-
-    x = sample_NV(fd_lat40, 0.0, 50, seed=2)
-    sample_path = tmp_path / "samples.csv"
-    samples_to_csv(x, sample_path)
-    lines = sample_path.read_text().splitlines()
-    assert len(lines) == 51
-    assert float(lines[1]) == x[0]
-
-    pmf = box_pmf(fd_lat40)
-    pmf_path = tmp_path / "pmf.csv"
-    pmf_to_csv(pmf, pmf_path)
-    assert len(pmf_path.read_text().splitlines()) == 1 + pmf.size
-
-    rc = critical_density(1.0, D3)
-    lat = ModeLattice.build(BE1, D3, 6.0)
-    res = kac_test(lat, 2.0 * rc, 200, seed=4)
-    js_path = tmp_path / "kac.json"
-    res.summary_to_json(js_path)
-    payload = json.loads(js_path.read_text())
-    assert payload["ks_distance"] == res.ks_distance
-    assert payload["ks_box"] == res.ks_box
-    assert payload["n_samples"] == 200
+        xs = res.samples
+        assert xs.shape == (500,) and np.all(np.diff(xs) >= 0)
+        limit = np.where(xs >= rc, -np.expm1(-(xs - rc) / rc), 0.0)
+        # the ecdf steps from i / n to (i + 1) / n at the i-th sorted sample
+        gap = max(np.max(np.arange(1, 501) / 500 - limit), np.max(limit - np.arange(500) / 500))
+        assert res.ks_distance == pytest.approx(gap, rel=1e-12)
