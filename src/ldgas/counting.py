@@ -33,7 +33,6 @@ import numpy as np
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
-from .export import write_table
 from .factors import FactorLaw, window_log_prob
 from .thermo import BE, FD, ThermoState, _gauss_legendre, _integrate, translated_pressure
 
@@ -121,10 +120,6 @@ class CountingMatrix:
                 "eigenvalues violate the continuum spectrum containment"
             )
         return FactorLaw(n, np.ones(n.size, dtype=np.int64), self.statistics)
-
-    def spectrum_to_csv(self, path) -> None:
-        """Write the sorted eigenvalues, one per row."""
-        write_table(path, ["# counting-matrix spectrum: index, kappa"], enumerate(self.eigenvalues))
 
 
 def _parity_blocks(state, disp, k_max, n_k, radius, n_r, sign):
@@ -306,14 +301,6 @@ class CountingDistribution:
     tail_mass: float = 0.0
     volume: float = 1.0
     beta: float = 1.0
-
-    def pgf(self, zeta: float) -> float:
-        """Probability generating function sum_n pmf[n] zeta^n."""
-        return float(np.polynomial.polynomial.polyval(zeta, self.pmf))
-
-    def to_csv(self, path) -> None:
-        """Write (n, P(N = n)) rows."""
-        write_table(path, ["# particle-number law: n, probability"], enumerate(self.pmf))
 
 
 def counting_pmf(m: CountingMatrix) -> CountingDistribution:

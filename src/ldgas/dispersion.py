@@ -37,6 +37,10 @@ class DispersionRelation:
         a declared bound that only ``check_samples`` reads.
     large_k_threshold : float
         Wavevector magnitude beyond which the growth bound is declared.
+    params : tuple
+        What ``evaluate`` is built from: (mass,), (mass, c), (c,) or the
+        table's sample bytes.  Equality and hashing read it in place of the
+        ``evaluate`` closure, so equal gases share the caches keyed on them.
     evaluate : callable
         Maps |k| (scalar or ndarray, >= 0) to energy >= 0.
     """
@@ -46,7 +50,8 @@ class DispersionRelation:
     gamma: float
     alpha: float
     large_k_threshold: float
-    evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    params: tuple
+    evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -73,6 +78,7 @@ class DispersionRelation:
             gamma=2.0,
             alpha=alpha,
             large_k_threshold=threshold,
+            params=(mass,),
             evaluate=lambda k, m=mass: np.asarray(k) ** 2 / (2.0 * m),
         )
 
@@ -105,6 +111,7 @@ class DispersionRelation:
             gamma=2.0,
             alpha=0.5,
             large_k_threshold=thr,
+            params=(mass, c),
             evaluate=eps,
         )
 
@@ -124,6 +131,7 @@ class DispersionRelation:
             gamma=1.0,
             alpha=alpha,
             large_k_threshold=threshold,
+            params=(c,),
             evaluate=lambda k, c=c: c * np.abs(np.asarray(k, dtype=float)),
         )
 
@@ -183,6 +191,7 @@ class DispersionRelation:
             gamma=float(gamma),
             alpha=float(alpha),
             large_k_threshold=threshold,
+            params=(k.tobytes(), energy.tobytes()),
             evaluate=eps,
         )
 

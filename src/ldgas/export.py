@@ -1,4 +1,4 @@
-"""Atomic file output shared by the library's exports and the harness.
+"""Atomic file output for the harness's records.
 
 Every file goes through a unique temporary file in the target's directory,
 is flushed to disk and renamed over the target, so a reader never sees a

@@ -6,14 +6,16 @@ factors are the counting-matrix eigenvalues (determinantal factorization:
 Hough, Krishnapur, Peres and Virag, Probab. Surveys 3, 2006), the box
 route's the mode shells.
 
-A BE law whose Chernoff support (M entries, past which the mass is below
-``_FACTOR_TAIL``) is no longer than its count F of factors with n > 0 comes
-from the power-sum recurrence n p_n = sum_k S_k p_{n-k}, S_k = sum r q^k,
-q = n / (1 + n): M steps of positive terms, not F convolutions.  Every other
-law convolves one block per factor.  FD blocks end at their last entry that
-does not underflow to 0, and FD pmfs keep the rest of their support; BE
+A BE law splits its factors with n > 0 into light ones (n < 2, q < 2/3) and
+heavy ones.  The light factors form one law from the power-sum recurrence
+n p_n = sum_k S_k p_{n-k}, S_k = sum r q^k, q = n / (1 + n), over their
+Chernoff support (M entries, past which the mass is below ``_FACTOR_TAIL``):
+M steps of positive terms, exact to a few 1e-14 relative.  Only the heavy
+factors, whose geometric tails are long, are convolved onto it as blocks.
+FD laws convolve one block per factor.  FD blocks end at their last entry
+that does not underflow to 0, and FD pmfs keep the rest of their support; BE
 blocks and pmfs drop tails below ``_FACTOR_TAIL`` and ``_PMF_TAIL``, all
-summed into ``tail_mass`` (with the Chernoff bound on the power-sum route).
+summed into ``tail_mass`` with the light law's Chernoff bound.
 All blocks of a law are built in one pass: those with r > 1 from one flat
 log-pmf over a cached table of ``math.lgamma`` values, with the BE block ends
 searched across all factors at once.
@@ -36,6 +38,7 @@ __all__ = ["FactorLaw", "window_log_prob"]
 _PMF_TAIL = 1e-17
 _FACTOR_TAIL = 1e-21
 _PMF_BUDGET = 1e-14
+_LIGHT = 2.0  # BE factors with 0 < n < _LIGHT (q < 2/3) form the power-sum law
 _UNDERFLOW = -746.0  # exp of a log below -745.14 rounds to 0.0
 # Chernoff tilts u = (z - 1) n_max in (0, 1): even steps, then closing in on the pole at 1
 _CHERNOFF_GRID = np.concatenate([np.arange(1, 32) / 32, 1.0 - 2.0 ** -np.arange(6, 30)])
@@ -97,29 +100,41 @@ class FactorLaw:
     def pmf(self) -> tuple[np.ndarray, float]:
         """Exact pmf of N and its ``tail_mass``; a tail above 1e-14 raises ``AccuracyError``.
 
-        A BE law whose Chernoff support M is at most its count F of factors with n > 0
-        comes from ``_power_sums``, every entry within a few 1e-14 relative, then trimmed
-        once at the floor.  Other laws convolve their blocks and trim after each
-        convolution, which leaves about 1e-17 absolute error on every entry: far out
-        in a BE tail, near the cut, that is tens of percent relative.  ``sample_NV``'s
-        groups of a few long shells (M > F) are such laws.
+        BE: the light factors (0 < n < 2) come from ``_power_sums`` at their own
+        Chernoff support, every entry within a few 1e-14 relative, trimmed once at the
+        floor; each heavy factor (n >= 2) is then convolved on as a block, trimming after
+        each convolution, which leaves about 1e-17 absolute error per entry.  A law with
+        no heavy factor is exact to the recurrence's rounding.  FD laws convolve every
+        factor's block.
         """
         occupations = np.clip(self.occupations, 0.0, 1.0 if self.sigma == FD else np.inf)
-        if self.sigma == BE and (positive := occupations > 0.0).any():
-            law = FactorLaw(occupations[positive], self.multiplicities[positive], BE)
-            support, bound = _support(law)
-            if support <= law.occupations.size:
-                pmf, tail = _trim(_power_sums(law, support), _PMF_TAIL)
-                return _budgeted(pmf, tail + bound)
-        floor = _PMF_TAIL if self.sigma == BE else 0.0
+        if self.sigma == FD:
+            return _budgeted(*_convolved(np.array([1.0]), 0.0, occupations, self.multiplicities, FD))
+        positive = occupations > 0.0
+        n, r = occupations[positive], self.multiplicities[positive]
+        light = n < _LIGHT
         pmf, tail = np.array([1.0]), 0.0
-        for block, dropped in zip(*_blocks(occupations, self.multiplicities, self.sigma)):
-            tail += dropped
-            if block is None:
-                continue
-            pmf, dropped = _trim(np.convolve(pmf, block), floor)
-            tail += dropped
+        if light.any():
+            law = FactorLaw(n[light], r[light], BE)
+            support, bound = _support(law)
+            pmf, tail = _trim(_power_sums(law, support), _PMF_TAIL)
+            tail += bound
+        if not light.all():
+            pmf, tail = _convolved(pmf, tail, n[~light], r[~light], BE)
         return _budgeted(pmf, tail)
+
+
+def _convolved(pmf, tail, occupations, multiplicities, sigma) -> tuple[np.ndarray, float]:
+    """``pmf`` convolved with each factor's block, trimmed after each at the BE floor, and
+    ``tail`` plus every dropped mass."""
+    floor = _PMF_TAIL if sigma == BE else 0.0
+    for block, dropped in zip(*_blocks(occupations, multiplicities, sigma)):
+        tail += dropped
+        if block is None:
+            continue
+        pmf, dropped = _trim(np.convolve(pmf, block), floor)
+        tail += dropped
+    return pmf, tail
 
 
 def _budgeted(pmf: np.ndarray, tail: float) -> tuple[np.ndarray, float]:
@@ -168,11 +183,11 @@ def _power_sums(law: FactorLaw, support: int) -> np.ndarray:
     f = np.arange(int(counts.sum())) - np.repeat(starts, counts)
     terms = r[f] * np.exp(np.repeat(np.arange(1.0, support), counts) * log_q[f])
     s = np.add.reduceat(terms, starts)[::-1].copy()  # s[-k] = S_k
-    p = np.zeros(support)
+    p, dot = np.zeros(support), np.dot
     p[0] = 1.0
     for j in range(1, support):
-        p[j] = s[-j:] @ p[:j] / j
-        if p[j] > _RESCALE:
+        p[j] = x = dot(s[-j:], p[:j]) / j
+        if x > _RESCALE:
             p[: j + 1] /= _RESCALE
     return p / p.sum()
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
-from .export import write_table
 from .thermo import ThermoState, _integrate, _thermal_wavevector
 
 __all__ = ["KernelTable", "build_kernel", "decay_exponent"]
@@ -53,10 +52,6 @@ class KernelTable:
     def d0(self) -> float:
         """d(0): the density for FD, minus the density for BE."""
         return float(self.values[np.searchsorted(self.x, 0.0)])
-
-    def to_csv(self, path) -> None:
-        """Write (x, d(x)) rows for plotting."""
-        write_table(path, ["# kernel table: x, d(x)"], zip(self.x, self.values))
 
 
 def _build_1d(state, disp, h, n_half):

@@ -169,10 +169,11 @@ class ModeLattice:
 
         # integral bound on the discarded mean occupation (mode density
         # (ell/2pi)^d, integrand decreasing beyond the cutoff, one lattice
-        # diagonal of safety margin)
+        # diagonal of safety margin); the bound is the value plus its error
+        # estimate, so 1e-3 relative accuracy is enough
         k_lo = max(dk, k_cut - dk * math.sqrt(d))
         tail_f = lambda k: k ** (d - 1) * occ_trunc(disp.evaluate(k))
-        tail = _integrate(tail_f, k_lo, 16.0 * k_cut)[0]
+        tail = sum(_integrate(tail_f, k_lo, 16.0 * k_cut, tol=1e-3))
         discarded = (ell / (2.0 * math.pi)) ** d * _surface_area(d) * tail
 
         return cls(
@@ -212,10 +213,10 @@ def mean_density(lat: ModeLattice, lam: float = 0.0) -> float:
 def box_pmf(lat: ModeLattice, lam: float = 0.0) -> np.ndarray:
     """Exact pmf of the box particle number, the shells as ``factors`` laws.
 
-    BE boxes with a Chernoff support of at most one entry per shell (the
-    ``box`` workload's gas at lam = 0 from ell = 10) come from the power-sum
-    recurrence; other boxes convolve binomial (FD, full support) or
-    negative-binomial (BE) blocks shell by shell.  The truncated BE tail
+    BE shells with mean occupation below 2 come from one power-sum
+    recurrence (at lam = 0 every shell of a mu = -1 gas), and only the
+    others are convolved on as negative-binomial blocks; FD boxes convolve
+    binomial blocks (full support) shell by shell.  The truncated BE tail
     mass stays within 1e-14, else ``AccuracyError``.  Raises
     ``ResourceError`` above 100000 retained modes (``sample_NV``, which
     builds the laws of short groups of shells, still runs there).
@@ -271,7 +272,9 @@ def sample_NV(
     N is the ground mode N_0 plus groups of the other shells, cut where their
     cumulative mean passes a multiple of ``_GROUP_MEAN``: each group's exact
     ``factors`` pmf stays short, so the cost grows with the shells, not with
-    the square of the box's mean.  Groups are drawn by inverting their CDFs,
+    the square of the box's mean.  In BE, only a group's shells of mean
+    occupation 2 or more (the few lowest near condensation) are convolved;
+    the rest take the power sums.  Groups are drawn by inverting their CDFs,
     N_0 by u < n_0 (FD) or floor(-log1p(-u) / w_0) (BE, P(N_0 >= k) =
     exp(-w_0 k)).  Term j (N_0 is j = 0) reads the j-th jump of the PCG64
     stream of ``np.random.default_rng(seed)`` (an integer, a ``SeedSequence``

@@ -182,8 +182,9 @@ def negative_binomial_law(occupations, multiplicities, length, digits=40):
     NegativeBinomial(r, q = n / (1 + n)) factors (mean n r).
 
     Each factor's weights binom(k + r - 1, k) (1 - q)^r q^k take the exact integer
-    binomial and are convolved at ``digits`` digits on 0..length - 1, where the
-    truncation leaves every entry exact; P(N >= length) is 1 minus their sum.
+    binomial and are convolved on 0..length - 1, each entry one exactly summed
+    ``mp.fdot`` rounded to ``digits`` digits, where the truncation leaves every entry
+    exact; P(N >= length) is 1 minus their sum.
     """
     with mp.workdps(digits):
         pmf = None
@@ -191,5 +192,6 @@ def negative_binomial_law(occupations, multiplicities, length, digits=40):
             q = mp.mpf(n) / (1 + mp.mpf(n))
             weights = np.array([math.comb(k + r - 1, k) * (1 - q) ** r * q ** k
                                 for k in range(length)], dtype=object)
-            pmf = weights if pmf is None else np.convolve(pmf, weights)[:length]
+            pmf = weights if pmf is None else np.array(
+                [mp.fdot(pmf[: k + 1], weights[k::-1]) for k in range(length)], dtype=object)
         return np.array([float(x) for x in pmf]), float(1 - mp.fsum(pmf))

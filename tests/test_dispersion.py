@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ldgas import thermo
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import DomainError
 
@@ -79,3 +80,26 @@ def test_jump_detection():
     d = DispersionRelation.from_table(k, e, dimension=1, gamma=2.0, alpha=1.0)
     with pytest.raises(DomainError, match="jump"):
         d.check_samples(k_max=5.0, n=101)
+
+
+def test_equal_gases_share_cached_grids():
+    # equality reads the parameters, not the fresh evaluate closure, so the caches
+    # keyed on (beta, dispersion) hit for a separately built equal gas
+    a, b = (DispersionRelation.nonrelativistic(0.5, 1) for _ in range(2))
+    assert a.evaluate is not b.evaluate
+    assert a == b and hash(a) == hash(b)
+    assert thermo._grid(1.0, a, False) is thermo._grid(1.0, b, False)
+    assert a != DispersionRelation.nonrelativistic(0.4, 1)
+    assert a != DispersionRelation.nonrelativistic(0.5, 3)
+    assert DispersionRelation.relativistic(1.0, c=1.0) != DispersionRelation.relativistic(2.0, c=1.0)
+    assert DispersionRelation.massless(1.0) != DispersionRelation.massless(2.0)
+
+
+def test_tables_compare_by_their_samples():
+    k = np.linspace(0.0, 5.0, 11)
+    a, b = (DispersionRelation.from_table(k, k ** 2, dimension=1) for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    e = k ** 2
+    e[-1] += 1.0
+    other = DispersionRelation.from_table(k, e, dimension=1, gamma=a.gamma, alpha=a.alpha)
+    assert other != a

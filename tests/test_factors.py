@@ -12,8 +12,8 @@ from ldgas import factors
 from ldgas.counting import build_counting_matrix
 from ldgas.dispersion import DispersionRelation
 from ldgas.factors import FactorLaw
-from ldgas.modes import ModeLattice, box_pmf
-from ldgas.thermo import BE, FD, ThermoState
+from ldgas.modes import ModeLattice, box_pmf, sample_NV, solve_lambda_V
+from ldgas.thermo import BE, FD, ThermoState, critical_density
 
 import oracle_series as oracle
 
@@ -118,18 +118,26 @@ class TestBlocks:
 
 
 def spy_paths(monkeypatch):
-    """Record which route each pmf takes: 'power' or 'blocks'."""
+    """Record the route of each pmf: 'power' per power-sum law, 'blocks' per block pass,
+    'convolve' per ``np.convolve`` call."""
     taken = []
-    for name, label in (("_power_sums", "power"), ("_blocks", "blocks")):
-        def wrapper(*args, fn=getattr(factors, name), label=label):
+    for owner, name, label in ((factors, "_power_sums", "power"), (factors, "_blocks", "blocks"),
+                               (np, "convolve", "convolve")):
+        def wrapper(*args, fn=getattr(owner, name), label=label):
             taken.append(label)
             return fn(*args)
-        monkeypatch.setattr(factors, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
     return taken
 
 
+BE1 = ThermoState(1.0, -1.0, BE)
+D3 = DispersionRelation.nonrelativistic(mass=1.0, dimension=3)
+
+
 class TestPowerSums:
-    """BE laws with a Chernoff support of at most F entries, against the mpmath convolution."""
+    """BE laws split at n = 2: the light factors through the power sums, each heavy one
+    convolved on as a block.  Laws without a heavy factor are exact to the recurrence's
+    rounding, checked against the mpmath convolution."""
 
     @staticmethod
     def check_against_oracle(law, pmf, tail):
@@ -141,28 +149,42 @@ class TestPowerSums:
         assert past <= tail <= factors._PMF_BUDGET
 
     def test_box_pmf(self, monkeypatch):
-        # ell = 8 at lam = -0.3: 77 shells, support 64 (at lam = 0 it is 80: blocks)
-        lat = ModeLattice.build(ThermoState(1.0, -1.0, BE),
-                                DispersionRelation.nonrelativistic(mass=1.0, dimension=3), 8.0)
-        law = FactorLaw(lat.occupations(-0.3), lat.multiplicities, BE)
+        # ell = 8 at lam = 0: 77 shells, every one light (the ground mode has n = 0.58)
+        lat = ModeLattice.build(BE1, D3, 8.0)
+        law = FactorLaw(lat.occupations(0.0), lat.multiplicities, BE)
+        assert law.occupations.max() < factors._LIGHT
         taken = spy_paths(monkeypatch)
         pmf, tail = law.pmf()
         assert taken == ["power"]
-        assert np.array_equal(box_pmf(lat, -0.3), pmf)
+        assert np.array_equal(box_pmf(lat), pmf)
         self.check_against_oracle(law, pmf, tail)
 
     def test_interval_law(self, monkeypatch):
-        # BE d = 1 at L = 40: 95 positive eigenvalues, support 68 (at L = 20, F = 55 < M = 59: blocks)
-        law = build_counting_matrix(ThermoState(1.0, -1.0, BE),
-                                    DispersionRelation.nonrelativistic(mass=0.5, dimension=1), 40.0).law
+        # BE d = 1 at L = 20: 55 positive eigenvalues, all light
+        law = build_counting_matrix(BE1, DispersionRelation.nonrelativistic(mass=0.5, dimension=1),
+                                    20.0).law
         assert law.occupations.min() < 0.0  # eigenvalue noise, clipped to 0 and left out
         taken = spy_paths(monkeypatch)
         pmf, tail = law.pmf()
         assert taken == ["power"]
         self.check_against_oracle(law, pmf, tail)
 
+    def test_sampling_group(self, monkeypatch):
+        # be16 (criterion 12's box at 2 rho_c): the second of sample_NV's three groups has
+        # 21 shells, the largest at n = 1.69
+        lat = ModeLattice.build(BE1, D3, 16.0)
+        lam = solve_lambda_V(lat, 2.0 * critical_density(1.0, D3))
+        laws, pmf = [], FactorLaw.pmf
+        monkeypatch.setattr(FactorLaw, "pmf", lambda law: laws.append(law) or pmf(law))
+        sample_NV(lat, lam, 1, seed=0)
+        law = laws[1]
+        assert [group.occupations.size for group in laws] == [5, 21, 275]
+        assert 1.0 < law.occupations.max() < factors._LIGHT
+        self.check_against_oracle(law, *pmf(law))
+
     def test_p0_below_the_float_range(self, monkeypatch):
-        # 2000 factors at n = 1/2: p_0 = 1.5^-2000 = e^-811; the law is NegativeBinomial(2000, 1/3)
+        # 2000 light factors at n = 1/2: p_0 = 1.5^-2000 = e^-811; the law is
+        # NegativeBinomial(2000, 1/3)
         law = FactorLaw(np.full(2000, 0.5), np.ones(2000, dtype=np.int64), BE)
         assert -2000 * math.log1p(0.5) < -745.0
         taken = spy_paths(monkeypatch)
@@ -173,18 +195,39 @@ class TestPowerSums:
 
     @pytest.mark.parametrize("sigma, n, r", [
         (FD, [0.3, 0.9, 0.5, 0.01], [40, 300, 2, 7]),       # FD power sums alternate in sign
-        (BE, [50.0, 30.0, 2.0], [1, 2, 5]),                 # few long BE factors: M > F
-        (BE, [0.01] * 3 + [0.0] * 100, [1] * 103),          # zeros do not count toward F
-    ], ids=["FD", "BE-long", "BE-zeros"])
+        (BE, [50.0, 30.0, 2.0], [1, 2, 5]),                 # every BE factor heavy (n >= 2)
+    ], ids=["FD", "BE-long"])
     def test_blocks_stay(self, sigma, n, r, monkeypatch):
         law = FactorLaw(np.array(n), np.array(r), sigma)
-        if sigma == BE:
-            positive = law.occupations > 0.0
-            support, _ = factors._support(FactorLaw(law.occupations[positive], law.multiplicities[positive], BE))
-            assert support > positive.sum()
         taken = spy_paths(monkeypatch)
         law.pmf()
-        assert taken == ["blocks"]
+        assert taken == ["blocks"] + ["convolve"] * len(n)
+
+    @pytest.mark.parametrize("n, r, route", [
+        ([0.01] * 3 + [0.0] * 100, [1] * 103, ["power"]),  # zeros are dropped
+        ([0.0, 1.9, 12.0, 0.3, 2.0], [4, 3, 1, 6, 2], ["power", "blocks", "convolve", "convolve"]),
+        ([0.0, 0.0], [1, 5], []),                          # a point mass at 0
+    ], ids=["BE-zeros", "BE-mixed", "BE-empty"])
+    def test_route(self, n, r, route, monkeypatch):
+        # one recurrence for the light factors, one np.convolve per heavy factor
+        law = FactorLaw(np.array(n), np.array(r), BE)
+        taken = spy_paths(monkeypatch)
+        pmf, tail = law.pmf()
+        assert taken == route
+        if not route:
+            assert np.array_equal(pmf, [1.0]) and tail == 0.0
+
+    def test_mixed_law_against_the_full_convolution(self):
+        # ten light factors on the power sums and two heavy ones convolved onto them,
+        # against the blocks of all twelve
+        law = FactorLaw(np.array([0.2, 0.9, 1.5, 0.05, 6.0, 0.6, 3.0, 0.01, 1.2, 0.4, 0.7, 1.99]),
+                        np.array([3, 1, 2, 8, 1, 4, 2, 20, 1, 6, 2, 3]), BE)
+        pmf, tail = law.pmf()
+        blocks, _ = factors._convolved(np.array([1.0]), 0.0, law.occupations, law.multiplicities, BE)
+        size = max(pmf.size, blocks.size)
+        pmf, blocks = np.pad(pmf, (0, size - pmf.size)), np.pad(blocks, (0, size - blocks.size))
+        assert np.max(np.abs(pmf - blocks)) < 1e-15
+        assert tail < factors._PMF_BUDGET
 
 
 def test_fd_keeps_full_support():

@@ -401,14 +401,42 @@ class TestKacPassRule:
         assert record.passed
 
 
+BE_BOX_CFG = """
+    statistics = BE
+    dispersion = nonrelativistic
+    mass = 1.0
+    dimension = 3
+    beta = 1.0
+    mu = -1.0
+    tolerance = 0.05
+    seed = 7
+"""
+
+
 class TestThreading:
+    @staticmethod
+    def payloads(tmp_path, monkeypatch, body):
+        """The numeric payloads of one config run at LDGAS_THREADS = 1 and 4."""
+        cfg = load_config(write_cfg(tmp_path, body))
+        out = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("LDGAS_THREADS", threads)
+            out.append(json.dumps(run_experiment(cfg).numeric_payload()))
+        return out
+
     def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = load_config(write_cfg(tmp_path, GF_CFG))
-        monkeypatch.setenv("LDGAS_THREADS", "1")
-        one = run_experiment(cfg)
-        monkeypatch.setenv("LDGAS_THREADS", "4")
-        four = run_experiment(cfg)
-        assert json.dumps(one.numeric_payload()) == json.dumps(four.numeric_payload())
+        one, four = self.payloads(tmp_path, monkeypatch, GF_CFG)
+        assert one == four
+
+    @pytest.mark.parametrize("kind", [
+        # box laws at lam = 0, from the power sums alone
+        "kind = modes\nsizes = 8, 10, 12, 16\ninterval = 0.028, 0.032\n",
+        # sample_NV's group laws near condensation, heavy shells convolved on
+        "kind = kac\nsizes = 8, 10, 12\nsamples = 2000\n",
+    ], ids=["modes", "kac"])
+    def test_thread_count_does_not_change_box_results(self, tmp_path, monkeypatch, kind):
+        one, four = self.payloads(tmp_path, monkeypatch, BE_BOX_CFG + kind)
+        assert one == four
 
 
 class TestCli:

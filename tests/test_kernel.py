@@ -151,14 +151,3 @@ class TestDecayExponent:
     def test_too_few_points(self, fd_table):
         with pytest.raises(AccuracyError):
             decay_exponent(fd_table, (100.0, 101.0))  # kernel below the zero floor
-
-
-def test_csv_export(tmp_path, fd_table):
-    path = tmp_path / "kernel.csv"
-    fd_table.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 1 + fd_table.x.size
-    x0, v0 = lines[1].split(",")
-    assert float(x0) == fd_table.x[0]
-    assert float(v0) == fd_table.values[0]
