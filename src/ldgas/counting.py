@@ -304,7 +304,7 @@ class CountingDistribution:
 
 
 def counting_pmf(m: CountingMatrix) -> CountingDistribution:
-    """Exact pmf of N by sequential convolution of per-eigenvalue factors."""
+    """Exact pmf of N from the eigenvalues' ``FactorLaw`` pmf, and its closed-form cumulants."""
     pmf, tail = m.law.pmf()
     k = m.law.cumulants()
     return CountingDistribution(

@@ -8,17 +8,19 @@ route's the mode shells.
 
 A BE law splits its factors with n > 0 into light ones (n < 2, q < 2/3) and
 heavy ones.  The light factors form one law from the power-sum recurrence
-n p_n = sum_k S_k p_{n-k}, S_k = sum r q^k, q = n / (1 + n), over their
-Chernoff support (M entries, past which the mass is below ``_FACTOR_TAIL``):
-M steps of positive terms, exact to a few 1e-14 relative.  Only the heavy
-factors, whose geometric tails are long, are convolved onto it as blocks.
-FD laws convolve one block per factor.  FD blocks end at their last entry
-that does not underflow to 0, and FD pmfs keep the rest of their support; BE
-blocks and pmfs drop tails below ``_FACTOR_TAIL`` and ``_PMF_TAIL``, all
-summed into ``tail_mass`` with the light law's Chernoff bound.
-All blocks of a law are built in one pass: those with r > 1 from one flat
-log-pmf over a cached table of ``math.lgamma`` values, with the BE block ends
-searched across all factors at once.
+n p_n = sum_k S_k p_{n-k}, S_k = sum r q^k, q = n / (1 + n): M steps of
+positive terms, exact to a few 1e-14 relative.  Only the heavy factors,
+whose geometric tails are long, are convolved onto it as blocks.  Every BE
+tail is cut by one rule, the Chernoff bound P(N >= M) <= <z^N> z^-M over
+``_CHERNOFF_GRID``, at the least M where it meets ``_FACTOR_TAIL``: the light
+law at its own M, each heavy block at its own (r = 1 at the exact geometric
+tail q^M), and each convolution at the M of the whole law, which leaves every
+entry below M exact.  The pmf is trimmed once, at ``_PMF_TAIL``, and
+``tail_mass`` sums the bounds and that trim.  FD laws convolve one block per
+factor; FD blocks end at their last entry that does not underflow to 0, and
+FD pmfs keep the rest of their support.  All blocks of a law are built in
+one pass: those with r > 1 from one flat log-pmf over a cached table of
+``math.lgamma`` values.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ _PMF_TAIL = 1e-17
 _FACTOR_TAIL = 1e-21
 _PMF_BUDGET = 1e-14
 _LIGHT = 2.0  # BE factors with 0 < n < _LIGHT (q < 2/3) form the power-sum law
-_UNDERFLOW = -746.0  # exp of a log below -745.14 rounds to 0.0
 # Chernoff tilts u = (z - 1) n_max in (0, 1): even steps, then closing in on the pole at 1
 _CHERNOFF_GRID = np.concatenate([np.arange(1, 32) / 32, 1.0 - 2.0 ** -np.arange(6, 30)])
 _RESCALE = 2.0 ** 600
@@ -101,46 +102,40 @@ class FactorLaw:
         """Exact pmf of N and its ``tail_mass``; a tail above 1e-14 raises ``AccuracyError``.
 
         BE: the light factors (0 < n < 2) come from ``_power_sums`` at their own
-        Chernoff support, every entry within a few 1e-14 relative, trimmed once at the
-        floor; each heavy factor (n >= 2) is then convolved on as a block, trimming after
-        each convolution, which leaves about 1e-17 absolute error per entry.  A law with
-        no heavy factor is exact to the recurrence's rounding.  FD laws convolve every
-        factor's block.
+        Chernoff support; each heavy factor (n >= 2) is then convolved on as a block,
+        every convolution cut at the whole law's Chernoff support, below which it is
+        exact.  The pmf is trimmed once at 1e-17, so every entry is exact to the
+        rounding of the recurrence (a few 1e-14) and of the blocks' log-gammas (about
+        1e-11 at r + k = 4000).  FD laws convolve every factor's block.
         """
         occupations = np.clip(self.occupations, 0.0, 1.0 if self.sigma == FD else np.inf)
         if self.sigma == FD:
-            return _budgeted(*_convolved(np.array([1.0]), 0.0, occupations, self.multiplicities, FD))
+            pmf = np.array([1.0])
+            for block in _blocks(occupations, self.multiplicities, FD)[0]:
+                if block is not None:
+                    pmf = _trim(np.convolve(pmf, block), 0.0)[0]
+            return pmf, 0.0
         positive = occupations > 0.0
         n, r = occupations[positive], self.multiplicities[positive]
         light = n < _LIGHT
         pmf, tail = np.array([1.0]), 0.0
         if light.any():
             law = FactorLaw(n[light], r[light], BE)
-            support, bound = _support(law)
-            pmf, tail = _trim(_power_sums(law, support), _PMF_TAIL)
-            tail += bound
+            support, tail = _support(law)
+            pmf = _power_sums(law, support)
         if not light.all():
-            pmf, tail = _convolved(pmf, tail, n[~light], r[~light], BE)
-        return _budgeted(pmf, tail)
-
-
-def _convolved(pmf, tail, occupations, multiplicities, sigma) -> tuple[np.ndarray, float]:
-    """``pmf`` convolved with each factor's block, trimmed after each at the BE floor, and
-    ``tail`` plus every dropped mass."""
-    floor = _PMF_TAIL if sigma == BE else 0.0
-    for block, dropped in zip(*_blocks(occupations, multiplicities, sigma)):
-        tail += dropped
-        if block is None:
-            continue
-        pmf, dropped = _trim(np.convolve(pmf, block), floor)
-        tail += dropped
-    return pmf, tail
-
-
-def _budgeted(pmf: np.ndarray, tail: float) -> tuple[np.ndarray, float]:
-    if tail > _PMF_BUDGET:
-        raise AccuracyError(f"pmf tail mass {tail:.2e} over {_PMF_BUDGET:.0e}", estimate=tail)
-    return pmf, tail
+            support, bound = _support(FactorLaw(n, r, BE))
+            blocks, dropped = _blocks(n[~light], r[~light], BE)
+            pmf = pmf * _RESCALE  # exact; keeps products of tiny entries out of the slow subnormals
+            for block in blocks:
+                pmf = np.convolve(pmf, block)[:support]
+            pmf /= _RESCALE
+            tail += bound + sum(dropped)
+        pmf, trimmed = _trim(pmf, _PMF_TAIL)
+        tail += trimmed
+        if tail > _PMF_BUDGET:
+            raise AccuracyError(f"pmf tail mass {tail:.2e} over {_PMF_BUDGET:.0e}", estimate=tail)
+        return pmf, tail
 
 
 def _trim(pmf: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
@@ -153,12 +148,17 @@ def _trim(pmf: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
 
 
 def _support(law: FactorLaw) -> tuple[int, float]:
-    """The least M with a Chernoff bound log P(N >= M) <= log <z^N> - M log z at or below
-    log ``_FACTOR_TAIL`` for some z of ``_CHERNOFF_GRID`` in (1, 1/q_max), and that bound."""
+    """The whole law's ``_chernoff`` support and bound, at z - 1 = ``_CHERNOFF_GRID`` / n_max."""
     zeta_minus_one = _CHERNOFF_GRID / law.occupations.max()
-    log_pgf, log_z = law.log_pgf(zeta_minus_one), np.log1p(zeta_minus_one)
-    support = math.ceil(float(np.min((log_pgf - math.log(_FACTOR_TAIL)) / log_z)))
-    return support, math.exp(float(np.min(log_pgf - support * log_z)))
+    support, log_bound = _chernoff(law.log_pgf(zeta_minus_one), np.log1p(zeta_minus_one))
+    return int(support), math.exp(log_bound)
+
+
+def _chernoff(log_pgf: np.ndarray, log_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row: the least M with a Chernoff bound log P(N >= M) <= log <z^N> - M log z at or
+    below log ``_FACTOR_TAIL`` for some z of the row (each in (1, 1/q_max)), and that log bound."""
+    support = np.ceil(np.min((log_pgf - math.log(_FACTOR_TAIL)) / log_z, axis=-1))
+    return support.astype(np.int64), np.min(log_pgf - support[..., None] * log_z, axis=-1)
 
 
 def _power_sums(law: FactorLaw, support: int) -> np.ndarray:
@@ -193,55 +193,55 @@ def _power_sums(law: FactorLaw, support: int) -> np.ndarray:
 
 
 def _blocks(occupations: np.ndarray, multiplicities: np.ndarray, sigma: int) -> tuple[list, list]:
-    """Every factor's pmf block (``None`` for a point mass at 0) and a bound on the mass it drops.
+    """Every factor's pmf block and a bound on the mass it drops.
 
-    FD: Binomial(r, n), ended at its last entry that does not underflow to 0.  BE:
-    NegativeBinomial(r, q = n / (1 + n)), ended where the tail bound of ``_ends`` meets
-    ``_FACTOR_TAIL`` (for r = 1 the exact tail q^k).  Blocks with r > 1 come from one flat
-    log-pmf and one ``np.exp``, each rescaled to sum 1; the per-factor scalars (q, log q,
-    log p0, the dropped bound) stay ``math`` values.
+    FD: Binomial(r, n), ended at its last entry that does not underflow to 0, dropping
+    nothing (``None`` for n = 0, a point mass at 0).  BE, every n > 0:
+    NegativeBinomial(r, q = n / (1 + n)) on k < M, dropping P(X >= M) <= ``_FACTOR_TAIL``:
+    the exact q^M for r = 1, else the factor's own ``_chernoff`` bound, one grid row per
+    factor.  Blocks with r > 1 come from one flat log-pmf and one ``np.exp``, each rescaled
+    to sum 1; the per-factor scalars (q, log q, log p0, the dropped bounds) are ``math``
+    values.
     """
-    # spec: (index, r, a, b, q) of each log-factorial block: a, b, q are log n, log(1 - n),
-    # n / (1 - n) (FD) or log q, log p0, q (BE)
+    # spec: (index, r, a, b, n) of each log-factorial block: a, b are log n, log(1 - n) (FD)
+    # or log q, log p0 (BE)
     blocks, dropped, spec = [], [], []
     for n, r in zip(occupations.tolist(), multiplicities.tolist()):
         block, tail = None, 0.0
-        if n == 0.0:
-            pass
-        elif sigma == FD:
-            if r == 1:
-                block = [1.0 - n, n]
-            elif n == 1.0:  # every mode occupied
-                block = np.eye(1, r + 1, r)[0]
-            else:
-                spec.append((len(blocks), r, math.log(n), math.log1p(-n), n / (1.0 - n)))
-        else:
-            log_p0 = -r * math.log1p(n)
-            off_zero, q = -math.expm1(log_p0), n / (1.0 + n)
-            if off_zero < _FACTOR_TAIL:
-                tail = off_zero
-            elif r == 1:  # rho = q
+        if sigma == BE:
+            q = n / (1.0 + n)
+            if r == 1:  # P(X >= M) = q^M
                 end = math.ceil(math.log(_FACTOR_TAIL) / math.log(q))
                 block, tail = (1.0 - q) * q ** np.arange(end + 1), q ** (end + 1)
             else:
-                spec.append((len(blocks), r, math.log(q), log_p0, q))
+                spec.append((len(blocks), r, math.log(q), -r * math.log1p(n), n))
+        elif n == 0.0:
+            pass
+        elif r == 1:
+            block = [1.0 - n, n]
+        elif n == 1.0:  # every mode occupied
+            block = np.eye(1, r + 1, r)[0]
+        else:
+            spec.append((len(blocks), r, math.log(n), math.log1p(-n), n))
         blocks.append(block)
         dropped.append(tail)
     if not spec:
         return blocks, dropped
-    ids, r, a, b, q = (np.array(column) for column in zip(*spec))
-    lengths = _ends(r, a, b, q, sigma) + 1
+    ids, r, a, b, n = (np.array(column) for column in zip(*spec))
+    if sigma == FD:
+        lengths = _ends(r, a, b, n) + 1
+    else:  # a factor's tilts z - 1 = grid / n give log <z^X> = -r log(1 - grid)
+        lengths, log_bounds = _chernoff(np.multiply.outer(-r, np.log1p(-_CHERNOFF_GRID)),
+                                        np.log1p(_CHERNOFF_GRID / n[:, None]))
+        for i, x in zip(ids.tolist(), log_bounds.tolist()):
+            dropped[i] = math.exp(x)
     starts = np.cumsum(lengths) - lengths
+    stops = starts + lengths
     k = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
     values = np.exp(_log_pmf(k, *(np.repeat(column, lengths) for column in (r, a, b)), sigma))
     if sigma == FD:
         nonzero = np.flatnonzero(values)  # each block's mode is far above underflow
-        stops = nonzero[np.searchsorted(nonzero, starts + lengths) - 1] + 1
-    else:
-        stops, end = starts + lengths, lengths - 1
-        log_nb, rho = _log_pmf(end, r, a, b, sigma).tolist(), (q * (r + end) / (end + 1)).tolist()
-        for i, x, ratio in zip(ids.tolist(), log_nb, rho):  # the bound in math: tail_mass bits
-            dropped[i] = math.exp(x + math.log(ratio) - math.log1p(-ratio))
+        stops = nonzero[np.searchsorted(nonzero, stops) - 1] + 1
     for i, s, e in zip(ids.tolist(), starts.tolist(), stops.tolist()):
         block = values[s:e]
         blocks[i] = block / block.sum()  # log-gamma rounding, not the tail, moves the sum off 1
@@ -257,36 +257,29 @@ def _log_pmf(k, r, a, b, sigma):
     return table[k + r - 1] - table[r - 1] - table[k] + b + k * a
 
 
-def _ends(r, a, b, q, sigma) -> np.ndarray:
-    """Each block's last k, searched across all factors at once.
+def _ends(r, a, b, n) -> np.ndarray:
+    """Each binomial block's last k, searched across all factors at once.
 
-    The ratio rho(k) = pmf(k + 1) / pmf(k) = q (r + sigma k) / (k + 1) falls with k: once
-    rho(k) < 1 the mass beyond k is below pmf(k) rho(k) / (1 - rho(k)), a bound that falls
-    with k too.  A block ends at the first such k where the bound meets ``_FACTOR_TAIL`` (BE)
-    or ``_UNDERFLOW``, past which every FD entry is 0 (doubling, then bisection; FD at most
-    at r, where rho = 0).  The search compares ``np.log`` values, which may differ from
-    ``math.log`` in the last bit: an end could move only if a bound fell within rounding of
-    the target.
+    The ratio rho(k) = pmf(k + 1) / pmf(k) = q (r - k) / (k + 1), q = n / (1 - n), falls
+    with k: once rho(k) < 1 the mass beyond k is below pmf(k) rho(k) / (1 - rho(k)), a
+    bound that falls with k too.  A block ends at the first such k where the log bound is
+    below -746, past which every entry underflows to 0 (exp of a log below -745.14 rounds
+    to 0.0): bisection from the mode to r, where rho = 0.  The search compares ``np.log``
+    values, which may differ from ``math.log`` in the last bit: an end could move only if a
+    bound fell within rounding of the target.
     """
-    if sigma == FD:
-        target, top = _UNDERFLOW, r
-    else:
-        target, top = math.log(_FACTOR_TAIL), np.iinfo(np.int64).max
-    rho = lambda k: q * (r + sigma * k) / (k + 1)
+    q = n / (1.0 - n)
+    rho = lambda k: q * (r - k) / (k + 1)
 
     def misses(k):  # the log bound at k is above the target
         ratio = rho(k)
-        with np.errstate(divide="ignore"):  # log 0 at the FD top
-            return _log_pmf(k, r, a, b, sigma) + np.log(ratio) - np.log1p(-ratio) > target
+        with np.errstate(divide="ignore"):  # log 0 at r
+            return _log_pmf(k, r, a, b, FD) + np.log(ratio) - np.log1p(-ratio) > -746.0
 
-    k0 = np.maximum(np.floor((q * r - 1.0) / (1.0 - sigma * q)).astype(np.int64) + 1, 0)
+    k0 = np.maximum(np.floor((q * r - 1.0) / (1.0 + q)).astype(np.int64) + 1, 0)
     while (up := rho(k0) >= 1.0).any():  # rounding at the boundary
         k0 = k0 + up
-    lo, end = k0 - 1, k0  # the bound misses at lo (or lo < k0) and is tested at end
-    miss = misses(end)
-    while miss.any():
-        lo, end = np.where(miss, end, lo), np.where(miss, np.minimum(2 * end - k0 + 1, top), end)
-        miss &= misses(end)
+    lo, end = k0 - 1, r  # the bound misses at lo (or lo < k0) and not at r
     while (open_ := end - lo > 1).any():
         mid = np.where(open_, (lo + end) // 2, end)
         above = misses(mid)

@@ -215,9 +215,10 @@ def box_pmf(lat: ModeLattice, lam: float = 0.0) -> np.ndarray:
 
     BE shells with mean occupation below 2 come from one power-sum
     recurrence (at lam = 0 every shell of a mu = -1 gas), and only the
-    others are convolved on as negative-binomial blocks; FD boxes convolve
-    binomial blocks (full support) shell by shell.  The truncated BE tail
-    mass stays within 1e-14, else ``AccuracyError``.  Raises
+    others are convolved on as negative-binomial blocks, every tail cut by
+    the Chernoff bound; FD boxes convolve binomial blocks (full support)
+    shell by shell.  The truncated BE tail mass stays within 1e-14, else
+    ``AccuracyError``.  Raises
     ``ResourceError`` above 100000 retained modes (``sample_NV``, which
     builds the laws of short groups of shells, still runs there).
     """
@@ -273,8 +274,9 @@ def sample_NV(
     cumulative mean passes a multiple of ``_GROUP_MEAN``: each group's exact
     ``factors`` pmf stays short, so the cost grows with the shells, not with
     the square of the box's mean.  In BE, only a group's shells of mean
-    occupation 2 or more (the few lowest near condensation) are convolved;
-    the rest take the power sums.  Groups are drawn by inverting their CDFs,
+    occupation 2 or more (the few lowest near condensation) are convolved,
+    each convolution cut at the group's Chernoff support; the rest take the
+    power sums.  Groups are drawn by inverting their CDFs,
     N_0 by u < n_0 (FD) or floor(-log1p(-u) / w_0) (BE, P(N_0 >= k) =
     exp(-w_0 k)).  Term j (N_0 is j = 0) reads the j-th jump of the PCG64
     stream of ``np.random.default_rng(seed)`` (an integer, a ``SeedSequence``
