@@ -1,9 +1,8 @@
 """One-particle dispersion relations ``energy = eps(|k|)``.
 
 All dispersions are isotropic: the energy depends on the wavevector only
-through its magnitude.  Each relation carries its dimension, the small-k
-exponent that decides whether the critical density is finite, and a declared
-large-k growth bound that ``check_samples`` verifies.
+through its magnitude.  Each relation carries its dimension and the small-k
+exponent that decides whether the critical density is finite.
 Units: hbar = 1, lengths dimensionless.
 """
 
@@ -21,7 +20,7 @@ __all__ = ["DispersionRelation"]
 
 @dataclass(frozen=True)
 class DispersionRelation:
-    """Isotropic one-particle energy with growth metadata.
+    """Isotropic one-particle energy with its small-k exponent.
 
     Attributes
     ----------
@@ -32,11 +31,6 @@ class DispersionRelation:
     gamma : float
         Small-k exponent: eps(k) ~ k**gamma as k -> 0; the Bose critical
         density is finite iff dimension > gamma.
-    alpha : float
-        Large-k growth exponent: eps(k) >= k**alpha above ``large_k_threshold``,
-        a declared bound that only ``check_samples`` reads.
-    large_k_threshold : float
-        Wavevector magnitude beyond which the growth bound is declared.
     params : tuple
         What ``evaluate`` is built from: (mass,), (mass, c), (c,) or the
         table's sample bytes.  Equality and hashing read it in place of the
@@ -48,16 +42,14 @@ class DispersionRelation:
     kind: str
     dimension: int
     gamma: float
-    alpha: float
-    large_k_threshold: float
     params: tuple
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
             raise DomainError("dimension must be a positive integer")
-        if self.gamma <= 0 or self.alpha <= 0:
-            raise DomainError("growth exponents gamma, alpha must be positive")
+        if self.gamma <= 0:
+            raise DomainError("small-k exponent gamma must be positive")
 
     def __call__(self, k):
         return self.evaluate(k)
@@ -67,28 +59,17 @@ class DispersionRelation:
         """eps(k) = k^2 / (2 m)."""
         if mass <= 0:
             raise DomainError("mass must be positive")
-        if 2.0 * mass <= 1.0:
-            alpha, threshold = 2.0, 0.0
-        else:
-            # k^2/(2m) >= k for k >= 2m
-            alpha, threshold = 1.0, 2.0 * mass
         return cls(
             kind="nonrelativistic",
             dimension=dimension,
             gamma=2.0,
-            alpha=alpha,
-            large_k_threshold=threshold,
             params=(mass,),
             evaluate=lambda k, m=mass: np.asarray(k) ** 2 / (2.0 * m),
         )
 
     @classmethod
     def relativistic(cls, mass: float, c: float = 1.0, dimension: int = 3) -> "DispersionRelation":
-        """eps(k) = sqrt(m^2 c^4 + k^2 c^2) - m c^2.
-
-        Linear growth at large k with sublinear offset, so the declared
-        growth exponent is 1/2 above a threshold solving eps(k) = sqrt(k).
-        """
+        """eps(k) = sqrt(m^2 c^4 + k^2 c^2) - m c^2."""
         if mass <= 0 or c <= 0:
             raise DomainError("mass and c must be positive")
 
@@ -98,19 +79,10 @@ class DispersionRelation:
             # small k, and b (b / (...)) cannot overflow at large k
             return kc * (kc / (np.hypot(m * c * c, kc) + m * c * c))
 
-        # eps(k) ~ c k - m c^2 for large k; eps >= sqrt(k) once
-        # c k - m c^2 >= sqrt(k); solve conservatively via doubling.
-        thr = max(1.0, 2.0 * mass * c)
-        while eps(thr) < np.sqrt(thr):
-            thr *= 2.0
-            if thr > 1e12:
-                raise DomainError("cannot establish growth threshold")
         return cls(
             kind="relativistic",
             dimension=dimension,
             gamma=2.0,
-            alpha=0.5,
-            large_k_threshold=thr,
             params=(mass, c),
             evaluate=eps,
         )
@@ -120,17 +92,10 @@ class DispersionRelation:
         """eps(k) = c |k| (relativistic, zero mass)."""
         if c <= 0:
             raise DomainError("c must be positive")
-        if c >= 1.0:
-            alpha, threshold = 1.0, 0.0
-        else:
-            # c k >= sqrt(k) for k >= 1/c^2
-            alpha, threshold = 0.5, 1.0 / (c * c)
         return cls(
             kind="massless",
             dimension=dimension,
             gamma=1.0,
-            alpha=alpha,
-            large_k_threshold=threshold,
             params=(c,),
             evaluate=lambda k, c=c: c * np.abs(np.asarray(k, dtype=float)),
         )
@@ -142,14 +107,13 @@ class DispersionRelation:
         energy: np.ndarray,
         dimension: int = 3,
         gamma: float | None = None,
-        alpha: float | None = None,
     ) -> "DispersionRelation":
         """Dispersion from sampled (|k|, eps) pairs with linear interpolation.
 
         The table must start at k = 0 with eps = 0 and be strictly increasing
         in k.  Beyond the last sample the energy is extended by the last
         table slope (growth must continue for truncation to be certifiable).
-        Growth exponents default to log-log slopes fitted at the table ends.
+        ``gamma`` defaults to the log-log slope of the first three samples past 0.
         """
         k = np.asarray(k, dtype=float)
         energy = np.asarray(energy, dtype=float)
@@ -174,23 +138,10 @@ class DispersionRelation:
             gamma = float(
                 np.polyfit(np.log(k[1:4]), np.log(energy[1:4]), 1)[0]
             )
-        if alpha is None:
-            tail = slice(max(1, k.size - 4), k.size)
-            alpha = min(
-                1.0,
-                float(np.polyfit(np.log(k[tail]), np.log(energy[tail]), 1)[0]),
-            )
-        # declared bound eps >= k^alpha checked on the table itself
-        with np.errstate(divide="ignore"):
-            ratio = energy[1:] / k[1:] ** alpha
-        above = k[1:][ratio >= 1.0]
-        threshold = float(above[0]) if above.size else float(k[-1])
         return cls(
             kind="table",
             dimension=dimension,
             gamma=float(gamma),
-            alpha=float(alpha),
-            large_k_threshold=threshold,
             params=(k.tobytes(), energy.tobytes()),
             evaluate=eps,
         )
@@ -202,28 +153,3 @@ class DispersionRelation:
         if data.ndim != 2 or data.shape[1] != 2:
             raise DomainError(f"{path}: expected two columns (|k|, energy)")
         return cls.from_table(data[:, 0], data[:, 1], dimension=dimension, **kwargs)
-
-    def check_samples(self, k_max: float = 50.0, n: int = 2001) -> None:
-        """Verify the dispersion invariants on a sampled grid.
-
-        Checks eps(0) = 0, positivity for k != 0, absence of jumps beyond
-        grid resolution, and the declared large-k growth bound.  Raises
-        ``DomainError`` on violation.
-        """
-        k = np.linspace(0.0, k_max, n)
-        e = np.asarray(self.evaluate(k), dtype=float)
-        if abs(e[0]) > 1e-12:
-            raise DomainError(f"eps(0) = {e[0]!r}, expected 0")
-        if np.any(e[1:] <= 0):
-            raise DomainError("eps(k) must be positive for k != 0")
-        d = np.abs(np.diff(e))
-        # a genuine jump dwarfs both neighbouring increments
-        interior = d[1:-1]
-        neighbours = d[:-2] + d[2:]
-        if np.any(interior > 4.0 * neighbours + 1e-9 * max(1.0, e.max())):
-            raise DomainError("sampled dispersion has a jump beyond grid resolution")
-        grown = k >= max(self.large_k_threshold, k[1])
-        if np.any(e[grown] < k[grown] ** self.alpha * (1.0 - 1e-12)):
-            raise DomainError(
-                "growth bound eps(k) >= k^alpha fails above the declared threshold"
-            )

@@ -523,11 +523,6 @@ def pressure_derivatives(mu, beta: float, sigma: int, disp: DispersionRelation,
     return out.reshape((len(orders),) + shape)
 
 
-def _at(beta, mu, sigma, disp, order, tol) -> float:
-    """One derivative of p at a scalar mu."""
-    return float(_derivatives(beta, np.array([float(mu)]), sigma, disp, (order,), tol)[0][0, 0])
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -538,12 +533,12 @@ def pressure(state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -
     Certified radial quadrature with estimated relative error <= tol;
     raises ``AccuracyError`` (carrying the achieved estimate) otherwise.
     """
-    return _at(state.beta, state.mu, state.sigma, disp, 0, tol)
+    return float(pressure_derivatives(state.mu, state.beta, state.sigma, disp, (0,), tol)[0])
 
 
 def density(state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -> float:
     """Average particle density rho_sigma(mu) = dp/dmu."""
-    return _at(state.beta, state.mu, state.sigma, disp, 1, tol)
+    return float(pressure_derivatives(state.mu, state.beta, state.sigma, disp, (1,), tol)[0])
 
 
 def equation_of_state(state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -> EosResult:
@@ -568,9 +563,7 @@ def critical_density(
         raise DomainError("beta must be positive")
     if statistics == FD:
         return math.inf
-    if disp.dimension <= disp.gamma:
-        return math.inf
-    return _at(beta, 0.0, BE, disp, 1, tol)
+    return float(pressure_derivatives(0.0, beta, BE, disp, (1,), tol)[0])
 
 
 def translated_pressure(
@@ -604,4 +597,4 @@ def translated_pressure(
         # both pressures in one pass; equal mus give equal bits, so g(0) = 0 exactly
         p = _derivatives(beta, np.array([mu_eff, mu]), sigma, disp, (0,), tol)[0][0]
         return float(p[0] - p[1])
-    return _at(beta, mu_eff, sigma, disp, order, tol)
+    return float(pressure_derivatives(mu_eff, beta, sigma, disp, (order,), tol)[0])

@@ -110,6 +110,8 @@ class TestCriticalDensity:
 
     def test_fd_sentinel(self):
         assert critical_density(1.0, D3, statistics=FD) == math.inf
+        with pytest.raises(DomainError):
+            critical_density(-1.0, D3, statistics=FD)
 
 
 class TestTranslatedPressure:
@@ -267,7 +269,12 @@ class TestEngine:
         st = ThermoState(1.0, -0.7, BE)
         p, r, chi = pressure_derivatives(st.mu, 1.0, BE, D3)
         assert pressure(st, D3) == p and density(st, D3) == r
+        assert translated_pressure(0.0, st, D3, order=1) == r
         assert translated_pressure(0.0, st, D3, order=2) == chi
+        for order in (1, 2):
+            want = pressure_derivatives(st.mu + 0.2, 1.0, BE, D3, (order,))[0]
+            assert translated_pressure(0.2, st, D3, order=order) == want
+        assert critical_density(1.0, D3) == pressure_derivatives(0.0, 1.0, BE, D3, (1,))[0]
 
     @pytest.mark.parametrize("mu", [-1e-8, 0.0])
     def test_be_d3_near_condensation_against_mpmath(self, mu):
