@@ -18,6 +18,13 @@ determine everything:
 A build takes the gas itself, a ``ThermoState`` and a ``DispersionRelation``;
 no position-space kernel table (``kernel``) is sampled.  Desk scale fixes
 d = 1: the dense eigensolve is the cost ceiling.
+
+``build_counting_matrix`` is memoized (``functools.lru_cache``, 32 entries) on
+the value-equal key (state, dispersion, length), so every experiment on the
+same gas and interval reads one certified spectrum.  A cached matrix keeps no
+n_r x n_r block, and its ``eigenvalues`` are read-only.  Code that patches a
+module constant of the build must call ``build_counting_matrix.cache_clear()``
+before and after.
 """
 
 from __future__ import annotations
@@ -64,8 +71,8 @@ class CountingMatrix:
     """Nystrom discretization of the interval-compressed occupation operator.
 
     ``state`` and ``disp`` are the gas whose symbol it discretizes.
-    ``blocks`` holds its even and odd parity blocks, ``nodes`` their summed
-    order, ``eigenvalues`` their joint spectrum, sorted, and
+    ``nodes`` is the summed order of its even and odd parity blocks,
+    ``eigenvalues`` their joint spectrum, sorted, and
     ``discretization_error`` the partner-rule estimate of the largest
     eigenvalue error.
     """
@@ -74,7 +81,6 @@ class CountingMatrix:
     disp: DispersionRelation
     length: float
     nodes: int
-    blocks: tuple = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     discretization_error: float
 
@@ -157,6 +163,7 @@ def _spectral_distance(coarse, fine, sign):
     return float(max(np.max(np.abs(a - b[: a.size])), np.max(np.abs(b[a.size:]), initial=0.0)))
 
 
+@functools.lru_cache(maxsize=32)
 def build_counting_matrix(
     state: ThermoState, disp: DispersionRelation, length: float
 ) -> CountingMatrix:
@@ -173,7 +180,9 @@ def build_counting_matrix(
     double, with a new partner, while the rule fits ``_MAX_NODES`` r-nodes
     per block, past which ``AccuracyError`` carries the last estimate.  The
     eigenvalues must also respect the continuum spectrum containment
-    (``CountingMatrix.law``).
+    (``CountingMatrix.law``).  Memoized on (state, disp, length): equal gases
+    and lengths share one matrix, whose ``eigenvalues`` are read-only; a build
+    that raises is not cached.
     """
     if disp.dimension != 1:
         raise DomainError("counting matrices are built at desk scale, d = 1 only")
@@ -202,11 +211,11 @@ def build_counting_matrix(
             estimate=error,
         )
 
+    eigenvalues = np.sort(np.concatenate([eig for _, eig in coarse]))
+    eigenvalues.setflags(write=False)
     m = CountingMatrix(
         state=state, disp=disp, length=float(length), nodes=2 * n_r,
-        blocks=tuple(K for K, _ in coarse),
-        eigenvalues=np.sort(np.concatenate([eig for _, eig in coarse])),
-        discretization_error=error,
+        eigenvalues=eigenvalues, discretization_error=error,
     )
     m.law  # checks the spectrum containment
     return m

@@ -112,7 +112,8 @@ class DispersionRelation:
 
         The table must start at k = 0 with eps = 0 and be strictly increasing
         in k.  Beyond the last sample the energy is extended by the last
-        table slope (growth must continue for truncation to be certifiable).
+        table slope, which must be positive (growth must continue for
+        truncation to be certifiable).
         ``gamma`` defaults to the log-log slope of the first three samples past 0.
         """
         k = np.asarray(k, dtype=float)
@@ -127,6 +128,11 @@ class DispersionRelation:
             raise DomainError("table energies must be positive for k != 0")
 
         slope_end = (energy[-1] - energy[-2]) / (k[-1] - k[-2])
+        if not slope_end > 0:
+            raise DomainError(
+                f"table's last slope {slope_end:.6g} must be positive: the extension "
+                "past the last row must grow"
+            )
 
         def eps(kk, kt=k, et=energy, s=slope_end):
             kk = np.abs(np.asarray(kk, dtype=float))

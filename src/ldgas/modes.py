@@ -13,10 +13,17 @@ integrator).
 The condensation experiment tunes the chemical potential so the box holds
 a target density above the critical one and compares the law of N/ell^d
 with the limiting shifted exponential.
+
+``ModeLattice.build`` is memoized (``functools.lru_cache``, 32 entries) on the
+value-equal key (state, dispersion, ell), so experiments on the same gas and
+box share one lattice, whose ``energies`` and ``multiplicities`` are
+read-only.  Code that patches a module constant of the build must call
+``ModeLattice.build.cache_clear()`` before and after.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +57,8 @@ _GROUP_MEAN = 256            # mean particles per inverted group of shells
 class ModeLattice:
     """Dual lattice of a periodic box, grouped by energy shells.
 
-    ``energies`` and ``multiplicities`` describe the retained shells;
+    ``energies`` and ``multiplicities`` describe the retained shells (read-only
+    when built by ``build``);
     ``tilt_ceiling`` is the largest chemical-potential shift the truncation
     certifiably covers (0 - mu for BE: every admissible tilt).
     """
@@ -92,6 +100,7 @@ class ModeLattice:
             )
 
     @classmethod
+    @functools.lru_cache(maxsize=32)
     def build(cls, state: ThermoState, disp: DispersionRelation, ell: float) -> "ModeLattice":
         """Enumerate dual-lattice shells with occupation above the floor.
 
@@ -99,7 +108,9 @@ class ModeLattice:
         mu -> 0- for BE (covers every tilt), mu + 4 / beta for FD.  The
         discarded mean occupation is certified below 1e-9 of the retained
         total via an integral tail bound; the floor (first 1e-12) is lowered
-        automatically if the budget fails.
+        automatically if the budget fails.  Memoized on (state, disp, ell):
+        equal gases and sides share one lattice; a build that raises is not
+        cached.
         """
         if ell <= 0:
             raise DomainError("box side must be positive")
@@ -166,6 +177,8 @@ class ModeLattice:
         energies, counts = energies[keep], counts[keep]
         order = np.argsort(energies)
         energies, counts = energies[order], counts[order]
+        energies.setflags(write=False)
+        counts.setflags(write=False)
 
         # integral bound on the discarded mean occupation (mode density
         # (ell/2pi)^d, integrand decreasing beyond the cutoff, one lattice

@@ -561,6 +561,8 @@ def critical_density(
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
+    if statistics not in (BE, FD):
+        raise DomainError("statistics must be +1 (BE) or -1 (FD)")
     if statistics == FD:
         return math.inf
     return float(pressure_derivatives(0.0, beta, BE, disp, (1,), tol)[0])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -49,8 +50,7 @@ def synthetic_matrix(state, eigenvalues):
     """Matrix object with a prescribed spectrum (factor-level unit tests)."""
     eig = np.asarray(eigenvalues, dtype=float)
     return CountingMatrix(
-        state=state, disp=D1, length=1.0, nodes=eig.size, blocks=(np.diag(eig),), eigenvalues=eig,
-        discretization_error=0.0,
+        state=state, disp=D1, length=1.0, nodes=eig.size, eigenvalues=eig, discretization_error=0.0,
     )
 
 
@@ -59,15 +59,38 @@ def pgf(dist, zeta):
     return float(np.polynomial.polynomial.polyval(zeta, dist.pmf))
 
 
-def block_trace(m):
-    return sum(np.trace(block) for block in m.blocks)
-
-
 def first_rule(state, disp, length):
     """(k_max, n_k, radius, n_r) of ``build_counting_matrix``'s first rule."""
     radius, k_max = 0.5 * length, counting._band_limit(state, disp)
     band = math.ceil(k_max * radius / math.pi)
     return k_max, 2 * (band + counting._K_MARGIN), radius, band + counting._R_MARGIN
+
+
+def accepted_blocks(m):
+    """The even and odd parity blocks (K, eigenvalues) of the rule ``m`` was accepted on.
+
+    A matrix keeps only its spectrum; the blocks are rebuilt from its first
+    rule, scaled by the doublings its node count records, and checked to give
+    its eigenvalues bit for bit.
+    """
+    sign = 1.0 if m.statistics == FD else -1.0
+    k_max, n_k, radius, n_r = first_rule(m.state, m.disp, m.length)
+    scale = m.nodes // (2 * n_r)  # 2 ** (doublings past the first rule)
+    blocks = counting._parity_blocks(m.state, m.disp, k_max, scale * n_k, radius, scale * n_r, sign)
+    assert np.array_equal(m.eigenvalues, np.sort(np.concatenate([eig for _, eig in blocks])))
+    return blocks
+
+
+def block_trace(m):
+    return sum(np.trace(block) for block, _ in accepted_blocks(m))
+
+
+@pytest.fixture
+def fresh_builds():
+    """Clear the build memo before and after the test, so the test sees a build run."""
+    counting.build_counting_matrix.cache_clear()
+    yield
+    counting.build_counting_matrix.cache_clear()
 
 
 def full_nystrom_eigenvalues(state, disp, length):
@@ -123,10 +146,11 @@ class TestBuild:
                 build_counting_matrix(FD0, D1, bad)
         assert build_counting_matrix(FD0, D1, 10.013).volume == 10.013
 
-    def test_band_limit_is_found_once_per_gas(self):
+    def test_band_limit_is_found_once_per_gas(self, fresh_builds):
         counting._band_limit.cache_clear()
         a = build_counting_matrix(FD0, D1, 10.0)
         searches = counting._band_limit.cache_info().misses
+        counting.build_counting_matrix.cache_clear()  # the second build runs, too
         assert build_counting_matrix(FD0, D1, 10.0).nodes == a.nodes
         assert counting._band_limit.cache_info().misses == searches == 1
 
@@ -143,13 +167,14 @@ class TestBuild:
         nodes = []
         for L in (10.0, 20.0, 40.0, 80.0):
             m = build_counting_matrix(FD0, D1, L)
-            assert sum(block.shape[0] for block in m.blocks) == m.nodes == m.eigenvalues.size
-            assert all(block.shape[0] == block.shape[1] for block in m.blocks)
+            blocks = [K for K, _ in accepted_blocks(m)]
+            assert sum(block.shape[0] for block in blocks) == m.nodes == m.eigenvalues.size
+            assert all(block.shape[0] == block.shape[1] for block in blocks)
             assert m.discretization_error <= 1e-10 * m.norm
             nodes.append(m.nodes)
         assert nodes == sorted(set(nodes))
 
-    def test_eigensolves_stay_within_a_block(self, monkeypatch):
+    def test_eigensolves_stay_within_a_block(self, fresh_builds, monkeypatch):
         # the partner rule of one parity block is the largest eigensolve:
         # ceil(5/4 (ceil(k_max R / pi) + 12)) = 124 at R = 40, where the
         # doubled rule was 198 and one unsplit matrix on it about 400
@@ -200,12 +225,12 @@ class TestBuild:
         scale = m.nodes // (2 * n_r)  # 2 ** (doublings past the first rule)
         reference = counting._parity_blocks(state, disp, k_max, 3 * scale * n_k, radius, 3 * scale * n_r, sign)
         distance = max(
-            counting._spectral_distance(np.linalg.eigvalsh(K), eig, sign)
-            for K, (_, eig) in zip(m.blocks, reference)
+            counting._spectral_distance(accepted, eig, sign)
+            for (_, accepted), (_, eig) in zip(accepted_blocks(m), reference)
         )
         assert m.discretization_error >= distance - 1e-13 * m.norm
 
-    def test_budget_miss_raises(self, monkeypatch):
+    def test_budget_miss_raises(self, fresh_builds, monkeypatch):
         monkeypatch.setattr(counting, "_DISCRETIZATION_BUDGET", 0.0)
         monkeypatch.setattr(counting, "_MAX_NODES", 200)
         with pytest.raises(AccuracyError) as err:
@@ -437,3 +462,56 @@ class TestTilting:
     def test_be_tilted_moments_finite(self, be_m20):
         mean_density, beta_var = tilted_moments(be_m20, 0.5)
         assert mean_density > 0 and beta_var > 0
+
+
+class TestMemo:
+    def test_equal_gases_share_one_matrix(self, fresh_builds):
+        a = build_counting_matrix(ThermoState(1.0, 0.0, FD), DispersionRelation.nonrelativistic(0.5, 1), 20.0)
+        b = build_counting_matrix(ThermoState(1.0, 0.0, FD), DispersionRelation.nonrelativistic(0.5, 1), 20.0)
+        assert a is b
+        info = counting.build_counting_matrix.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_cached_spectrum_is_read_only(self, fd_m40):
+        with pytest.raises(ValueError):
+            fd_m40.eigenvalues[0] = 0.0
+        assert not hasattr(fd_m40, "blocks")
+
+    def test_tables_key_on_their_samples(self, fresh_builds):
+        # eps = c k with c = 1 and 2: linear across the band, so both certify
+        k = np.array([0.0, 100.0, 200.0, 300.0])
+        a = build_counting_matrix(FD0, DispersionRelation.from_table(k, k, dimension=1), 10.0)
+        b = build_counting_matrix(FD0, DispersionRelation.from_table(k, 2.0 * k, dimension=1), 10.0)
+        assert a is not b and not np.array_equal(a.eigenvalues, b.eigenvalues)
+        info = counting.build_counting_matrix.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+
+    def test_a_refused_build_is_not_cached(self, fresh_builds, monkeypatch):
+        with monkeypatch.context() as patched:
+            patched.setattr(counting, "_DISCRETIZATION_BUDGET", 0.0)
+            patched.setattr(counting, "_MAX_NODES", 200)
+            with pytest.raises(AccuracyError):
+                build_counting_matrix(FD0, D1, 10.0)
+        m = build_counting_matrix(FD0, D1, 10.0)
+        assert m.discretization_error <= 1e-10 * m.norm
+        info = counting.build_counting_matrix.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 1)
+
+    def test_sweep_payloads_do_not_depend_on_threads(self, fresh_builds, monkeypatch):
+        # the sweep pool's threads build the sizes concurrently into one memo
+        from ldgas.harness import config_from_mapping, run_experiment
+
+        gas = {"statistics": "FD", "dispersion": "nonrelativistic", "mass": "0.5",
+               "dimension": "1", "beta": "1.0", "mu": "0.0", "sizes": "10, 20, 40"}
+        raws = [dict(gas, kind="gf", **{"lambda": "0.5"}),
+                dict(gas, kind="ldp", interval="0.25, 0.35"), dict(gas, kind="clt")]
+
+        def payloads(threads):
+            counting.build_counting_matrix.cache_clear()
+            monkeypatch.setenv("LDGAS_THREADS", str(threads))
+            return [json.dumps(run_experiment(config_from_mapping(raw)).numeric_payload(), sort_keys=True)
+                    for raw in raws]
+
+        one = payloads(1)
+        assert payloads(2) == one
+        assert counting.build_counting_matrix.cache_info().hits == 6  # ldp and clt reread gf's sizes

@@ -79,6 +79,13 @@ def test_table_must_start_at_zero():
         DispersionRelation.from_table(k, k ** 2, dimension=1)
 
 
+@pytest.mark.parametrize("last", [8.5, 9.0], ids=["falling", "flat"])
+def test_table_must_keep_growing(last):
+    # the extension past the table follows the last slope: -0.5 and 0 are refused
+    with pytest.raises(DomainError, match="last slope"):
+        DispersionRelation.from_table([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 4.0, 9.0, last], dimension=3)
+
+
 def test_equal_gases_share_cached_grids():
     # equality reads the parameters, not the fresh evaluate closure, so the caches
     # keyed on (beta, dispersion) hit for a separately built equal gas

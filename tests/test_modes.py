@@ -40,6 +40,14 @@ def be_lat10():
     return ModeLattice.build(BE1, D3, 10.0)
 
 
+@pytest.fixture
+def fresh_lattices():
+    """Clear the build memo before and after the test, so the test sees a build run."""
+    ModeLattice.build.cache_clear()
+    yield
+    ModeLattice.build.cache_clear()
+
+
 def single_mode_lattice(state, energy):
     return ModeLattice(
         state=state,
@@ -90,6 +98,39 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+class TestMemo:
+    def test_equal_gases_share_one_lattice(self, fresh_lattices):
+        a = ModeLattice.build(ThermoState(1.0, -1.0, BE), DispersionRelation.nonrelativistic(1.0, 3), 12.0)
+        b = ModeLattice.build(ThermoState(1.0, -1.0, BE), DispersionRelation.nonrelativistic(1.0, 3), 12.0)
+        assert a is b
+        info = ModeLattice.build.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_cached_shells_are_read_only(self, be_lat10):
+        with pytest.raises(ValueError):
+            be_lat10.energies[0] = 1.0
+        with pytest.raises(ValueError):
+            be_lat10.multiplicities[0] = 2
+
+    def test_tables_key_on_their_samples(self, fresh_lattices):
+        k = np.linspace(0.0, 20.0, 81)
+        a = ModeLattice.build(FD0, DispersionRelation.from_table(k, k ** 2, dimension=1), 10.0)
+        b = ModeLattice.build(FD0, DispersionRelation.from_table(k, 2.0 * k ** 2, dimension=1), 10.0)
+        assert a is not b and not np.array_equal(a.energies, b.energies)
+        info = ModeLattice.build.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+
+    def test_a_refused_build_is_not_cached(self, fresh_lattices, monkeypatch):
+        with monkeypatch.context() as patched:
+            patched.setattr(modes, "_TAIL_BUDGET", 0.0)
+            with pytest.raises(AccuracyError):
+                ModeLattice.build(FD0, D1, 10.0)
+        lat = ModeLattice.build(FD0, D1, 10.0)
+        assert lat.discarded_mass < 1e-9 * float(np.sum(lat.multiplicities * lat.occupations()))
+        info = ModeLattice.build.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 1)
 
 
 def assert_shells_match_brute_force(lat):

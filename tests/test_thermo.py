@@ -113,6 +113,11 @@ class TestCriticalDensity:
         with pytest.raises(DomainError):
             critical_density(-1.0, D3, statistics=FD)
 
+    @pytest.mark.parametrize("statistics", [0, 7])
+    def test_unknown_statistics_is_refused(self, statistics):
+        with pytest.raises(DomainError, match="statistics"):
+            critical_density(1.0, D3, statistics=statistics)
+
 
 class TestTranslatedPressure:
     def test_g_zero_is_exactly_zero(self):
