@@ -8,20 +8,24 @@ partial file and writers sharing a directory never collide.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
 
 def atomic_write(path, text) -> None:
-    """Write text to path via a unique temp file in the same directory."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    """Write text to path via a unique temp file in the same directory.
+
+    The temp file gets a random name and mode 0666, so the kernel applies the
+    umask in force at the call, as ``open`` would.
+    """
+    while True:
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
-        os.fchmod(fd, 0o666 & ~_UMASK)  # mkstemp's 0600 would outlive the rename
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
             fh.flush()

@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("mu", "BE requires mu < 0")
         if self.samples < 1:
             raise ConfigError("samples", "must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be non-negative")
         if self.sizes and any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ConfigError("sizes", "sweep must be strictly increasing")
         if self.sizes and self.sizes[0] <= 0:

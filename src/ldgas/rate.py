@@ -21,12 +21,25 @@ one array call of ``thermo.pressure_derivatives``, and takes g at every
 minimizer from one more call.  The engine's values depend on their own mu
 only within one order set, so each x takes exactly the steps, and gets
 exactly the bits, that it gets alone.
+
+``RateContext.build`` is memoized (``functools.lru_cache``, 32 entries) on
+the value-equal key (state, dispersion, tol), so every rate solve of one gas
+shares one context.  A context holds p(mu), rho_bar and rho_c, and a table
+of g' at the rungs of the two doubling ladders (+-2^j / beta) that its solves
+have evaluated: at most 2 * 41 floats.  A solve asks the engine only for the
+rungs the table lacks.  The table is exact: each column of an order-(1,)
+call depends on its own tilt only, so a slope read from it has the bits of a
+fresh call.  The BE edge ladder, the Newton steps and g at the minimizer
+depend on x and are computed per solve.  Code that patches a module
+constant of ``rate`` or ``thermo`` must call ``RateContext.build.cache_clear()``
+before and after.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,11 +56,16 @@ _NEWTON_STEPS = 100
 
 @dataclass(frozen=True)
 class RateContext:
-    """Frozen inputs for rate-function evaluations.
+    """One gas's inputs for rate-function evaluations, shared by all its solves.
 
     rho_bar is the mean density g'(0) and p_mu the pressure p(mu), both
     computed once, with rho_c, in one engine call; rho_c may be ``inf``;
     lambda_upper is the right edge of the domain of g (inf for FD, -mu for BE).
+    ``slopes`` maps each doubling-ladder rung +-2^j / beta evaluated so far
+    to its g' (order-(1,) engine values, so exact for any later solve); it
+    is the one mutable part.  Threads sharing a context may both fill a
+    rung, with the same bits.  ``build`` is memoized on (state, disp, tol),
+    32 entries; a build that raises is not cached.
     """
 
     state: ThermoState
@@ -57,8 +75,10 @@ class RateContext:
     lambda_upper: float
     p_mu: float
     tol: float = 1e-10
+    slopes: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
+    @functools.lru_cache(maxsize=32)
     def build(cls, state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -> "RateContext":
         # p(mu), rho_bar and for BE rho_c (the mu = 0 density; inf when d <= gamma) in one call
         mus = [state.mu, 0.0] if state.sigma == BE else [state.mu]
@@ -99,25 +119,32 @@ class RatePoint:
 
 
 def _first_rungs(*ladders):
-    """Per (rungs, hit, failure) ladder, its first tilt whose g' satisfies ``hit``, with that g'.
+    """Per (rungs, hit, failure, known) ladder, its first tilt whose g' satisfies ``hit``, with that g'.
 
     A solver step: the first ``_RUNGS`` rungs of every ladder go in one
-    request, the rest of the ladders not yet settled in one more.  A ladder
-    with no hit raises ``AccuracyError(failure)``.
+    request, the rest of the ladders not yet settled in one more.  ``known``
+    maps tilts to their g'; only rungs missing from it are requested, and
+    their answers are added to it.  A ladder with no hit raises
+    ``AccuracyError(failure)``.
     """
     found = [None] * len(ladders)
     for part in (slice(None, _RUNGS), slice(_RUNGS, None)):
-        chunks = [rungs[part] if rung is None else rungs[:0]
-                  for (rungs, _, _), rung in zip(ladders, found)]
-        if not any(chunk.size for chunk in chunks):
+        chunks = [rungs[part].tolist() if rung is None else []
+                  for (rungs, *_), rung in zip(ladders, found)]
+        if not any(chunks):
             break
-        gp = (yield np.concatenate(chunks), (1,))[0]
-        for i, ((_, hit, _), chunk) in enumerate(zip(ladders, chunks)):
-            mine, gp = gp[:chunk.size], gp[chunk.size:]
-            first = np.flatnonzero(hit(mine))
+        asked = [[t for t in chunk if t not in known] for chunk, (*_, known) in zip(chunks, ladders)]
+        if any(asked):
+            gp = (yield np.array(sum(asked, [])), (1,))[0].tolist()
+            for tilts, (*_, known) in zip(asked, ladders):
+                known.update(zip(tilts, gp))
+                gp = gp[len(tilts):]
+        for i, (chunk, (_, hit, _, known)) in enumerate(zip(chunks, ladders)):
+            slopes = np.array([known[t] for t in chunk])
+            first = np.flatnonzero(hit(slopes))
             if first.size:
-                found[i] = float(chunk[first[0]]), float(mine[first[0]])
-    for rung, (_, _, failure) in zip(found, ladders):
+                found[i] = chunk[first[0]], float(slopes[first[0]])
+    for rung, (_, _, failure, _) in zip(found, ladders):
         if rung is None:
             raise AccuracyError(failure)
     return found
@@ -136,19 +163,23 @@ def _solve(x: float, ctx: RateContext):
 
     beta = ctx.state.beta
     doubling = 2.0 ** np.arange(_BRACKET_LIMIT_POW + 1) / beta
-    left = (-doubling, lambda gp: gp <= x, "no bracket: g' stays above x down to the search limit")
+    # the doubling ladders depend on the gas only: their slopes live on the context
+    left = (-doubling, lambda gp: gp <= x, "no bracket: g' stays above x down to the search limit",
+            ctx.slopes)
     if x <= ctx.rho_bar:
         [(lo, g_lo)] = yield from _first_rungs(left)
         hi, g_hi = 0.0, ctx.rho_bar
     elif ctx.state.sigma == FD:
         (lo, g_lo), (hi, g_hi) = yield from _first_rungs(
-            left, (doubling, lambda gp: gp >= x, "no bracket: g' stays below x up to the search limit"))
+            left, (doubling, lambda gp: gp >= x, "no bracket: g' stays below x up to the search limit",
+                   ctx.slopes))
     else:
         # approach -mu from below; g' -> rho_c > x guarantees success
         [(lo, g_lo)] = yield from _first_rungs(left)
         edge = ctx.lambda_upper
         [(hi, g_hi)] = yield from _first_rungs((edge - (edge - lo) * 0.5 ** np.arange(1, 201),
-                                                lambda gp: gp >= x, "no bracket below the BE domain edge"))
+                                                lambda gp: gp >= x, "no bracket below the BE domain edge",
+                                                {}))
     if g_lo == x or hi == lo:
         return lo
     if g_hi == x:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 import textwrap
 import threading
@@ -254,7 +255,7 @@ class TestConfigParsing:
         assert err.value.field == key
 
     @pytest.mark.parametrize("key, text", [("mass", "-1"), ("c", "0"), ("dimension", "0"),
-                                           ("extent", "-4")])
+                                           ("extent", "-4"), ("seed", "-3")])
     def test_out_of_domain_names_key(self, key, text):
         with pytest.raises(ConfigError) as err:
             config_from_mapping({"kind": "eos", key: text})
@@ -385,6 +386,18 @@ class TestEmission:
             assert fh.read() in payloads
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
+    @pytest.mark.parametrize("umask", [0o077, 0o027, 0o002], ids=["077", "027", "002"])
+    def test_atomic_write_applies_the_current_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            atomic_write(str(tmp_path / "atomic.txt"), "text\n")
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("text\n")
+        finally:
+            os.umask(previous)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("atomic.txt", "plain.txt")]
+        assert modes == [0o666 & ~umask] * 2
+
 
 class TestKacPassRule:
     def test_passes_at_box_location(self):
@@ -508,6 +521,12 @@ class TestCli:
         assert main(["kac", "--config", cfg, "--out", str(tmp_path), "--seed", "2"]) == 0
         payload = json.load(open(tmp_path / "kac.json"))
         assert payload["config"]["seed"] == 2
+
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BE_BOX_CFG + "kind = kac\nsizes = 6\nsamples = 200\n")
+        assert main(["kac", "--config", cfg, "--out", str(tmp_path), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err.startswith("config error: seed: ")
+        assert not (tmp_path / "kac.json").exists()
 
     def test_failure_marker_persisted(self, tmp_path, monkeypatch):
         fail_mid_sweep(monkeypatch)

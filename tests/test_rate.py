@@ -1,10 +1,13 @@
+import dataclasses
+import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from ldgas.dispersion import DispersionRelation
-from ldgas.errors import DomainError
+from ldgas.errors import AccuracyError, DomainError
 from ldgas.rate import RateContext, interval_rate, minimizer, rate_value, rate_values
 from ldgas.thermo import BE, FD, ThermoState, pressure, translated_pressure
 
@@ -20,6 +23,14 @@ def fd_ctx():
 @pytest.fixture(scope="module")
 def be_ctx():
     return RateContext.build(ThermoState(1.0, -1.0, BE), D3)
+
+
+@pytest.fixture
+def fresh_contexts():
+    """Clear the context memo before and after the test, so the test sees a build run."""
+    RateContext.build.cache_clear()
+    yield
+    RateContext.build.cache_clear()
 
 
 def grid_minimization_oracle(ctx, x, lam_lo=-12.0, lam_hi=None):
@@ -101,7 +112,7 @@ class TestNewton:
 
     @pytest.mark.parametrize("state, disp", [(ThermoState(1.0, 0.0, FD), D1),
                                              (ThermoState(1.0, -1.0, BE), D3)])
-    def test_context_build_makes_one_engine_call(self, monkeypatch, state, disp):
+    def test_context_build_makes_one_engine_call(self, monkeypatch, fresh_contexts, state, disp):
         from ldgas import rate
 
         calls = []
@@ -204,6 +215,7 @@ def scalar_point(x, ctx):
     """rate_value's point with every engine request answered one tilt at a time."""
     from ldgas import rate
 
+    ctx = dataclasses.replace(ctx, slopes={})  # no ladder slope read from earlier solves
     solve, rows = rate._solve(x, ctx), None
     while True:
         try:
@@ -264,3 +276,105 @@ class TestLockstep:
         run_experiment(cfg)
         # rho_bar with p(mu), both ends' ladders, the Newton steps side by side, g at both minimizers
         assert len(calls) <= 9
+
+
+def point_reprs(points):
+    return [repr((p.x, p.lam0, p.f)) for p in points]
+
+
+class TestSharedContext:
+    """One memoized context per gas; its ladder-slope table changes no bit of any point."""
+
+    def test_equal_gases_share_one_context(self, fresh_contexts):
+        first = RateContext.build(ThermoState(1.0, -1.0, BE),
+                                  DispersionRelation.nonrelativistic(mass=1.0, dimension=3), 1e-10)
+        second = RateContext.build(ThermoState(1.0, -1.0, BE),
+                                   DispersionRelation.nonrelativistic(mass=1.0, dimension=3), 1e-10)
+        assert second is first
+        info = RateContext.build.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("tol, refusal", [(-1.0, DomainError), (1e-30, AccuracyError)])
+    def test_refused_build_is_not_cached(self, fresh_contexts, tol, refusal):
+        state = ThermoState(1.0, -1.0, BE)
+        for _ in range(2):
+            with pytest.raises(refusal):  # the second build runs again and is refused again
+                RateContext.build(state, D3, tol)
+        info = RateContext.build.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    @pytest.mark.parametrize("gas, warm_x, new_x", [
+        ("fd1", 0.25, 0.28), ("fd1", 0.05, 0.08),
+        ("be3", 0.005, 0.008), ("be3", 0.05, 0.12),
+    ])
+    def test_warm_context_asks_for_no_ladder_rung(self, monkeypatch, fresh_contexts, gas, warm_x, new_x):
+        from ldgas import rate
+
+        ctx = RateContext.build(*LOCKSTEP_GASES[gas])
+        rate_values((warm_x,), ctx)
+        asked = []
+        original = rate.pressure_derivatives
+
+        def spied(mu, *args):
+            asked.extend(np.atleast_1d(mu - ctx.state.mu).tolist())
+            return original(mu, *args)
+
+        monkeypatch.setattr(rate, "pressure_derivatives", spied)
+        warm = rate_values((new_x,), ctx)
+        doubling = 2.0 ** np.arange(rate._BRACKET_LIMIT_POW + 1) / ctx.state.beta
+        rungs = set(np.concatenate([doubling, -doubling]).tolist())
+        assert asked and not rungs.intersection(asked)
+        monkeypatch.undo()
+        assert point_reprs(warm) == [scalar_point(new_x, ctx)]
+
+    @pytest.mark.parametrize("gas", ["fd1", "be3", "relfd3", "relbe3"])
+    def test_cold_and_warm_contexts_give_equal_points(self, fresh_contexts, gas):
+        state, disp = LOCKSTEP_GASES[gas]
+        probe = RateContext.build(state, disp)
+        rho_bar, rho_c = probe.rho_bar, probe.rho_c
+        xs = [0.3 * rho_bar, 0.9 * rho_bar, 1.1 * rho_bar, 2.5 * rho_bar]
+        if state.sigma == BE:
+            xs = [x for x in xs if x < rho_c] + [0.5 * (rho_bar + rho_c), rho_c, 1.5 * rho_c]
+        cold = []
+        for x in xs:
+            RateContext.build.cache_clear()
+            cold += rate_values((x,), RateContext.build(state, disp))
+        RateContext.build.cache_clear()
+        ctx = RateContext.build(state, disp)
+        rate_values([0.5 * rho_bar, 1.7 * rho_bar, 1e-3 * rho_bar, 3.0 * rho_bar], ctx)
+        assert ctx.slopes
+        assert point_reprs(rate_values(xs, ctx)) == point_reprs(cold)
+
+    def test_threads_filling_one_table_give_serial_points(self, fresh_contexts):
+        state, disp = LOCKSTEP_GASES["relfd3"]
+        xs = [0.02, 0.1, 0.25, 0.4, 0.9, 2.0]
+        serial = [point_reprs(rate_values((x,), RateContext.build(state, disp))) for x in xs]
+        RateContext.build.cache_clear()
+        ctx = RateContext.build(state, disp)
+        threaded = [None] * len(xs)
+
+        def solve(i):
+            threaded[i] = point_reprs(rate_values((xs[i],), ctx))
+
+        workers = [threading.Thread(target=solve, args=(i,)) for i in range(len(xs))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        assert threaded == serial
+
+    @pytest.mark.parametrize("kind", [
+        {"kind": "rate", "interval": "0.25, 0.30"},
+        {"kind": "ldp", "interval": "0.25, 0.30", "sizes": "10, 20"},
+    ], ids=["rate", "ldp"])
+    def test_thread_count_does_not_change_payload(self, monkeypatch, fresh_contexts, kind):
+        from ldgas.harness import config_from_mapping, run_experiment
+
+        cfg = config_from_mapping({"statistics": "FD", "dispersion": "nonrelativistic", "mass": "0.5",
+                                   "dimension": "1", "beta": "1.0", "mu": "0.0", **kind})
+        payloads = []
+        for threads in ("1", "2"):
+            RateContext.build.cache_clear()
+            monkeypatch.setenv("LDGAS_THREADS", threads)
+            payloads.append(json.dumps(run_experiment(cfg).numeric_payload(), sort_keys=True))
+        assert payloads[0] == payloads[1]
