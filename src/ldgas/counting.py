@@ -299,7 +299,8 @@ class CountingDistribution:
     """Exact law of the interval particle number.
 
     ``pmf[n]`` is P(N = n) for n = 0..len-1 (FD support is full; BE
-    support is truncated at tail mass ``tail_mass`` <= 1e-14).
+    support is truncated at tail mass ``tail_mass`` <= 1e-14), read-only:
+    it is the entry of ``FactorLaw.pmf``'s memo for the eigenvalues.
     Cumulants come from the per-factor closed forms, not from the pmf.
     """
 

@@ -21,10 +21,25 @@ factor; FD blocks end at their last entry that does not underflow to 0, and
 FD pmfs keep the rest of their support.  All blocks of a law are built in
 one pass: those with r > 1 from one flat log-pmf over a cached table of
 ``math.lgamma`` values.
+
+``FactorLaw.pmf`` is memoized (``functools.lru_cache``, 32 entries) on the
+law's content: sigma and the bytes of the occupations (as floats, before
+clipping) and of the multiplicities, with their dtype.  So the interval laws,
+the box laws and ``sample_NV``'s group laws each build once however often a
+law object is made anew.  The cached pmfs are read-only.  A pmf of the
+benchmark's ``box`` workload has at most 903 entries.  The worst case is a
+direct ``pmf()`` of a law with a long geometric tail: the BE ell = 60 box at
+the Kac tilt has about 1.5 M entries, 12 MB for one memo entry (``box_pmf``
+refuses that box, which has over 100 000 modes).  The ``_PMF_BUDGET`` check
+runs on every call, outside the memo.  Code that patches a module constant of
+the build (``_PMF_TAIL``, ``_FACTOR_TAIL``, ``_LIGHT``, ``_CHERNOFF_GRID``,
+``_RESCALE``) or spies on its route must call ``_exact_pmf.cache_clear()``
+before and after.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -107,35 +122,54 @@ class FactorLaw:
         exact.  The pmf is trimmed once at 1e-17, so every entry is exact to the
         rounding of the recurrence (a few 1e-14) and of the blocks' log-gammas (about
         1e-11 at r + k = 4000).  FD laws convolve every factor's block.
+
+        The build is memoized on the law's content (sigma, the bytes of the
+        occupations and multiplicities before clipping, and the multiplicities'
+        dtype), 32 entries: equal laws built apart share one read-only pmf.  The
+        budget check runs on every call, hit or miss; a build that raises is not
+        cached.
         """
-        occupations = np.clip(self.occupations, 0.0, 1.0 if self.sigma == FD else np.inf)
-        if self.sigma == FD:
-            pmf = np.array([1.0])
-            for block in _blocks(occupations, self.multiplicities, FD)[0]:
-                if block is not None:
-                    pmf = _trim(np.convolve(pmf, block), 0.0)[0]
-            return pmf, 0.0
-        positive = occupations > 0.0
-        n, r = occupations[positive], self.multiplicities[positive]
-        light = n < _LIGHT
-        pmf, tail = np.array([1.0]), 0.0
-        if light.any():
-            law = FactorLaw(n[light], r[light], BE)
-            support, tail = _support(law)
-            pmf = _power_sums(law, support)
-        if not light.all():
-            support, bound = _support(FactorLaw(n, r, BE))
-            blocks, dropped = _blocks(n[~light], r[~light], BE)
-            pmf = pmf * _RESCALE  # exact; keeps products of tiny entries out of the slow subnormals
-            for block in blocks:
-                pmf = np.convolve(pmf, block)[:support]
-            pmf /= _RESCALE
-            tail += bound + sum(dropped)
-        pmf, trimmed = _trim(pmf, _PMF_TAIL)
-        tail += trimmed
+        occupations = np.ascontiguousarray(self.occupations, dtype=float)
+        multiplicities = np.ascontiguousarray(self.multiplicities)
+        pmf, tail = _exact_pmf(self.sigma, occupations.tobytes(), multiplicities.tobytes(),
+                               multiplicities.dtype.str)
         if tail > _PMF_BUDGET:
             raise AccuracyError(f"pmf tail mass {tail:.2e} over {_PMF_BUDGET:.0e}", estimate=tail)
         return pmf, tail
+
+
+@functools.lru_cache(maxsize=32)
+def _exact_pmf(sigma: int, occupations: bytes, multiplicities: bytes,
+               dtype: str) -> tuple[np.ndarray, float]:
+    """``FactorLaw.pmf``'s read-only pmf and tail mass, from the law's bytes (no budget check)."""
+    occupations = np.frombuffer(occupations)
+    multiplicities = np.frombuffer(multiplicities, dtype=dtype)
+    occupations = np.clip(occupations, 0.0, 1.0 if sigma == FD else np.inf)
+    pmf, tail = np.array([1.0]), 0.0
+    if sigma == FD:
+        for block in _blocks(occupations, multiplicities, FD)[0]:
+            if block is not None:
+                pmf = _trim(np.convolve(pmf, block), 0.0)[0]
+        pmf.setflags(write=False)
+        return pmf, tail
+    positive = occupations > 0.0
+    n, r = occupations[positive], multiplicities[positive]
+    light = n < _LIGHT
+    if light.any():
+        law = FactorLaw(n[light], r[light], BE)
+        support, tail = _support(law)
+        pmf = _power_sums(law, support)
+    if not light.all():
+        support, bound = _support(FactorLaw(n, r, BE))
+        blocks, dropped = _blocks(n[~light], r[~light], BE)
+        pmf = pmf * _RESCALE  # exact; keeps products of tiny entries out of the slow subnormals
+        for block in blocks:
+            pmf = np.convolve(pmf, block)[:support]
+        pmf /= _RESCALE
+        tail += bound + sum(dropped)
+    pmf, trimmed = _trim(pmf, _PMF_TAIL)
+    pmf.setflags(write=False)
+    return pmf, tail + trimmed
 
 
 def _trim(pmf: np.ndarray, floor: float) -> tuple[np.ndarray, float]:

@@ -18,7 +18,8 @@ with the limiting shifted exponential.
 value-equal key (state, dispersion, ell), so experiments on the same gas and
 box share one lattice, whose ``energies`` and ``multiplicities`` are
 read-only.  Code that patches a module constant of the build must call
-``ModeLattice.build.cache_clear()`` before and after.
+``ModeLattice.build.cache_clear()`` before and after.  The box and group pmfs
+are memoized one layer down, by ``factors`` (see there).
 """
 
 from __future__ import annotations
@@ -233,7 +234,10 @@ def box_pmf(lat: ModeLattice, lam: float = 0.0) -> np.ndarray:
     shell by shell.  The truncated BE tail mass stays within 1e-14, else
     ``AccuracyError``.  Raises
     ``ResourceError`` above 100000 retained modes (``sample_NV``, which
-    builds the laws of short groups of shells, still runs there).
+    builds the laws of short groups of shells, still runs there).  The pmf
+    comes from ``FactorLaw.pmf``'s memo (32 entries, keyed on the shells'
+    occupations and counts), so a box at one tilt builds once; it is
+    read-only, and the tail budget is checked on every call.
     """
     if lat.mode_count > _MODE_BUDGET:
         raise ResourceError("too many modes for exact convolution; use sampling")
@@ -289,12 +293,16 @@ def sample_NV(
     the square of the box's mean.  In BE, only a group's shells of mean
     occupation 2 or more (the few lowest near condensation) are convolved,
     each convolution cut at the group's Chernoff support; the rest take the
-    power sums.  Groups are drawn by inverting their CDFs,
-    N_0 by u < n_0 (FD) or floor(-log1p(-u) / w_0) (BE, P(N_0 >= k) =
-    exp(-w_0 k)).  Term j (N_0 is j = 0) reads the j-th jump of the PCG64
-    stream of ``np.random.default_rng(seed)`` (an integer, a ``SeedSequence``
-    or None for fresh entropy): equal seeds give equal samples, and the first
-    k samples equal the k-sample call.  The sampled law is within the summed
+    power sums.  The group laws come from ``FactorLaw.pmf``'s memo (32
+    entries, keyed on each group's occupations and counts), so a repeated
+    (lattice, tilt) builds none.  Groups are drawn by inverting their CDFs,
+    each searched with the keys in ascending order (the same index per key
+    as an unsorted search, found faster), N_0 by u < n_0 (FD) or
+    floor(-log1p(-u) / w_0) (BE, P(N_0 >= k) = exp(-w_0 k)).  Term j (N_0
+    is j = 0) reads the j-th jump of the PCG64 stream of
+    ``np.random.default_rng(seed)`` (an integer, a ``SeedSequence`` or None
+    for fresh entropy): equal seeds give equal samples, and the first k
+    samples equal the k-sample call.  The sampled law is within the summed
     group ``tail_mass`` of the exact law in total variation; a sum above 1e-14
     raises ``AccuracyError`` before any draw (BE d = 3 at 2 rho_c: ell >= 62).
     """
@@ -316,8 +324,16 @@ def sample_NV(
     uniform = lambda j: np.random.Generator(bits.jumped(j)).random(samples)
     u, cdfs = uniform(0), [np.cumsum(pmf) for pmf, _ in pmfs]
     n = u < occ[0] if st.sigma == FD else np.floor(-np.log1p(-u) / w[0])
-    n = n + sum(np.searchsorted(c, uniform(j) * c[-1], side="right") for j, c in enumerate(cdfs, 1))
+    n = n + sum(_inverted(c, uniform(j) * c[-1]) for j, c in enumerate(cdfs, 1))
     return n / lat.volume
+
+
+def _inverted(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, keys, side="right")``, searched in ascending key order (faster)."""
+    order = np.argsort(keys)
+    out = np.empty(keys.size, dtype=np.intp)
+    out[order] = np.searchsorted(cdf, keys[order], side="right")
+    return out
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,17 @@ only within one order set, so each x takes exactly the steps, and gets
 exactly the bits, that it gets alone.
 
 ``RateContext.build`` is memoized (``functools.lru_cache``, 32 entries) on
-the value-equal key (state, dispersion, tol), so every rate solve of one gas
-shares one context.  A context holds p(mu), rho_bar and rho_c, and a table
+the value-equal key (state, dispersion, float(tol)), so every rate solve of
+one gas shares one context, whether ``tol`` is left out or passed by position
+or keyword.  A context holds p(mu), rho_bar and rho_c, and a table
 of g' at the rungs of the two doubling ladders (+-2^j / beta) that its solves
 have evaluated: at most 2 * 41 floats.  A solve asks the engine only for the
 rungs the table lacks.  The table is exact: each column of an order-(1,)
 call depends on its own tilt only, so a slope read from it has the bits of a
 fresh call.  The BE edge ladder, the Newton steps and g at the minimizer
 depend on x and are computed per solve.  Code that patches a module
-constant of ``rate`` or ``thermo`` must call ``RateContext.build.cache_clear()``
-before and after.
+constant of ``rate`` or ``thermo`` must call ``RateContext._build.cache_clear()``
+before and after (``RateContext._build.cache_info()`` counts the hits).
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ class RateContext:
     ``slopes`` maps each doubling-ladder rung +-2^j / beta evaluated so far
     to its g' (order-(1,) engine values, so exact for any later solve); it
     is the one mutable part.  Threads sharing a context may both fill a
-    rung, with the same bits.  ``build`` is memoized on (state, disp, tol),
-    32 entries; a build that raises is not cached.
+    rung, with the same bits.  ``build`` normalizes ``tol`` to a float and
+    reads the memoized ``_build`` (state, disp, tol), 32 entries, whose
+    ``cache_clear()`` is the one reset; a build that raises is not cached.
     """
 
     state: ThermoState
@@ -78,8 +80,13 @@ class RateContext:
     slopes: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    @functools.lru_cache(maxsize=32)
     def build(cls, state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -> "RateContext":
+        """The gas's shared context: ``_build`` at ``float(tol)``, so every call form hits one entry."""
+        return cls._build(state, disp, float(tol))
+
+    @classmethod
+    @functools.lru_cache(maxsize=32)
+    def _build(cls, state: ThermoState, disp: DispersionRelation, tol: float) -> "RateContext":
         # p(mu), rho_bar and for BE rho_c (the mu = 0 density; inf when d <= gamma) in one call
         mus = [state.mu, 0.0] if state.sigma == BE else [state.mu]
         p, rho = pressure_derivatives(np.array(mus), state.beta, state.sigma, disp, (0, 1), tol)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import ldgas
 from ldgas import factors
 from ldgas.counting import build_counting_matrix
 from ldgas.dispersion import DispersionRelation
+from ldgas.errors import AccuracyError
 from ldgas.factors import FactorLaw
 from ldgas.modes import ModeLattice, box_pmf, sample_NV, solve_lambda_V
 from ldgas.thermo import BE, FD, ThermoState, critical_density
@@ -112,6 +114,14 @@ class TestBlocks:
                 assert law.sf(k[-1]) <= tail * (1.0 + 1e-9) and tail <= factors._FACTOR_TAIL
 
 
+@pytest.fixture
+def fresh_pmfs():
+    """Clear the pmf memo before and after the test, so every pmf in it is built."""
+    factors._exact_pmf.cache_clear()
+    yield
+    factors._exact_pmf.cache_clear()
+
+
 def spy_paths(monkeypatch):
     """Record the route of each pmf: 'power' per power-sum law, 'blocks' per block pass,
     'convolve' per ``np.convolve`` call."""
@@ -144,7 +154,7 @@ class TestPowerSums:
         assert np.max(np.abs(pmf[normal] / ref[normal] - 1.0)) < rtol
         assert past <= tail <= factors._PMF_BUDGET
 
-    def test_box_pmf(self, monkeypatch):
+    def test_box_pmf(self, monkeypatch, fresh_pmfs):
         # ell = 8 at lam = 0: 77 shells, every one light (the ground mode has n = 0.58)
         lat = ModeLattice.build(BE1, D3, 8.0)
         law = FactorLaw(lat.occupations(0.0), lat.multiplicities, BE)
@@ -155,7 +165,7 @@ class TestPowerSums:
         assert np.array_equal(box_pmf(lat), pmf)
         self.check_against_oracle(law, pmf, tail)
 
-    def test_interval_law(self, monkeypatch):
+    def test_interval_law(self, monkeypatch, fresh_pmfs):
         # BE d = 1 at L = 20: 55 positive eigenvalues, all light
         law = build_counting_matrix(BE1, DispersionRelation.nonrelativistic(mass=0.5, dimension=1),
                                     20.0).law
@@ -181,7 +191,7 @@ class TestPowerSums:
         assert law.occupations.max() > 1.0
         self.check_against_oracle(law, *pmf(law), rtol=rtol)
 
-    def test_p0_below_the_float_range(self, monkeypatch):
+    def test_p0_below_the_float_range(self, monkeypatch, fresh_pmfs):
         # 2000 light factors at n = 1/2: p_0 = 1.5^-2000 = e^-811; the law is
         # NegativeBinomial(2000, 1/3)
         law = FactorLaw(np.full(2000, 0.5), np.ones(2000, dtype=np.int64), BE)
@@ -196,7 +206,7 @@ class TestPowerSums:
         (FD, [0.3, 0.9, 0.5, 0.01], [40, 300, 2, 7]),       # FD power sums alternate in sign
         (BE, [50.0, 30.0, 2.0], [1, 2, 5]),                 # every BE factor heavy (n >= 2)
     ], ids=["FD", "BE-long"])
-    def test_blocks_stay(self, sigma, n, r, monkeypatch):
+    def test_blocks_stay(self, sigma, n, r, monkeypatch, fresh_pmfs):
         law = FactorLaw(np.array(n), np.array(r), sigma)
         taken = spy_paths(monkeypatch)
         law.pmf()
@@ -207,7 +217,7 @@ class TestPowerSums:
         ([0.0, 1.9, 12.0, 0.3, 2.0], [4, 3, 1, 6, 2], ["power", "blocks", "convolve", "convolve"]),
         ([0.0, 0.0], [1, 5], []),                          # a point mass at 0
     ], ids=["BE-zeros", "BE-mixed", "BE-empty"])
-    def test_route(self, n, r, route, monkeypatch):
+    def test_route(self, n, r, route, monkeypatch, fresh_pmfs):
         # one recurrence for the light factors, one np.convolve per heavy factor
         law = FactorLaw(np.array(n), np.array(r), BE)
         taken = spy_paths(monkeypatch)
@@ -222,6 +232,120 @@ class TestPowerSums:
         law = FactorLaw(np.array([0.2, 0.9, 1.5, 0.05, 6.0, 0.6, 3.0, 0.01, 1.2, 0.4, 0.7, 1.99]),
                         np.array([3, 1, 2, 8, 1, 4, 2, 20, 1, 6, 2, 3]), BE)
         self.check_against_oracle(law, *law.pmf(), rtol=1e-9)
+
+
+MEMO_LAWS = {
+    "FD": FactorLaw(np.array([0.3, 1e-3, 0.5, 0.9]), np.array([2, 3, 1, 40]), FD),
+    "BE-light": FactorLaw(np.array([0.2, 0.9, 1.5, 0.05]), np.array([3, 1, 2, 8]), BE),
+    "BE-heavy": FactorLaw(np.array([0.2, 6.0, 1.5, 3.0]), np.array([3, 1, 2, 2]), BE),
+}
+
+
+def memo_info():
+    info = factors._exact_pmf.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+class TestPmfMemo:
+    """``FactorLaw.pmf`` is memoized on the law's content; the budget check is not."""
+
+    def test_equal_laws_built_apart_share_one_entry(self, fresh_pmfs):
+        n, r = np.array([0.2, 6.0, 1.5]), np.array([3, 1, 2])
+        first = FactorLaw(n.copy(), r.copy(), BE).pmf()
+        second = FactorLaw(n.copy(), r.copy(), BE).pmf()
+        assert second[0] is first[0] and second[1] == first[1]
+        assert memo_info() == (1, 1, 1)
+
+    @pytest.mark.parametrize("name", list(MEMO_LAWS))
+    def test_pmf_is_read_only(self, name, fresh_pmfs):
+        pmf = MEMO_LAWS[name].pmf()[0]
+        with pytest.raises(ValueError):
+            pmf[0] = 0.5
+
+    def test_budget_is_checked_on_a_hit(self, fresh_pmfs, monkeypatch):
+        law = MEMO_LAWS["BE-heavy"]
+        tail = law.pmf()[1]
+        assert tail > 0.0
+        monkeypatch.setattr(factors, "_PMF_BUDGET", 0.0)
+        with pytest.raises(AccuracyError) as err:
+            law.pmf()
+        assert err.value.estimate == tail
+        assert memo_info() == (1, 1, 1)
+
+    def test_a_build_that_raises_is_not_cached(self, fresh_pmfs, monkeypatch):
+        law = MEMO_LAWS["BE-light"]
+        with monkeypatch.context() as patched:
+            patched.setattr(factors, "_power_sums", lambda *args: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                law.pmf()
+        assert memo_info() == (0, 1, 0)
+        law.pmf()
+        assert memo_info() == (0, 2, 1)
+
+    @pytest.mark.parametrize("name", list(MEMO_LAWS))
+    def test_a_hit_equals_a_fresh_build(self, name, fresh_pmfs):
+        law = MEMO_LAWS[name]
+        built = law.pmf()
+        hit = law.pmf()
+        factors._exact_pmf.cache_clear()
+        rebuilt = law.pmf()
+        assert hit[0] is built[0] and rebuilt[0] is not built[0]
+        assert hit[0].tobytes() == rebuilt[0].tobytes() and repr(hit[1]) == repr(rebuilt[1])
+        if law.sigma == BE:
+            TestPowerSums.check_against_oracle(law, *hit, rtol=1e-9)
+
+    @pytest.mark.parametrize("kind", [
+        {"kind": "modes", "statistics": "BE", "dimension": "3", "mass": "1.0", "mu": "-1.0",
+         "sizes": "8, 10, 12", "interval": "0.028, 0.032"},
+        {"kind": "kac", "statistics": "BE", "dimension": "3", "mass": "1.0", "mu": "-1.0",
+         "sizes": "8, 10, 12", "samples": "2000", "seed": "7"},
+        {"kind": "ldp", "statistics": "BE", "dimension": "1", "mass": "0.5", "mu": "-1.0",
+         "sizes": "10, 20", "interval": "0.3, 0.35"},
+    ], ids=["modes", "kac", "ldp"])
+    def test_thread_count_does_not_change_payload(self, kind, fresh_pmfs, monkeypatch):
+        # the sweep pool's threads read and fill one memo
+        from ldgas.harness import config_from_mapping, run_experiment
+
+        cfg = config_from_mapping({"dispersion": "nonrelativistic", "beta": "1.0", **kind})
+        payloads = []
+        for threads in ("1", "2"):
+            factors._exact_pmf.cache_clear()
+            monkeypatch.setenv("LDGAS_THREADS", threads)
+            payloads.append(json.dumps(run_experiment(cfg).numeric_payload(), sort_keys=True))
+            assert memo_info()[2] > 0
+        assert payloads[0] == payloads[1]
+
+
+def unsorted_inversion(lat, lam, samples, seed, monkeypatch):
+    """``sample_NV``'s draws and a reference from the same group pmfs and streams, each
+    group inverted by ``np.searchsorted`` on its keys in drawing order."""
+    pmfs, pmf = [], FactorLaw.pmf
+    with monkeypatch.context() as patched:
+        patched.setattr(FactorLaw, "pmf", lambda law: pmfs.append(pmf(law)) or pmfs[-1])
+        drawn = sample_NV(lat, lam, samples, seed)
+    bits = np.random.default_rng(seed).bit_generator
+    uniform = lambda j: np.random.Generator(bits.jumped(j)).random(samples)
+    st, u = lat.state, uniform(0)
+    if st.sigma == FD:
+        n = u < lat.occupations(lam)[0]
+    else:
+        n = np.floor(-np.log1p(-u) / (st.beta * (lat.energies[0] - (st.mu + lam))))
+    cdfs = [np.cumsum(p) for p, _ in pmfs]
+    n = n + sum(np.searchsorted(c, uniform(j) * c[-1], side="right") for j, c in enumerate(cdfs, 1))
+    return drawn, n / lat.volume, len(pmfs)
+
+
+@pytest.mark.parametrize("gas", ["FD", "BE"])
+def test_sampler_equals_unsorted_inversion(gas, monkeypatch):
+    if gas == FD:
+        lat = ModeLattice.build(ThermoState(1.0, 0.0, FD), D3, 12.0)
+        lam = 0.5
+    else:  # criterion 12's box at 2 rho_c: heavy shells in the first group
+        lat = ModeLattice.build(BE1, D3, 16.0)
+        lam = solve_lambda_V(lat, 2.0 * critical_density(1.0, D3))
+    drawn, reference, groups = unsorted_inversion(lat, lam, 10_000, 11, monkeypatch)
+    assert groups > 1
+    assert drawn.tobytes() == reference.tobytes()
 
 
 def test_fd_keeps_full_support():

@@ -28,9 +28,9 @@ def be_ctx():
 @pytest.fixture
 def fresh_contexts():
     """Clear the context memo before and after the test, so the test sees a build run."""
-    RateContext.build.cache_clear()
+    RateContext._build.cache_clear()
     yield
-    RateContext.build.cache_clear()
+    RateContext._build.cache_clear()
 
 
 def grid_minimization_oracle(ctx, x, lam_lo=-12.0, lam_hi=None):
@@ -291,8 +291,16 @@ class TestSharedContext:
         second = RateContext.build(ThermoState(1.0, -1.0, BE),
                                    DispersionRelation.nonrelativistic(mass=1.0, dimension=3), 1e-10)
         assert second is first
-        info = RateContext.build.cache_info()
+        info = RateContext._build.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_call_forms_share_one_context(self, fresh_contexts):
+        state = ThermoState(1.0, -1.0, BE)
+        contexts = [RateContext.build(state, D3), RateContext.build(state, D3, 1e-10),
+                    RateContext.build(state, D3, tol=1e-10)]
+        assert contexts[1] is contexts[0] and contexts[2] is contexts[0]
+        info = RateContext._build.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
     @pytest.mark.parametrize("tol, refusal", [(-1.0, DomainError), (1e-30, AccuracyError)])
     def test_refused_build_is_not_cached(self, fresh_contexts, tol, refusal):
@@ -300,7 +308,7 @@ class TestSharedContext:
         for _ in range(2):
             with pytest.raises(refusal):  # the second build runs again and is refused again
                 RateContext.build(state, D3, tol)
-        info = RateContext.build.cache_info()
+        info = RateContext._build.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
     @pytest.mark.parametrize("gas, warm_x, new_x", [
@@ -337,9 +345,9 @@ class TestSharedContext:
             xs = [x for x in xs if x < rho_c] + [0.5 * (rho_bar + rho_c), rho_c, 1.5 * rho_c]
         cold = []
         for x in xs:
-            RateContext.build.cache_clear()
+            RateContext._build.cache_clear()
             cold += rate_values((x,), RateContext.build(state, disp))
-        RateContext.build.cache_clear()
+        RateContext._build.cache_clear()
         ctx = RateContext.build(state, disp)
         rate_values([0.5 * rho_bar, 1.7 * rho_bar, 1e-3 * rho_bar, 3.0 * rho_bar], ctx)
         assert ctx.slopes
@@ -349,7 +357,7 @@ class TestSharedContext:
         state, disp = LOCKSTEP_GASES["relfd3"]
         xs = [0.02, 0.1, 0.25, 0.4, 0.9, 2.0]
         serial = [point_reprs(rate_values((x,), RateContext.build(state, disp))) for x in xs]
-        RateContext.build.cache_clear()
+        RateContext._build.cache_clear()
         ctx = RateContext.build(state, disp)
         threaded = [None] * len(xs)
 
@@ -374,7 +382,7 @@ class TestSharedContext:
                                    "dimension": "1", "beta": "1.0", "mu": "0.0", **kind})
         payloads = []
         for threads in ("1", "2"):
-            RateContext.build.cache_clear()
+            RateContext._build.cache_clear()
             monkeypatch.setenv("LDGAS_THREADS", threads)
             payloads.append(json.dumps(run_experiment(cfg).numeric_payload(), sort_keys=True))
         assert payloads[0] == payloads[1]
