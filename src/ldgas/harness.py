@@ -10,7 +10,9 @@ produce byte-identical numeric payloads; wall-clock timings live in a
 separate section excluded from such comparisons.
 
 The ``LDGAS_THREADS`` environment variable parallelizes independent sweep
-entries; per-size seeds are derived from (seed, index), so the thread count
+entries: at n > 1 the calling thread runs entries beside the n - 1 threads
+of a pool made once per process and thread count (a forked child makes its
+own).  Per-size seeds are derived from (seed, index), so the thread count
 never changes numeric results.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import counting, kernel, modes, rate, thermo
 from .dispersion import DispersionRelation
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .export import atomic_write, write_table
 from .factors import window_log_prob
 from .thermo import BE, FD, ThermoState
@@ -96,6 +99,8 @@ class ExperimentConfig:
         if self.statistics not in kind.statistics:
             supported = " or ".join(_STATISTICS[s] for s in kind.statistics)
             raise ConfigError("statistics", f"{self.kind} experiments support {supported}")
+        if kind.check is not None:
+            kind.check(self)
         if self.dispersion not in ("nonrelativistic", "relativistic", "massless", "table"):
             raise ConfigError("dispersion", f"unknown dispersion {self.dispersion!r}")
         if self.dispersion == "table" and not self.table:
@@ -222,13 +227,63 @@ def _thread_count() -> int:
         return 1
 
 
+# ``LDGAS_THREADS`` pools, keyed on (pid, n): a forked child makes its own
+# instead of queueing work for its parent's threads, which it does not have
+_POOLS = {}
+
+
+def _pool(workers):
+    key = (os.getpid(), workers)
+    pool = _POOLS.get(key)
+    if pool is None:
+        # threads start at the first submit, so an executor that loses this
+        # race costs nothing
+        fresh = ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="ldgas-sweep")
+        pool = _POOLS.setdefault(key, fresh)
+    return pool
+
+
 def _sweep(fn, sizes):
-    """Run fn(index, size) for each size, optionally threaded, in order."""
+    """Run fn(index, size) for each size and return the results in order.
+
+    At ``LDGAS_THREADS`` = n > 1 the caller and the n - 1 threads of this
+    process's pool take entries in index order, so at most n run at once.
+    If entries raise, the sweep starts no further entry, waits for the ones
+    already running and raises the lowest-index exception, the one a serial
+    run would raise.  An entry must not run a sweep itself: that would put
+    more than n entries in flight.
+    """
     workers = _thread_count()
     if workers == 1:
         return [fn(i, s) for i, s in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda args: fn(*args), enumerate(sizes)))
+    sizes = list(sizes)
+    results = [None] * len(sizes)
+    errors = {}
+    lock = threading.Lock()
+    indices = iter(range(len(sizes)))
+
+    def drain():
+        while True:
+            with lock:
+                i = None if errors else next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(i, sizes[i])
+            except BaseException as exc:  # re-raised by the caller below
+                errors[i] = exc
+
+    helpers = min(workers - 1, len(sizes) - 1)
+    futures = [_pool(workers).submit(drain) for _ in range(helpers)]
+    drain()
+    # a helper that has not started finds nothing left; cancel it rather
+    # than wait for a free pool thread
+    for future in futures:
+        if not future.cancel():
+            future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _gap_summary(rows):
@@ -417,21 +472,39 @@ def _run_kac(cfg, state, disp):
     return rows, summary
 
 
+def _check_gf(cfg):
+    if cfg.lam == 0:
+        raise ConfigError("lambda", "must be nonzero: the gap is relative to g(0) = 0")
+    if cfg.statistics == BE and cfg.lam > -cfg.mu:
+        raise ConfigError("lambda", f"BE requires lambda <= -mu = {-cfg.mu:g}")
+
+
+def _check_kernel(cfg):
+    key = "sizes" if cfg.sizes else "extent"
+    for extent in cfg.sizes or ((cfg.extent,) if cfg.extent is not None else ()):
+        try:
+            kernel.grid_points(cfg.h, extent)
+        except DomainError as exc:
+            raise ConfigError(key, str(exc)) from exc
+
+
 class Kind(NamedTuple):
-    """An experiment kind: its runner, the config keys it requires, and the
-    dimensions (empty: any) and statistics it supports."""
+    """An experiment kind: its runner, the config keys it requires, the
+    dimensions (empty: any) and statistics it supports, and a check of the
+    settings its runner would refuse (None: no more to check)."""
 
     runner: Callable
     required: tuple = ()
     dimensions: tuple = ()
     statistics: tuple = (FD, BE)
+    check: Callable | None = None
 
 
 KINDS = {
     "eos": Kind(_run_eos),
     "rate": Kind(_run_rate, ("interval",)),
-    "kernel": Kind(_run_kernel, dimensions=(1, 3)),
-    "gf": Kind(_run_gf, ("lambda", "sizes"), (1,)),
+    "kernel": Kind(_run_kernel, dimensions=(1, 3), check=_check_kernel),
+    "gf": Kind(_run_gf, ("lambda", "sizes"), (1,), check=_check_gf),
     "ldp": Kind(_run_ldp, ("interval", "sizes"), (1,)),
     "clt": Kind(_run_clt, ("sizes",), (1,)),
     "modes": Kind(_run_modes, ("sizes",), (1, 2, 3)),

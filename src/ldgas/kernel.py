@@ -92,6 +92,20 @@ def _build_3d_radial(state, disp, h, n_half):
     return r, d, l1
 
 
+def grid_points(h: float, extent: float) -> int:
+    """Grid points in [0, extent) at spacing h.
+
+    The extent must be an integer multiple of h holding at least 8 points;
+    otherwise ``DomainError``.
+    """
+    n_half = int(round(extent / h))
+    if abs(n_half * h - extent) > 1e-9 * max(1.0, extent):
+        raise DomainError(f"extent {extent:g} is not an integer multiple of h = {h:g}")
+    if n_half < 8:
+        raise DomainError(f"extent {extent:g} holds fewer than 8 grid points at h = {h:g}")
+    return n_half
+
+
 def build_kernel(
     state: ThermoState,
     disp: DispersionRelation,
@@ -109,11 +123,7 @@ def build_kernel(
         raise DomainError("grid spacing h must be positive")
     if extent is None:
         extent = math.ceil(40.0 / _thermal_wavevector(state.beta, disp) / h) * h
-    n_half = int(round(extent / h))
-    if abs(n_half * h - extent) > 1e-9 * max(1.0, extent):
-        raise DomainError("extent must be an integer multiple of h")
-    if n_half < 8:
-        raise DomainError("extent too small for the grid spacing")
+    n_half = grid_points(h, extent)
 
     if disp.dimension == 1:
         x, d, l1 = _build_1d(state, disp, h, n_half)

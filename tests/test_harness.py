@@ -1,17 +1,20 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import stat
 import sys
 import textwrap
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from ldgas import harness
 from ldgas.cli import main
-from ldgas.errors import AccuracyError, ConfigError
+from ldgas.errors import AccuracyError, ConfigError, DomainError
 from ldgas.export import atomic_write
 from ldgas.harness import (
     KINDS,
@@ -23,7 +26,8 @@ from ldgas.harness import (
     parse_config,
     run_experiment,
 )
-from ldgas.thermo import BE, FD
+from ldgas.dispersion import DispersionRelation
+from ldgas.thermo import BE, FD, ThermoState
 
 GF_CFG = """
     # generating-function sweep
@@ -215,6 +219,40 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             config_from_mapping({"kind": "gf", "sizes": "10, 20"})
         assert err.value.field == "lambda"
+
+    @pytest.mark.parametrize("extra", [
+        {"lambda": "0"},  # g(0) = 0, so the relative gap is undefined
+        {"statistics": "BE", "mu": "-0.5", "lambda": "0.7"},  # g = inf beyond -mu
+    ], ids=["zero", "be_beyond_minus_mu"])
+    def test_gf_lambda_it_cannot_score_names_lambda(self, extra):
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(dict({"kind": "gf", "sizes": "10, 20"}, **extra))
+        assert err.value.field == "lambda"
+
+    def test_gf_be_lambda_at_minus_mu_gives_finite_rows(self):
+        cfg = config_from_mapping({"kind": "gf", "statistics": "BE", "mu": "-0.5",
+                                   "lambda": "0.5", "mass": "0.5", "sizes": "10, 20"})
+        rows = run_experiment(cfg).results
+        assert all(math.isfinite(row[key]) for row in rows for key in ("value", "target", "gap"))
+
+    @pytest.mark.parametrize("grid, key", [
+        ({"sizes": "40.01"}, "sizes"), ({"sizes": "0.2, 40"}, "sizes"),
+        ({"extent": "40.01"}, "extent"), ({"extent": "0.2"}, "extent"),
+        ({"extent": "0.2", "sizes": "40.01"}, "sizes"),
+    ])
+    def test_kernel_grid_it_cannot_build_names_key(self, grid, key):
+        from ldgas.kernel import build_kernel
+
+        raw = dict({"kind": "kernel", "mass": "0.5", "h": "0.05"}, **grid)
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(raw)
+        assert err.value.field == key
+        # the check is build_kernel's own grid rule, run before the experiment
+        refused = next(x for x in (40.01, 0.2) if str(x) in raw[key])
+        state, disp = ThermoState(1.0, 0.0, FD), DispersionRelation.nonrelativistic(0.5, 1)
+        with pytest.raises(DomainError) as dom:
+            build_kernel(state, disp, 0.05, refused)
+        assert err.value.reason == str(dom.value)
 
     def test_interval_parse(self):
         cfg = config_from_mapping(
@@ -452,6 +490,102 @@ class TestThreading:
         assert one == four
 
 
+class TestSweepPool:
+    """The ``LDGAS_THREADS`` pool: one per process and thread count, with the
+    calling thread running entries beside its n - 1 threads."""
+
+    def test_threaded_sweeps_share_one_executor(self, monkeypatch):
+        made = []
+
+        class Counted(harness.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(harness, "_POOLS", {})
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Counted)
+        monkeypatch.setenv("LDGAS_THREADS", "3")
+        try:
+            for _ in range(2):
+                assert harness._sweep(lambda i, size: 2 * size, (1.0, 2.0, 3.0)) == [2.0, 4.0, 6.0]
+            assert len(made) == 1
+        finally:
+            for pool in made:
+                pool.shutdown()
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_at_most_n_entries_run_at_once(self, monkeypatch, threads):
+        monkeypatch.setenv("LDGAS_THREADS", str(threads))
+        lock = threading.Lock()
+        active, peak, runners = [0], [0], set()
+
+        def fn(i, size):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                runners.add(threading.current_thread())
+            time.sleep(0.01)
+            with lock:
+                active[0] -= 1
+            return i, size
+
+        sizes = tuple(float(s) for s in range(12))
+        assert harness._sweep(fn, sizes) == list(enumerate(sizes))
+        assert peak[0] <= threads and len(runners) <= threads
+        assert threading.current_thread() in runners  # the caller takes its share
+
+    @pytest.mark.parametrize("first", ["caller", "pool"])
+    def test_lowest_index_exception_after_started_entries_finish(self, monkeypatch, first):
+        monkeypatch.setenv("LDGAS_THREADS", "2")
+        caller = threading.current_thread()
+        both_running = threading.Barrier(2, timeout=10)
+        started, finished = {}, {}
+
+        def fn(i, size):
+            where = "caller" if threading.current_thread() is caller else "pool"
+            started[i], finished[i] = where, threading.Event()
+            if i < 2:  # one thread cannot hold both: the first two entries run side by side
+                both_running.wait()
+            if where != first:
+                time.sleep(0.05)  # still running when the first thread's entry raises
+            finished[i].set()
+            if i < 2:
+                raise ValueError(i)
+            return size
+
+        with pytest.raises(ValueError) as err:
+            harness._sweep(fn, tuple(float(s) for s in range(6)))
+        assert set(started.values()) == {"caller", "pool"}
+        assert sorted(started) == [0, 1]  # no entry starts after one has raised
+        assert err.value.args == (0,)  # whichever thread raised first
+        assert all(event.is_set() for event in finished.values())
+
+    def test_forked_child_makes_its_own_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LDGAS_THREADS", "2")
+        cfg = load_config(write_cfg(tmp_path, GF_CFG))
+        want = json.dumps(run_experiment(cfg).numeric_payload())
+        assert (os.getpid(), 2) in harness._POOLS
+
+        def child():
+            payload = json.dumps(run_experiment(cfg).numeric_payload())
+            names = harness._sweep(lambda i, size: time.sleep(0.01) or threading.current_thread().name,
+                                   tuple(float(s) for s in range(8)))
+            queue.put((payload, any(name.startswith("ldgas-sweep") for name in names)))
+
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        process = context.Process(target=child)
+        process.start()
+        try:
+            payload, pool_ran = queue.get(timeout=60)
+            process.join(timeout=60)
+            assert not process.is_alive() and process.exitcode == 0
+        finally:
+            if process.is_alive():
+                process.kill()
+        assert payload == want and pool_ran
+
+
 class TestCli:
     def test_pass_exit_zero(self, tmp_path):
         cfg = write_cfg(tmp_path, GF_CFG)
@@ -479,6 +613,19 @@ class TestCli:
         cfg = write_cfg(tmp_path, f"kind = eos\ndispersion = table\ntable = {table}\n")
         assert main(["eos", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: table: ")
+
+    @pytest.mark.parametrize("kind, body, key", [
+        ("gf", GF_CFG.replace("lambda = 0.5", "lambda = 0"), "lambda"),
+        ("gf", GF_CFG.replace("statistics = FD", "statistics = BE").replace(
+            "mu = 0.0", "mu = -0.5").replace("lambda = 0.5", "lambda = 0.7"), "lambda"),
+        ("kernel", "kind = kernel\nh = 0.05\nsizes = 40.01\n", "sizes"),
+        ("kernel", "kind = kernel\nh = 0.05\nsizes = 0.2\n", "sizes"),
+    ], ids=["gf_zero_lambda", "gf_be_lambda_beyond_minus_mu", "kernel_off_grid", "kernel_too_few_points"])
+    def test_unscorable_setting_exit_two(self, tmp_path, capsys, kind, body, key):
+        cfg = write_cfg(tmp_path, body)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not (tmp_path / f"{kind}.json").exists()
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["eos", "--config", str(tmp_path / "absent.cfg")]) == 2
