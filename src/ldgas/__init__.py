@@ -5,7 +5,8 @@ Equation of state, translated pressure and the mean occupation
 (``rate``), the position-space occupation kernel (``kernel``),
 determinantal counting statistics in an interval (``counting``), periodic
 boxes with mode sampling (``modes``), their shared independent-factor law
-(``factors``), and an experiment harness with a CLI (``harness``, ``cli``).
+and its finite-volume statistics (``factors``), and an experiment harness
+with a CLI (``harness``, ``cli``).
 """
 
 from .dispersion import DispersionRelation
@@ -24,27 +25,27 @@ from .thermo import (
 )
 from .rate import RateContext, RatePoint, interval_rate, minimizer, rate_value
 from .kernel import KernelTable, build_kernel, decay_exponent
+from .factors import (
+    chebyshev_bound,
+    clt_cumulants,
+    lambda_max,
+    log_generating_function,
+    tilted_moments,
+    window_log_prob,
+)
 from .counting import (
     CountingDistribution,
     CountingMatrix,
     build_counting_matrix,
-    chebyshev_bound,
     counting_pmf,
-    cumulants_clt,
-    lambda_max,
-    ldp_log_prob,
-    log_generating_function,
-    tilted_moments,
     trace_moments,
 )
 from .modes import (
     KacResult,
     ModeLattice,
-    box_log_pgf,
     box_pmf,
     box_pressure,
     kac_test,
-    mean_density,
     sample_NV,
     solve_lambda_V,
 )

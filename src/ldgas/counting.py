@@ -8,12 +8,12 @@ symbol (-sigma times the occupation ``ThermoState.occupation``) on
 Gauss-Legendre wavevectors (Bornemann, Math. Comp. 79, 2010: exponentially
 convergent for analytic kernels, certified here against a partner rule of 5/4
 the nodes), gives two dense symmetric matrices whose eigenvalues kappa_i
-determine everything:
-
-  * the generating function  <zeta^N> = prod (1 + (zeta-1) kappa_i)^{-sigma},
-  * the exact law of N as an independent sum of Bernoulli(kappa_i) (FD)
-    or geometric factors of mean |kappa_i| (BE), computed by ``factors``,
-  * exponential tilts, cumulants and large-deviation probabilities.
+determine the law of N: an independent sum of Bernoulli(kappa_i) (FD) or
+geometric factors of mean |kappa_i| (BE), ``CountingMatrix.law``, with
+generating function <zeta^N> = prod (1 + (zeta-1) kappa_i)^{-sigma}.  Its
+exact pmf is ``counting_pmf``; the generating function, tilts, cumulants,
+Chebyshev bounds and window probabilities are the ``factors`` statistics of
+(``m.law``, ``m.volume``, beta), the same functions the box route calls.
 
 A build takes the gas itself, a ``ThermoState`` and a ``DispersionRelation``;
 no position-space kernel table (``kernel``) is sampled.  Desk scale fixes
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -40,21 +39,15 @@ import numpy as np
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
-from .factors import FactorLaw, window_log_prob
-from .thermo import BE, FD, ThermoState, _gauss_legendre, _integrate, translated_pressure
+from .factors import FactorLaw
+from .thermo import FD, ThermoState, _gauss_legendre, _integrate
 
 __all__ = [
     "CountingMatrix",
     "CountingDistribution",
     "build_counting_matrix",
-    "log_generating_function",
-    "lambda_max",
     "trace_moments",
     "counting_pmf",
-    "ldp_log_prob",
-    "cumulants_clt",
-    "tilted_moments",
-    "chebyshev_bound",
 ]
 
 _SPECTRUM_TOL_FACTOR = 1e-8     # discretization-noise allowance, times ||K||
@@ -85,26 +78,14 @@ class CountingMatrix:
     discretization_error: float
 
     @property
-    def statistics(self) -> int:
-        return self.state.sigma
-
-    @property
-    def beta(self) -> float:
-        return self.state.beta
-
-    @property
     def volume(self) -> float:
         return self.length
 
     @property
-    def fugacity(self) -> float:
-        return self.state.fugacity
-
-    @property
     def spectral_bound(self) -> float:
         """Continuum spectrum edge: 1/(1 + 1/z) for FD, 1/(1 - 1/z) for BE."""
-        z = self.fugacity
-        if self.statistics == FD:
+        z = self.state.fugacity
+        if self.state.sigma == FD:
             return 1.0 / (1.0 + 1.0 / z)
         return 1.0 / (1.0 - 1.0 / z)
 
@@ -120,12 +101,12 @@ class CountingMatrix:
         [0, |spectral_bound|] up to 1e-8 ||K||; otherwise ``AccuracyError``.
         """
         tol = _SPECTRUM_TOL_FACTOR * self.norm
-        n = -self.statistics * self.eigenvalues
+        n = -self.state.sigma * self.eigenvalues
         if n.min() < -tol or n.max() > abs(self.spectral_bound) + tol:
             raise AccuracyError(
                 "eigenvalues violate the continuum spectrum containment"
             )
-        return FactorLaw(n, np.ones(n.size, dtype=np.int64), self.statistics)
+        return FactorLaw(n, np.ones(n.size, dtype=np.int64), self.state.sigma)
 
 
 def _parity_blocks(state, disp, k_max, n_k, radius, n_r, sign):
@@ -221,33 +202,6 @@ def build_counting_matrix(
     return m
 
 
-def lambda_max(m: CountingMatrix) -> float:
-    """Largest tilt with a finite generating function.
-
-    Infinite for FD.  For BE it is beta^{-1} log(1 - 1/kappa_min) with
-    kappa_min the most negative eigenvalue, decreasing to -mu as the
-    interval grows.  A degenerate spectrum (kappa_min >= 0) returns inf
-    with a warning.
-    """
-    if m.statistics == FD:
-        return math.inf
-    kappa_min = float(m.eigenvalues.min())
-    if kappa_min >= 0.0:
-        warnings.warn("degenerate BE spectrum: no negative eigenvalue", stacklevel=2)
-        return math.inf
-    return math.log1p(-1.0 / kappa_min) / m.beta
-
-
-def log_generating_function(m: CountingMatrix, lam: float) -> float:
-    """(1/|I|) log <e^{beta lam N}>, from the eigenvalue product.
-
-    BE tilts at or beyond ``lambda_max`` return the ``inf`` sentinel.
-    """
-    if m.statistics == BE and lam >= lambda_max(m):
-        return math.inf
-    return m.law.log_pgf(math.expm1(m.beta * lam)) / m.volume
-
-
 class MomentComparison(NamedTuple):
     order: int
     empirical: float
@@ -309,8 +263,6 @@ class CountingDistribution:
     variance: float = 0.0
     cumulants: tuple = (0.0, 0.0, 0.0, 0.0)
     tail_mass: float = 0.0
-    volume: float = 1.0
-    beta: float = 1.0
 
 
 def counting_pmf(m: CountingMatrix) -> CountingDistribution:
@@ -323,71 +275,4 @@ def counting_pmf(m: CountingMatrix) -> CountingDistribution:
         variance=k[1],
         cumulants=k,
         tail_mass=tail,
-        volume=m.volume,
-        beta=m.beta,
     )
-
-
-def ldp_log_prob(
-    m: CountingMatrix,
-    a: float,
-    b: float,
-    dist: CountingDistribution | None = None,
-) -> float:
-    """(beta |I|)^{-1} log P(N in |I| [a, b]) from the exact pmf (``factors.window_log_prob``)."""
-    if dist is None:
-        dist = counting_pmf(m)
-    return window_log_prob(dist.pmf, dist.volume, dist.beta, a, b)
-
-
-class CltReport(NamedTuple):
-    """Cumulants of (N - <N>) / sqrt(|I|) with the Gaussian-limit targets."""
-
-    values: tuple          # C(1)..C(4)
-    variance_target: float # beta^{-1} d rho / d mu, the k = 2 limit
-
-
-def cumulants_clt(
-    m: CountingMatrix,
-    dist: CountingDistribution | None = None,
-    variance_target: float | None = None,
-) -> CltReport:
-    """Scaled cumulants C(k) = kappa_k(N) / |I|^{k/2}, k = 1..4.
-
-    C(1) is exactly 0 (centered variable); C(2) converges to the
-    compressibility beta^{-1} d rho / d mu; higher orders vanish in the
-    limit.  A sweep over interval sizes passes that limit as
-    ``variance_target`` so it is computed once, not once per matrix.
-    """
-    _, k2, k3, k4 = m.law.cumulants() if dist is None else dist.cumulants
-    vol = m.volume
-    if variance_target is None:
-        variance_target = translated_pressure(0.0, m.state, m.disp, order=2) / m.beta
-    return CltReport(
-        values=(0.0, k2 / vol, k3 / vol ** 1.5, k4 / vol ** 2),
-        variance_target=variance_target,
-    )
-
-
-def tilted_moments(m: CountingMatrix, lam: float) -> tuple[float, float]:
-    """Mean density and beta * variance / |I| under the exponential tilt.
-
-    The targets are rho(mu + lam) and (d rho / d mu)(mu + lam).
-    """
-    if m.statistics == BE and lam >= lambda_max(m):
-        raise DomainError("tilt at or beyond lambda_max")
-    mean, var = m.law.tilted(math.exp(m.beta * lam)).cumulants()[:2]
-    return mean / m.volume, m.beta * var / m.volume
-
-
-def chebyshev_bound(m: CountingMatrix, a: float) -> float:
-    """Exponential-Chebyshev upper bound on (beta|I|)^{-1} log P(N >= a|I|).
-
-    Minimizes phi(lam)/beta - lam a over 80 admissible tilts in (0, 4/beta]
-    (FD) or (0, lambda_max) (BE); the bound holds exactly at every finite size.
-    """
-    top = lambda_max(m)
-    hi = 4.0 / m.beta if math.isinf(top) else top * (1.0 - 1e-6)
-    lam_grid = np.linspace(0.0, hi, 81)[1:]
-    zeta_minus_one = np.array([math.expm1(m.beta * l) for l in lam_grid.tolist()])
-    return float(np.min(m.law.log_pgf(zeta_minus_one) / m.volume / m.beta - lam_grid * a))

@@ -17,10 +17,17 @@ law at its own M, each heavy block at its own (r = 1 at the exact geometric
 tail q^M), and each convolution at the M of the whole law, which leaves every
 entry below M exact.  The pmf is trimmed once, at ``_PMF_TAIL``, and
 ``tail_mass`` sums the bounds and that trim.  FD laws convolve one block per
-factor; FD blocks end at their last entry that does not underflow to 0, and
-FD pmfs keep the rest of their support.  All blocks of a law are built in
-one pass: those with r > 1 from one flat log-pmf over a cached table of
-``math.lgamma`` values.
+factor; an FD block is evaluated on its whole support 0..r and ends at its
+last entry that does not underflow to 0, and FD pmfs keep the rest of their
+support.  All blocks of a law are built in one pass: those with r > 1 from
+one flat log-pmf over a cached table of ``math.lgamma`` values.
+
+The finite-volume statistics of a law are functions of (law, volume, beta),
+the same for both routes: the interval passes ``CountingMatrix.law`` and its
+length, the box ``ModeLattice.law(lam)`` and ell^d.  They are the tilt
+ceiling ``lambda_max``, the per-volume log generating function, the scaled
+central-limit cumulants, the tilted moments, the exponential-Chebyshev bound
+and the integer-window log-probability of an exact pmf.
 
 ``FactorLaw.pmf`` is memoized (``functools.lru_cache``, 32 entries) on the
 law's content: sigma and the bytes of the occupations (as floats, before
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,7 +56,15 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .thermo import BE, FD
 
-__all__ = ["FactorLaw", "window_log_prob"]
+__all__ = [
+    "FactorLaw",
+    "window_log_prob",
+    "lambda_max",
+    "log_generating_function",
+    "clt_cumulants",
+    "tilted_moments",
+    "chebyshev_bound",
+]
 
 # tail mass stays well under the budget; the headroom keeps the
 # zeta-transform identity sharp, since dropped mass is amplified by zeta^n
@@ -262,8 +278,8 @@ def _blocks(occupations: np.ndarray, multiplicities: np.ndarray, sigma: int) -> 
     if not spec:
         return blocks, dropped
     ids, r, a, b, n = (np.array(column) for column in zip(*spec))
-    if sigma == FD:
-        lengths = _ends(r, a, b, n) + 1
+    if sigma == FD:  # the whole support 0..r; the underflowed tail is trimmed below
+        lengths = r + 1
     else:  # a factor's tilts z - 1 = grid / n give log <z^X> = -r log(1 - grid)
         lengths, log_bounds = _chernoff(np.multiply.outer(-r, np.log1p(-_CHERNOFF_GRID)),
                                         np.log1p(_CHERNOFF_GRID / n[:, None]))
@@ -291,36 +307,6 @@ def _log_pmf(k, r, a, b, sigma):
     return table[k + r - 1] - table[r - 1] - table[k] + b + k * a
 
 
-def _ends(r, a, b, n) -> np.ndarray:
-    """Each binomial block's last k, searched across all factors at once.
-
-    The ratio rho(k) = pmf(k + 1) / pmf(k) = q (r - k) / (k + 1), q = n / (1 - n), falls
-    with k: once rho(k) < 1 the mass beyond k is below pmf(k) rho(k) / (1 - rho(k)), a
-    bound that falls with k too.  A block ends at the first such k where the log bound is
-    below -746, past which every entry underflows to 0 (exp of a log below -745.14 rounds
-    to 0.0): bisection from the mode to r, where rho = 0.  The search compares ``np.log``
-    values, which may differ from ``math.log`` in the last bit: an end could move only if a
-    bound fell within rounding of the target.
-    """
-    q = n / (1.0 - n)
-    rho = lambda k: q * (r - k) / (k + 1)
-
-    def misses(k):  # the log bound at k is above the target
-        ratio = rho(k)
-        with np.errstate(divide="ignore"):  # log 0 at r
-            return _log_pmf(k, r, a, b, FD) + np.log(ratio) - np.log1p(-ratio) > -746.0
-
-    k0 = np.maximum(np.floor((q * r - 1.0) / (1.0 + q)).astype(np.int64) + 1, 0)
-    while (up := rho(k0) >= 1.0).any():  # rounding at the boundary
-        k0 = k0 + up
-    lo, end = k0 - 1, r  # the bound misses at lo (or lo < k0) and not at r
-    while (open_ := end - lo > 1).any():
-        mid = np.where(open_, (lo + end) // 2, end)
-        above = misses(mid)
-        lo, end = np.where(open_ & above, mid, lo), np.where(open_ & ~above, mid, end)
-    return end
-
-
 def window_log_prob(pmf: np.ndarray, volume: float, beta: float, a: float, b: float) -> float:
     """(beta V)^{-1} log P(N in V [a, b]), or -inf, over ceil(a V - 1e-9)..floor(b V + 1e-9)."""
     if a > b:
@@ -329,3 +315,64 @@ def window_log_prob(pmf: np.ndarray, volume: float, beta: float, a: float, b: fl
     hi = int(math.floor(b * volume + 1e-9))
     mass = float(np.sum(pmf[lo : hi + 1])) if hi >= lo else 0.0
     return math.log(mass) / (beta * volume) if mass > 0.0 else -math.inf
+
+
+def lambda_max(law: FactorLaw, beta: float) -> float:
+    """Largest tilt lam with a finite <e^{beta lam N}>.
+
+    Infinite for FD.  For BE it is beta^{-1} log(1 + 1/n_max) with n_max the
+    largest occupation: on the interval n_max = -kappa_min, and the ceiling
+    decreases to -mu as the interval grows; in the box it is the ground mode's,
+    and the ceiling is the tilt left before mu + lam reaches 0.  A law with no
+    positive occupation returns inf with a warning.
+    """
+    if law.sigma == FD:
+        return math.inf
+    n_max = float(law.occupations.max())
+    if n_max <= 0.0:
+        warnings.warn("degenerate BE law: no positive occupation", stacklevel=2)
+        return math.inf
+    return math.log1p(1.0 / n_max) / beta
+
+
+def log_generating_function(law: FactorLaw, volume: float, beta: float, lam: float) -> float:
+    """V^{-1} log <e^{beta lam N}>; BE tilts at or beyond ``lambda_max`` give the ``inf`` sentinel."""
+    if law.sigma == BE and lam >= lambda_max(law, beta):
+        return math.inf
+    return law.log_pgf(math.expm1(beta * lam)) / volume
+
+
+def clt_cumulants(law: FactorLaw, volume: float) -> tuple:
+    """Scaled cumulants C(k) = kappa_k(N) / V^{k/2}, k = 1..4, of the centred count.
+
+    C(1) is exactly 0; C(2) converges to the compressibility beta^{-1} d rho / d mu
+    (``thermo.translated_pressure`` at order 2, over beta); higher orders vanish in
+    the limit.
+    """
+    _, k2, k3, k4 = law.cumulants()
+    return 0.0, k2 / volume, k3 / volume ** 1.5, k4 / volume ** 2
+
+
+def tilted_moments(law: FactorLaw, volume: float, beta: float, lam: float) -> tuple[float, float]:
+    """Mean density and beta * variance / V under the exponential tilt e^{beta lam N}.
+
+    The targets are rho(mu + lam) and (d rho / d mu)(mu + lam).
+    """
+    if law.sigma == BE and lam >= lambda_max(law, beta):
+        raise DomainError("tilt at or beyond lambda_max")
+    mean, var = law.tilted(math.exp(beta * lam)).cumulants()[:2]
+    return mean / volume, beta * var / volume
+
+
+def chebyshev_bound(law: FactorLaw, volume: float, beta: float, a: float) -> float:
+    """Exponential-Chebyshev upper bound on (beta V)^{-1} log P(N >= a V).
+
+    Minimizes V^{-1} log <e^{beta lam N}> / beta - lam a over 80 admissible tilts in
+    (0, 4/beta] (FD) or (0, lambda_max) (BE); the bound holds exactly at every
+    finite size.
+    """
+    top = lambda_max(law, beta)
+    hi = 4.0 / beta if math.isinf(top) else top * (1.0 - 1e-6)
+    lam_grid = np.linspace(0.0, hi, 81)[1:]
+    zeta_minus_one = np.array([math.expm1(beta * l) for l in lam_grid.tolist()])
+    return float(np.min(law.log_pgf(zeta_minus_one) / volume / beta - lam_grid * a))

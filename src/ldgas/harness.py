@@ -33,7 +33,7 @@ from . import counting, kernel, modes, rate, thermo
 from .dispersion import DispersionRelation
 from .errors import ConfigError, DomainError
 from .export import atomic_write, write_table
-from .factors import window_log_prob
+from .factors import chebyshev_bound, clt_cumulants, log_generating_function, window_log_prob
 from .thermo import BE, FD, ThermoState
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "run_experiment", "emit", "parse_config"]
@@ -89,6 +89,10 @@ class ExperimentConfig:
             a, b = self.interval
             if a > b:
                 raise ConfigError("interval", "requires a <= b")
+        if self.dispersion not in ("nonrelativistic", "relativistic", "massless", "table"):
+            raise ConfigError("dispersion", f"unknown dispersion {self.dispersion!r}")
+        if self.dispersion == "table" and not self.table:
+            raise ConfigError("table", "table dispersion needs a file path")
         kind = KINDS[self.kind]
         for key in kind.required:
             if getattr(self, _FIELDS[key]) in (None, ()):
@@ -101,10 +105,6 @@ class ExperimentConfig:
             raise ConfigError("statistics", f"{self.kind} experiments support {supported}")
         if kind.check is not None:
             kind.check(self)
-        if self.dispersion not in ("nonrelativistic", "relativistic", "massless", "table"):
-            raise ConfigError("dispersion", f"unknown dispersion {self.dispersion!r}")
-        if self.dispersion == "table" and not self.table:
-            raise ConfigError("table", "table dispersion needs a file path")
 
     def build_dispersion(self) -> DispersionRelation:
         if self.dispersion == "nonrelativistic":
@@ -353,7 +353,7 @@ def _run_gf(cfg, state, disp):
 
     def one(i, length):
         m = counting.build_counting_matrix(state, disp, length)
-        value = counting.log_generating_function(m, lam) / cfg.beta
+        value = log_generating_function(m.law, m.volume, cfg.beta, lam) / cfg.beta
         return {"L": length, "value": value, "target": target,
                 "gap": abs(value - target) / abs(target)}
 
@@ -370,8 +370,8 @@ def _run_ldp(cfg, state, disp):
 
     def one(i, length):
         m = counting.build_counting_matrix(state, disp, length)
-        value = counting.ldp_log_prob(m, a, b)
-        bound = counting.chebyshev_bound(m, a)
+        value = window_log_prob(counting.counting_pmf(m).pmf, m.volume, cfg.beta, a, b)
+        bound = chebyshev_bound(m.law, m.volume, cfg.beta, a)
         return {
             "L": length,
             "log_prob_rate": value,
@@ -392,15 +392,14 @@ def _run_clt(cfg, state, disp):
 
     def one(i, length):
         m = counting.build_counting_matrix(state, disp, length)
-        report = counting.cumulants_clt(m, variance_target=target)
-        c1, c2, c3, c4 = report.values
+        _, c2, c3, c4 = clt_cumulants(m.law, m.volume)
         return {
             "L": length,
             "c2": c2,
             "c3": c3,
             "c4": c4,
-            "c2_target": report.variance_target,
-            "c2_gap": abs(c2 - report.variance_target) / report.variance_target,
+            "c2_target": target,
+            "c2_gap": abs(c2 - target) / target,
         }
 
     rows = _sweep(one, cfg.sizes)
@@ -480,8 +479,14 @@ def _check_gf(cfg):
 
 
 def _check_kernel(cfg):
-    key = "sizes" if cfg.sizes else "extent"
-    for extent in cfg.sizes or ((cfg.extent,) if cfg.extent is not None else ()):
+    if cfg.sizes:
+        key, extents = "sizes", cfg.sizes
+    elif cfg.extent is not None:
+        key, extents = "extent", (cfg.extent,)
+    else:  # the default extent, which h may not fit
+        key = "h"
+        extents = (kernel.default_extent(cfg.build_state(), cfg.build_dispersion(), cfg.h),)
+    for extent in extents:
         try:
             kernel.grid_points(cfg.h, extent)
         except DomainError as exc:

@@ -106,6 +106,12 @@ def grid_points(h: float, extent: float) -> int:
     return n_half
 
 
+def default_extent(state: ThermoState, disp: DispersionRelation, h: float) -> float:
+    """The extent of a table built without one: 40 thermal lengths (1 / k_thermal),
+    rounded up to a multiple of h."""
+    return math.ceil(40.0 / _thermal_wavevector(state.beta, disp) / h) * h
+
+
 def build_kernel(
     state: ThermoState,
     disp: DispersionRelation,
@@ -114,15 +120,14 @@ def build_kernel(
 ) -> KernelTable:
     """Build the kernel table on a uniform grid of spacing h up to ``extent``.
 
-    The extent must be an integer multiple of h; left ``None`` it covers 40
-    thermal lengths (1 / k_thermal), rounded up to a multiple of h.  The
-    kernel must decay below 1e-12 of its sup near the grid boundary;
-    otherwise an ``AccuracyError`` advises a larger extent.
+    The extent must be an integer multiple of h; left ``None`` it is
+    ``default_extent``.  The kernel must decay below 1e-12 of its sup near
+    the grid boundary; otherwise an ``AccuracyError`` advises a larger extent.
     """
     if h <= 0:
         raise DomainError("grid spacing h must be positive")
     if extent is None:
-        extent = math.ceil(40.0 / _thermal_wavevector(state.beta, disp) / h) * h
+        extent = default_extent(state, disp, h)
     n_half = grid_points(h, extent)
 
     if disp.dimension == 1:

@@ -3,12 +3,14 @@
 The dual lattice of an ell-sided periodic box is (2 pi Z / ell)^d.  Each
 mode is occupied independently: Bernoulli for FD, geometric for BE, so a
 shell of r modes is one binomial or negative-binomial factor of the
-``factors`` law (exact pmf, generating function, mean), and the particle
-number is sampled by inverting the exact laws of groups of shells.  Modes
-are grouped by energy shells (isotropic dispersion), truncated where the
-mean occupation falls below a floor, with the discarded mass certified
-against an integral bound (``thermo``'s certified finite-interval
-integrator).
+``factors`` law ``ModeLattice.law(lam)``, and the particle number is sampled
+by inverting the exact laws of groups of shells.  Modes are grouped by
+energy shells (isotropic dispersion), truncated where the mean occupation
+falls below a floor, with the discarded mass certified against an integral
+bound (``thermo``'s certified finite-interval integrator).  The box's
+generating function, tilts, cumulants and Chebyshev bounds are the
+``factors`` statistics of (``lat.law(lam)``, ``lat.volume``, beta), the
+same functions the interval route calls.
 
 The condensation experiment tunes the chemical potential so the box holds
 a target density above the critical one and compares the law of N/ell^d
@@ -39,8 +41,6 @@ from .thermo import (BE, FD, ThermoState, critical_density, _brent, _integrate, 
 __all__ = [
     "ModeLattice",
     "box_pressure",
-    "box_log_pgf",
-    "mean_density",
     "box_pmf",
     "solve_lambda_V",
     "sample_NV",
@@ -89,6 +89,10 @@ class ModeLattice:
         self._check_tilt(lam)
         w = self.state.beta * (self.energies - (self.state.mu + lam))
         return _occ_from_w(w, self.state.sigma)
+
+    def law(self, lam: float = 0.0) -> FactorLaw:
+        """The shells as factors: occupations at mu + lam, multiplicities the shell counts."""
+        return FactorLaw(self.occupations(lam), self.multiplicities, self.state.sigma)
 
     def _check_tilt(self, lam: float) -> None:
         mu_eff = self.state.mu + lam
@@ -209,21 +213,6 @@ def box_pressure(lat: ModeLattice) -> float:
     return float(np.sum(lat.multiplicities * terms)) / (st.beta * lat.volume)
 
 
-def _law(lat: ModeLattice, lam: float = 0.0) -> FactorLaw:
-    """The shells as factors: occupations at mu + lam, multiplicities the shell counts."""
-    return FactorLaw(lat.occupations(lam), lat.multiplicities, lat.state.sigma)
-
-
-def box_log_pgf(lat: ModeLattice, zeta: float) -> float:
-    """log <zeta^{N}> as a mode sum (the product route to the same object)."""
-    return _law(lat).log_pgf(zeta - 1.0)
-
-
-def mean_density(lat: ModeLattice, lam: float = 0.0) -> float:
-    """Mean particle density of the box at chemical potential mu + lam."""
-    return _law(lat, lam).mean() / lat.volume
-
-
 def box_pmf(lat: ModeLattice, lam: float = 0.0) -> np.ndarray:
     """Exact pmf of the box particle number, the shells as ``factors`` laws.
 
@@ -241,7 +230,7 @@ def box_pmf(lat: ModeLattice, lam: float = 0.0) -> np.ndarray:
     """
     if lat.mode_count > _MODE_BUDGET:
         raise ResourceError("too many modes for exact convolution; use sampling")
-    return _law(lat, lam).pmf()[0]
+    return lat.law(lam).pmf()[0]
 
 
 def solve_lambda_V(lat: ModeLattice, a: float) -> float:
@@ -254,7 +243,7 @@ def solve_lambda_V(lat: ModeLattice, a: float) -> float:
     if a <= 0:
         raise DomainError("target density must be positive")
     st = lat.state
-    f = lambda lam: mean_density(lat, lam) - a
+    f = lambda lam: lat.law(lam).mean() / lat.volume - a  # box mean density at mu + lam
 
     if st.sigma == BE:
         # the ground-mode occupation diverges as mu + lam -> 0-, so a point

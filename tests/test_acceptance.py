@@ -13,18 +13,16 @@ import time
 import numpy as np
 import pytest
 
-from ldgas.counting import (
-    build_counting_matrix,
+from ldgas.counting import build_counting_matrix, counting_pmf, trace_moments
+from ldgas.dispersion import DispersionRelation
+from ldgas.factors import (
     chebyshev_bound,
-    counting_pmf,
-    cumulants_clt,
+    clt_cumulants,
     lambda_max,
-    ldp_log_prob,
     log_generating_function,
     tilted_moments,
-    trace_moments,
+    window_log_prob,
 )
-from ldgas.dispersion import DispersionRelation
 from ldgas.harness import ExperimentConfig, run_experiment
 from ldgas.kernel import build_kernel, decay_exponent
 from ldgas.modes import ModeLattice, kac_test, solve_lambda_V
@@ -187,7 +185,8 @@ def test_criterion_04_generating_function_convergence(fd_matrices):
         g = translated_pressure(lam, FD0, D1)
         gaps = []
         for L in (10.0, 20.0, 40.0, 80.0):
-            phi = log_generating_function(fd_matrices[L], lam)
+            m = fd_matrices[L]
+            phi = log_generating_function(m.law, m.volume, FD0.beta, lam)
             gaps.append(abs(phi / 1.0 - g) / abs(g))
         monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
         ratios = [gaps[i + 1] / gaps[i] for i in range(3)]
@@ -235,7 +234,7 @@ def test_criterion_06_spectrum_containment(fd_matrices, be_matrices):
 
 
 def test_criterion_07_lambda_max_monotone(be_matrices):
-    values = [lambda_max(be_matrices[L]) for L in (10.0, 20.0, 40.0)]
+    values = [lambda_max(be_matrices[L].law, BE1_D1.beta) for L in (10.0, 20.0, 40.0)]
     decreasing = values[0] > values[1] > values[2]
     above = all(v > 1.0 for v in values)
     check(7, "bosonic tilt ceiling", decreasing and above,
@@ -249,9 +248,9 @@ def test_criterion_08_ldp_with_chebyshev(fd_matrices, fd_dists, fd_ctx):
     bounds_ok = True
     for L in (20.0, 40.0, 80.0):
         m = fd_matrices[L]
-        val = ldp_log_prob(m, 0.25, 0.30, fd_dists[L])
+        val = window_log_prob(fd_dists[L].pmf, m.volume, FD0.beta, 0.25, 0.30)
         gaps.append(abs(val - target))
-        bounds_ok = bounds_ok and (val <= chebyshev_bound(m, 0.25))
+        bounds_ok = bounds_ok and (val <= chebyshev_bound(m.law, m.volume, FD0.beta, 0.25))
     monotone = gaps[0] > gaps[1] > gaps[2]
     check(
         8, "interval LDP + sharp Chebyshev", monotone and bounds_ok,
@@ -260,11 +259,12 @@ def test_criterion_08_ldp_with_chebyshev(fd_matrices, fd_dists, fd_ctx):
     )
 
 
-def test_criterion_09_clt_cumulants(fd_matrices, fd_dists):
-    c2 = cumulants_clt(fd_matrices[80.0], fd_dists[80.0]).values[1]
+def test_criterion_09_clt_cumulants(fd_matrices):
+    scaled = {L: clt_cumulants(fd_matrices[L].law, L) for L in (20.0, 80.0)}
+    c2 = scaled[80.0][1]
     gap = abs(c2 - oracle.FD_DRHO_D1_MU0) / oracle.FD_DRHO_D1_MU0
-    c3_20 = abs(cumulants_clt(fd_matrices[20.0], fd_dists[20.0]).values[2])
-    c3_80 = abs(cumulants_clt(fd_matrices[80.0], fd_dists[80.0]).values[2])
+    c3_20 = abs(scaled[20.0][2])
+    c3_80 = abs(scaled[80.0][2])
     shrink = c3_80 < 0.6 * c3_20
     check(
         9, "central-limit cumulants", gap < 0.02 and shrink,
@@ -275,7 +275,7 @@ def test_criterion_09_clt_cumulants(fd_matrices, fd_dists):
 
 def test_criterion_10_exponential_tilting(fd_matrices, fd_ctx):
     lam0 = minimizer(0.25, fd_ctx)
-    mean80, var80 = tilted_moments(fd_matrices[80.0], lam0)
+    mean80, var80 = tilted_moments(fd_matrices[80.0].law, 80.0, FD0.beta, lam0)
     mean_gap = abs(mean80 - 0.25) / 0.25
     target = translated_pressure(lam0, FD0, D1, order=2)
     var_gap = abs(var80 - target) / target

@@ -5,20 +5,17 @@ import numpy as np
 import pytest
 
 from ldgas import counting, factors
-from ldgas.counting import (
-    CountingMatrix,
-    build_counting_matrix,
-    chebyshev_bound,
-    counting_pmf,
-    cumulants_clt,
-    lambda_max,
-    ldp_log_prob,
-    log_generating_function,
-    tilted_moments,
-    trace_moments,
-)
+from ldgas.counting import CountingMatrix, build_counting_matrix, counting_pmf, trace_moments
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import AccuracyError, DomainError
+from ldgas.factors import (
+    chebyshev_bound,
+    clt_cumulants,
+    lambda_max,
+    log_generating_function,
+    tilted_moments,
+    window_log_prob,
+)
 from ldgas.kernel import build_kernel
 from ldgas.rate import RateContext, minimizer
 from ldgas.thermo import BE, FD, ThermoState, density, translated_pressure
@@ -54,6 +51,11 @@ def synthetic_matrix(state, eigenvalues):
     )
 
 
+def stats_args(m):
+    """(law, volume, beta) of a matrix: the leading arguments of the ``factors`` statistics."""
+    return m.law, m.volume, m.state.beta
+
+
 def pgf(dist, zeta):
     """sum_n pmf[n] zeta^n, the probability generating function of the pmf."""
     return float(np.polynomial.polynomial.polyval(zeta, dist.pmf))
@@ -73,7 +75,7 @@ def accepted_blocks(m):
     rule, scaled by the doublings its node count records, and checked to give
     its eigenvalues bit for bit.
     """
-    sign = 1.0 if m.statistics == FD else -1.0
+    sign = 1.0 if m.state.sigma == FD else -1.0
     k_max, n_k, radius, n_r = first_rule(m.state, m.disp, m.length)
     scale = m.nodes // (2 * n_r)  # 2 ** (doublings past the first rule)
     blocks = counting._parity_blocks(m.state, m.disp, k_max, scale * n_k, radius, scale * n_r, sign)
@@ -252,22 +254,22 @@ class TestGeneratingFunction:
             m = build_counting_matrix(state, D1, L)
             for lam in (-0.5, 0.5):
                 want = sign * oracle.uniform_nystrom_log_det(sym, L, lam)
-                assert abs(log_generating_function(m, lam) - want) < 1e-10
+                assert abs(log_generating_function(*stats_args(m), lam) - want) < 1e-10
 
     def test_zero_tilt(self, fd_m40):
-        assert log_generating_function(fd_m40, 0.0) == 0.0
+        assert log_generating_function(*stats_args(fd_m40), 0.0) == 0.0
 
     def test_monotone_convex_on_grid(self, fd_m40):
         lams = np.linspace(-1.5, 1.5, 21)
-        phi = np.array([log_generating_function(fd_m40, l) for l in lams])
+        phi = np.array([log_generating_function(*stats_args(fd_m40), l) for l in lams])
         assert np.all(np.diff(phi) > 0)
         assert np.all(np.diff(phi, 2) > -1e-12)
 
     def test_be_infinite_beyond_lambda_max(self, be_m20):
-        top = lambda_max(be_m20)
-        assert log_generating_function(be_m20, top) == math.inf
-        assert log_generating_function(be_m20, top + 0.1) == math.inf
-        assert math.isfinite(log_generating_function(be_m20, top - 1e-3))
+        top = lambda_max(be_m20.law, be_m20.state.beta)
+        assert log_generating_function(*stats_args(be_m20), top) == math.inf
+        assert log_generating_function(*stats_args(be_m20), top + 0.1) == math.inf
+        assert math.isfinite(log_generating_function(*stats_args(be_m20), top - 1e-3))
 
     def test_derivative_at_zero_tracks_density(self):
         rho = density(FD0, D1)
@@ -275,8 +277,9 @@ class TestGeneratingFunction:
         gaps = []
         for L in (20.0, 40.0, 80.0):
             m = build_counting_matrix(FD0, D1, L)
-            fd1 = (log_generating_function(m, h) - log_generating_function(m, -h)) / (2 * h)
-            gaps.append(abs(fd1 / m.beta - rho))
+            phi = lambda l: log_generating_function(*stats_args(m), l)
+            fd1 = (phi(h) - phi(-h)) / (2 * h)
+            gaps.append(abs(fd1 / m.state.beta - rho))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 0.01 * rho
 
@@ -287,26 +290,26 @@ class TestGeneratingFunction:
         gaps = []
         for L in (20.0, 40.0, 80.0):
             m = build_counting_matrix(FD0, D1, L)
-            phi = lambda l: log_generating_function(m, l)
+            phi = lambda l: log_generating_function(*stats_args(m), l)
             fd2 = (phi(h) - 2.0 * phi(0.0) + phi(-h)) / h ** 2
-            gaps.append(abs(fd2 / m.beta ** 2 - target))
+            gaps.append(abs(fd2 / m.state.beta ** 2 - target))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 0.02 * target
 
 
 class TestLambdaMax:
     def test_fd_is_infinite(self, fd_m40):
-        assert lambda_max(fd_m40) == math.inf
+        assert lambda_max(fd_m40.law, fd_m40.state.beta) == math.inf
 
     def test_be_decreasing_above_minus_mu(self):
-        values = [lambda_max(build_counting_matrix(BE1, D1, L)) for L in (10.0, 20.0, 40.0)]
+        values = [lambda_max(build_counting_matrix(BE1, D1, L).law, BE1.beta) for L in (10.0, 20.0, 40.0)]
         assert values[0] > values[1] > values[2]
         assert all(v > 1.0 for v in values)
 
     def test_degenerate_warns(self):
         degenerate = synthetic_matrix(BE1, [0.0])
         with pytest.warns(UserWarning):
-            assert lambda_max(degenerate) == math.inf
+            assert lambda_max(degenerate.law, degenerate.state.beta) == math.inf
 
 
 class TestTraceMoments:
@@ -351,15 +354,15 @@ class TestPmf:
     def test_determinant_identity(self, fd_m40, lam):
         # pgf route and eigenvalue-product route agree on a 5-point zeta grid
         dist = counting_pmf(fd_m40)
-        zeta = math.exp(fd_m40.beta * lam)
-        via_det = math.exp(fd_m40.volume * log_generating_function(fd_m40, lam))
+        zeta = math.exp(fd_m40.state.beta * lam)
+        via_det = math.exp(fd_m40.volume * log_generating_function(*stats_args(fd_m40), lam))
         assert pgf(dist, zeta) == pytest.approx(via_det, rel=1e-10)
 
     @pytest.mark.parametrize("lam", [-0.7, -0.3, 0.1, 0.25, 0.35])
     def test_determinant_identity_be(self, be_m20, lam):
         dist = counting_pmf(be_m20)
-        zeta = math.exp(be_m20.beta * lam)
-        via_det = math.exp(be_m20.volume * log_generating_function(be_m20, lam))
+        zeta = math.exp(be_m20.state.beta * lam)
+        via_det = math.exp(be_m20.volume * log_generating_function(*stats_args(be_m20), lam))
         assert pgf(dist, zeta) == pytest.approx(via_det, rel=1e-10)
 
     def test_tail_budget_miss_raises(self, fd_m40, be_m20, monkeypatch):
@@ -383,51 +386,52 @@ class TestLdp:
         vals = []
         for L in (20.0, 40.0, 80.0):
             m = build_counting_matrix(FD0, D1, L)
-            vals.append(ldp_log_prob(m, rho - 0.03, rho + 0.03))
+            vals.append(window_log_prob(counting_pmf(m).pmf, m.volume, m.state.beta, rho - 0.03, rho + 0.03))
         assert abs(vals[-1]) < abs(vals[0])
         assert abs(vals[-1]) < 0.01
 
     def test_empty_window_sentinel(self, fd_m40):
         # [0.2501, 0.2549] * 40 = [10.004, 10.196]: no integer inside
-        assert ldp_log_prob(fd_m40, 0.2501, 0.2549) == -math.inf
+        assert window_log_prob(counting_pmf(fd_m40).pmf, fd_m40.volume, fd_m40.state.beta, 0.2501, 0.2549) == -math.inf
 
     def test_interval_ordering(self, fd_m40):
         with pytest.raises(DomainError):
-            ldp_log_prob(fd_m40, 0.3, 0.2)
+            window_log_prob(counting_pmf(fd_m40).pmf, fd_m40.volume, fd_m40.state.beta, 0.3, 0.2)
 
     def test_chebyshev_bound_holds_exactly(self):
         for L in (10.0, 20.0, 40.0):
             m = build_counting_matrix(FD0, D1, L)
-            value = ldp_log_prob(m, 0.25, 0.30)
-            assert value <= chebyshev_bound(m, 0.25)
+            value = window_log_prob(counting_pmf(m).pmf, m.volume, m.state.beta, 0.25, 0.30)
+            assert value <= chebyshev_bound(*stats_args(m), 0.25)
 
     @pytest.mark.parametrize("statistics", ["FD", "BE"])
     def test_chebyshev_bound_equals_the_per_tilt_loop(self, statistics):
         state = FD0 if statistics == "FD" else BE1
         for L in (10.0, 40.0):
             m = build_counting_matrix(state, D1, L)
-            top = lambda_max(m)
-            hi = 4.0 / m.beta if math.isinf(top) else top * (1.0 - 1e-6)
-            loop = [log_generating_function(m, float(l)) / m.beta - float(l) * 0.3
+            top = lambda_max(m.law, m.state.beta)
+            hi = 4.0 / m.state.beta if math.isinf(top) else top * (1.0 - 1e-6)
+            loop = [log_generating_function(*stats_args(m), float(l)) / m.state.beta - float(l) * 0.3
                     for l in np.linspace(0.0, hi, 81)[1:]]
-            assert chebyshev_bound(m, 0.3) == min(loop)
+            assert chebyshev_bound(*stats_args(m), 0.3) == min(loop)
 
 
 class TestCumulants:
     def test_first_cumulant_exact_zero(self, fd_m40):
-        assert cumulants_clt(fd_m40).values[0] == 0.0
+        assert clt_cumulants(fd_m40.law, fd_m40.volume)[0] == 0.0
 
     def test_second_cumulant_target(self):
         m = build_counting_matrix(FD0, D1, 80.0)
-        report = cumulants_clt(m)
-        assert report.variance_target == pytest.approx(oracle.FD_DRHO_D1_MU0, rel=1e-8)
-        assert report.values[1] == pytest.approx(report.variance_target, rel=0.02)
+        c2 = clt_cumulants(m.law, m.volume)[1]
+        variance_target = translated_pressure(0.0, m.state, m.disp, order=2) / m.state.beta
+        assert variance_target == pytest.approx(oracle.FD_DRHO_D1_MU0, rel=1e-8)
+        assert c2 == pytest.approx(variance_target, rel=0.02)
 
     def test_third_cumulant_shrinks_like_sqrt(self):
         c3 = {}
         for L in (20.0, 80.0):
             m = build_counting_matrix(FD0, D1, L)
-            c3[L] = abs(cumulants_clt(m).values[2])
+            c3[L] = abs(clt_cumulants(m.law, m.volume)[2])
         # kappa_3(N) ~ L, so C(3) ~ L^{-1/2}: quadrupling L halves it
         assert c3[80.0] < 0.6 * c3[20.0]
 
@@ -435,7 +439,7 @@ class TestCumulants:
 class TestTilting:
     def test_zero_tilt_matches_untilted(self, fd_m40):
         dist = counting_pmf(fd_m40)
-        mean_density, beta_var = tilted_moments(fd_m40, 0.0)
+        mean_density, beta_var = tilted_moments(*stats_args(fd_m40), 0.0)
         assert mean_density == pytest.approx(dist.mean / fd_m40.volume, rel=1e-12)
         assert beta_var == pytest.approx(dist.variance / fd_m40.volume, rel=1e-12)
 
@@ -443,7 +447,7 @@ class TestTilting:
         ctx = RateContext.build(FD0, D1)
         lam0 = minimizer(0.25, ctx)
         m = build_counting_matrix(FD0, D1, 80.0)
-        mean_density, beta_var = tilted_moments(m, lam0)
+        mean_density, beta_var = tilted_moments(*stats_args(m), lam0)
         assert mean_density == pytest.approx(0.25, rel=0.02)
         target_var = translated_pressure(lam0, FD0, D1, order=2)
         assert beta_var == pytest.approx(target_var, rel=0.10)
@@ -451,16 +455,16 @@ class TestTilting:
     def test_tilted_variance_size_stable(self):
         ctx = RateContext.build(FD0, D1)
         lam0 = minimizer(0.25, ctx)
-        _, v40 = tilted_moments(build_counting_matrix(FD0, D1, 40.0), lam0)
-        _, v80 = tilted_moments(build_counting_matrix(FD0, D1, 80.0), lam0)
+        _, v40 = tilted_moments(*stats_args(build_counting_matrix(FD0, D1, 40.0)), lam0)
+        _, v80 = tilted_moments(*stats_args(build_counting_matrix(FD0, D1, 80.0)), lam0)
         assert 0.8 <= v80 / v40 <= 1.2
 
     def test_be_tilt_domain(self, be_m20):
         with pytest.raises(DomainError):
-            tilted_moments(be_m20, lambda_max(be_m20) + 0.1)
+            tilted_moments(*stats_args(be_m20), lambda_max(be_m20.law, be_m20.state.beta) + 0.1)
 
     def test_be_tilted_moments_finite(self, be_m20):
-        mean_density, beta_var = tilted_moments(be_m20, 0.5)
+        mean_density, beta_var = tilted_moments(*stats_args(be_m20), 0.5)
         assert mean_density > 0 and beta_var > 0
 
 

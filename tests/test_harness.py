@@ -67,7 +67,7 @@ def fail_mid_sweep(monkeypatch):
 
 
 def test_clt_variance_target_computed_once(monkeypatch):
-    from ldgas import counting, thermo
+    from ldgas import thermo
 
     calls = []
     original = thermo.translated_pressure
@@ -77,7 +77,6 @@ def test_clt_variance_target_computed_once(monkeypatch):
         return original(lam, state, disp, order=order, tol=tol)
 
     monkeypatch.setattr(thermo, "translated_pressure", counted)
-    monkeypatch.setattr(counting, "translated_pressure", counted)
     cfg = config_from_mapping({"kind": "clt", "statistics": "FD", "dispersion": "nonrelativistic",
                                "mass": "0.5", "dimension": "1", "beta": "1.0", "mu": "0.0",
                                "h": "0.05", "extent": "160.0", "sizes": "10, 20, 40"})
@@ -254,6 +253,21 @@ class TestConfigParsing:
             build_kernel(state, disp, 0.05, refused)
         assert err.value.reason == str(dom.value)
 
+    def test_kernel_default_extent_h_cannot_fit_names_h(self):
+        # no sizes or extent: the extent is the default of 40 thermal lengths
+        # (30 at h = 5, mass 1, d = 1), which holds only 6 grid points
+        from ldgas.kernel import default_extent, grid_points
+
+        cfg = {"kind": "kernel", "statistics": "FD", "dimension": "1", "h": "5"}
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(cfg)
+        assert err.value.field == "h"
+        extent = default_extent(ThermoState(1.0, 0.0, FD), DispersionRelation.nonrelativistic(1.0, 1), 5.0)
+        assert extent == 30.0
+        with pytest.raises(DomainError) as dom:
+            grid_points(5.0, extent)
+        assert err.value.reason == str(dom.value)
+
     def test_interval_parse(self):
         cfg = config_from_mapping(
             {"kind": "ldp", "interval": "0.25, 0.30", "sizes": "10, 20"}
@@ -343,7 +357,8 @@ class TestRecords:
 
     def test_json_round_trip(self, gf_record):
         _, record, tmp = gf_record
-        payload = json.load(open(tmp / "gf.json"))
+        with open(tmp / "gf.json") as fh:
+            payload = json.load(fh)
         assert payload["config"] == record.numeric_payload()["config"]
         assert payload["results"] == record.numeric_payload()["results"]
         assert "timings" in payload
@@ -369,7 +384,8 @@ class TestEmission:
         emit(record, tmp_path, formats=("csv", "json"))
         lines = (tmp_path / "ldp.csv").read_text().splitlines()
         assert lines[-1] == ""  # header block only, no data rows
-        payload = json.load(open(tmp_path / "ldp.json"))
+        with open(tmp_path / "ldp.json") as fh:
+            payload = json.load(fh)
         assert payload["results"] == []
 
     def test_atomic_on_failure(self, tmp_path):
@@ -620,7 +636,9 @@ class TestCli:
             "mu = 0.0", "mu = -0.5").replace("lambda = 0.5", "lambda = 0.7"), "lambda"),
         ("kernel", "kind = kernel\nh = 0.05\nsizes = 40.01\n", "sizes"),
         ("kernel", "kind = kernel\nh = 0.05\nsizes = 0.2\n", "sizes"),
-    ], ids=["gf_zero_lambda", "gf_be_lambda_beyond_minus_mu", "kernel_off_grid", "kernel_too_few_points"])
+        ("kernel", "kind = kernel\nstatistics = FD\ndimension = 1\nh = 5\n", "h"),
+    ], ids=["gf_zero_lambda", "gf_be_lambda_beyond_minus_mu", "kernel_off_grid", "kernel_too_few_points",
+            "kernel_default_extent_too_few_points"])
     def test_unscorable_setting_exit_two(self, tmp_path, capsys, kind, body, key):
         cfg = write_cfg(tmp_path, body)
         assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -666,7 +684,8 @@ class TestCli:
             """,
         )
         assert main(["kac", "--config", cfg, "--out", str(tmp_path), "--seed", "2"]) == 0
-        payload = json.load(open(tmp_path / "kac.json"))
+        with open(tmp_path / "kac.json") as fh:
+            payload = json.load(fh)
         assert payload["config"]["seed"] == 2
 
     def test_negative_seed_exit_two(self, tmp_path, capsys):
@@ -679,5 +698,6 @@ class TestCli:
         fail_mid_sweep(monkeypatch)
         cfg = write_cfg(tmp_path, GF_CFG)
         main(["gf", "--config", cfg, "--out", str(tmp_path)])
-        payload = json.load(open(tmp_path / "gf.json"))
+        with open(tmp_path / "gf.json") as fh:
+            payload = json.load(fh)
         assert payload["failure"] is not None

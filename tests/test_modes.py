@@ -7,14 +7,19 @@ import pytest
 from ldgas import factors, modes
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import AccuracyError, DomainError, ResourceError
-from ldgas.factors import FactorLaw
+from ldgas.factors import (
+    FactorLaw,
+    chebyshev_bound,
+    clt_cumulants,
+    lambda_max,
+    log_generating_function,
+    window_log_prob,
+)
 from ldgas.modes import (
     ModeLattice,
-    box_log_pgf,
     box_pmf,
     box_pressure,
     kac_test,
-    mean_density,
     sample_NV,
     solve_lambda_V,
 )
@@ -67,7 +72,7 @@ class TestBuild:
 
     def test_be_requires_negative_mu_under_tilt(self, be_lat10):
         with pytest.raises(DomainError):
-            mean_density(be_lat10, 1.0)  # mu + lam = 0 hits the ground mode
+            be_lat10.law(1.0)  # mu + lam = 0 hits the ground mode
 
     def test_ground_shell_first(self, be_lat10):
         assert be_lat10.energies[0] == 0.0
@@ -170,9 +175,8 @@ class TestBoxPressure:
         # (log Xi(mu+lam) - log Xi(mu)) / (beta V) equals the box generating
         # function of N at lam, at any finite size
         lam = 0.5
-        lhs = box_log_pgf(fd_lat40, math.exp(fd_lat40.state.beta * lam)) / (
-            fd_lat40.state.beta * fd_lat40.volume
-        )
+        beta = fd_lat40.state.beta
+        lhs = log_generating_function(fd_lat40.law(), fd_lat40.volume, beta, lam) / beta
         shifted = ModeLattice.build(ThermoState(1.0, 0.5, FD), D1, 40.0)
         rhs = box_pressure(shifted) - box_pressure(fd_lat40)
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -193,13 +197,13 @@ class TestBoxPmf:
     def test_product_identity(self, fd_lat40, zeta):
         pmf = box_pmf(fd_lat40)
         lhs = math.log(float(np.sum(pmf * zeta ** np.arange(pmf.size))))
-        assert lhs == pytest.approx(box_log_pgf(fd_lat40, zeta), rel=1e-10)
+        assert lhs == pytest.approx(fd_lat40.law().log_pgf(zeta - 1.0), rel=1e-10)
 
     def test_be_product_identity(self, be_lat10):
         pmf = box_pmf(be_lat10)
         for zeta in (0.7, 1.1):
             lhs = math.log(float(np.sum(pmf * zeta ** np.arange(pmf.size))))
-            assert lhs == pytest.approx(box_log_pgf(be_lat10, zeta), rel=1e-10)
+            assert lhs == pytest.approx(be_lat10.law().log_pgf(zeta - 1.0), rel=1e-10)
 
     def test_be_tail_budget(self):
         lat = ModeLattice.build(BE1, D3, 16.0)
@@ -230,9 +234,45 @@ class TestBoxPmf:
         assert gaps[2] < 0.05
 
 
+class TestSharedStatistics:
+    """The box law through the ``factors`` statistics the interval route calls."""
+
+    GASES = {"fd": (FD0, ((0.25, 0.30), (0.35, 0.40))),
+             "be": (ThermoState(1.0, -0.5, BE), ((0.40, 0.45), (0.50, 0.55)))}
+
+    @pytest.mark.parametrize("gas", ["fd", "be"])
+    def test_second_cumulant_is_the_compressibility(self, gas):
+        # in d = 1 the periodic box's C(2) reaches beta^{-1} d rho / d mu = g''(0) / beta
+        # up to exponentially small terms already at L = 40
+        state, _ = self.GASES[gas]
+        lat = ModeLattice.build(state, D1, 40.0)
+        c1, c2, _, _ = clt_cumulants(lat.law(), lat.volume)
+        target = translated_pressure(0.0, state, D1, order=2) / state.beta
+        assert c1 == 0.0
+        assert abs(c2 - target) <= 1e-9 * target
+
+    @pytest.mark.parametrize("gas", ["fd", "be"])
+    def test_window_below_chebyshev_bound(self, gas):
+        # every window lies above the mean density (FD 0.171, BE 0.324)
+        state, windows = self.GASES[gas]
+        for ell in (10.0, 20.0, 40.0, 80.0):
+            lat = ModeLattice.build(state, D1, ell)
+            for a, b in windows:
+                value = window_log_prob(box_pmf(lat), lat.volume, state.beta, a, b)
+                assert math.isfinite(value)
+                assert value <= chebyshev_bound(lat.law(), lat.volume, state.beta, a)
+
+    def test_be_tilt_ceiling_is_minus_mu(self):
+        # the ground mode sits at eps = 0, so the box admits every tilt below -mu
+        state, _ = self.GASES["be"]
+        lat = ModeLattice.build(state, D1, 40.0)
+        assert lambda_max(lat.law(), state.beta) == pytest.approx(-state.mu, rel=1e-12)
+        assert lambda_max(ModeLattice.build(FD0, D1, 40.0).law(), FD0.beta) == math.inf
+
+
 class TestLambdaV:
     def test_untilted_mean_gives_zero(self, fd_lat40):
-        a = mean_density(fd_lat40)
+        a = fd_lat40.law().mean() / fd_lat40.volume
         assert abs(solve_lambda_V(fd_lat40, a)) < 1e-10
 
     def test_fd_increasing_in_target(self, fd_lat40):
@@ -241,7 +281,7 @@ class TestLambdaV:
 
     def test_residual(self, fd_lat40):
         lam = solve_lambda_V(fd_lat40, 0.25)
-        assert abs(mean_density(fd_lat40, lam) - 0.25) < 1e-10 * 0.25
+        assert abs(fd_lat40.law(lam).mean() / fd_lat40.volume - 0.25) < 1e-10 * 0.25
 
     def test_be_condensation_regime(self):
         rc = critical_density(1.0, D3)
@@ -291,7 +331,7 @@ class TestSampling:
     def test_fd_unbiased(self, fd_lat40):
         n = 2000
         x = sample_NV(fd_lat40, 0.0, n, seed=5)
-        exact_mean = mean_density(fd_lat40)
+        exact_mean = fd_lat40.law().mean() / fd_lat40.volume
         occ = fd_lat40.occupations()
         var_n = float(np.sum(fd_lat40.multiplicities * occ * (1 - occ)))
         stderr = math.sqrt(var_n) / fd_lat40.volume / math.sqrt(n)
