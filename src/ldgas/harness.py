@@ -24,7 +24,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -325,10 +325,9 @@ def _run_rate(cfg, state, disp):
 def _run_kernel(cfg, state, disp):
     rho = -state.sigma * thermo.density(state, disp, cfg.quad_tol)  # the exact d(0)
     rows = []
-    tables = []
+    prev = tab = None  # the last two tables: the decay fit reads one, l1_change both
     for extent in cfg.sizes or (cfg.extent,):
-        tab = kernel.build_kernel(state, disp, cfg.h, extent)
-        tables.append(tab)
+        prev, tab = tab, kernel.build_kernel(state, disp, cfg.h, extent)
         rows.append({
             "extent": tab.extent,
             "d0": tab.d0,
@@ -338,11 +337,10 @@ def _run_kernel(cfg, state, disp):
             "boundary_ratio": tab.boundary_ratio,
         })
     summary = {"passed": rows[-1]["d0_gap"] <= cfg.tolerance}
-    if len(tables) >= 2:
-        change = abs(tables[-1].l1_norm - tables[-2].l1_norm) / tables[-2].l1_norm
-        summary["l1_change"] = change
-    window = (2.0, max(4.0, tables[-1].extent / 8.0))
-    summary["decay_slope"] = kernel.decay_exponent(tables[-1], window)
+    if prev is not None:
+        summary["l1_change"] = abs(tab.l1_norm - prev.l1_norm) / prev.l1_norm
+    window = (2.0, max(4.0, tab.extent / 8.0))
+    summary["decay_slope"] = kernel.decay_exponent(tab, window)
     summary["decay_window"] = list(window)
     return rows, summary
 
@@ -526,7 +524,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, formats=("json",)) -> Ex
     state = cfg.build_state()
     disp = cfg.build_dispersion()
     runner = KINDS[cfg.kind].runner
-    record = ExperimentRecord(config=asdict(cfg), results=[], summary={}, timings={})
+    # a shallow echo: every field is a scalar, a string or a tuple of numbers, so no deep copy
+    record = ExperimentRecord(config={f.name: getattr(cfg, f.name) for f in fields(cfg)},
+                              results=[], summary={}, timings={})
     start = time.perf_counter()
     try:
         rows, summary = runner(cfg, state, disp)

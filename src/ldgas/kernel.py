@@ -3,9 +3,10 @@
 The kernel d_sigma(x) is the inverse Fourier transform of the momentum
 symbol ``-sigma * state.occupation(k, disp)``: 1/(1 + e^{beta(eps - mu)})
 for FD and 1/(1 - e^{beta(eps - mu)}) for BE (negative; minus the Bose
-occupation).  It is built on a uniform grid by FFT: directly in one
-dimension, and through the radial (spherical Bessel) representation reduced
-to a sine transform in three dimensions.
+occupation).  It is built on a uniform grid by real FFTs: an inverse one of
+the symbol in one dimension, and in three dimensions the radial (spherical
+Bessel) representation reduced to a sine transform, which is the imaginary
+part of one real FFT of the radial samples zero-padded to twice their length.
 
 Tables carry the L1 and sup norms and the boundary-decay ratio, and
 support a log-log decay-exponent fit against the |x|^{-(d+1)} envelope
@@ -70,20 +71,18 @@ def _build_3d_radial(state, disp, h, n_half):
     """Radial kernel by the d = 3 reduction of the spherical transform.
 
     d(r) = (2 pi^2 r)^{-1} int_0^inf k sym(k) sin(kr) dk, evaluated for all
-    grid radii at once by a sine FFT; aliasing from the 2X periodization is
-    negligible once the boundary-decay check passes.  d(0) is a certified
-    quadrature (1e-10 relative) of (2 pi^2)^{-1} int k^2 sym(k) dk.
+    grid radii at once as the sine part of one real FFT of the m samples
+    zero-padded to 2m; aliasing from the 2X periodization is negligible once
+    the boundary-decay check passes.  d(0) is a certified quadrature (1e-10
+    relative) of (2 pi^2)^{-1} int k^2 sym(k) dk.
     """
     m = n_half
     dk = math.pi / (m * h)
     kk = dk * np.arange(m)
     symbol = lambda q: -state.sigma * state.occupation(q, disp)
     g = kk * symbol(kk)
-    # odd extension of length 2m: imaginary part of the FFT gives the sine sum
-    ext = np.zeros(2 * m)
-    ext[:m] = g
-    ext[m + 1:] = -g[:0:-1]
-    sine_sum = -np.fft.fft(ext).imag[:m] / 2.0
+    # sum_j g_j sin(pi j n / m) = -Im sum_j g_j e^{-i pi j n / m}: the real FFT of g zero-padded to 2m
+    sine_sum = -np.fft.rfft(g, 2 * m).imag[:m]
     r = h * np.arange(m)
     d = np.empty(m)
     d[0] = _integrate(lambda q: q * q * symbol(q), 0.0, kk[-1])[0] / (2.0 * math.pi ** 2)

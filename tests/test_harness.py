@@ -126,8 +126,10 @@ SMOKE = {
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_every_kind_runs_from_its_smallest_config(tmp_path, kind):
-    record = run_experiment(config_from_mapping(dict(SMOKE[kind], kind=kind)), tmp_path, ("both",))
+    cfg = config_from_mapping(dict(SMOKE[kind], kind=kind))
+    record = run_experiment(cfg, tmp_path, ("both",))
     assert record.failure is None and record.results
+    assert record.config == dataclasses.asdict(cfg)
     assert isinstance(record.summary["passed"], bool)
     assert sorted(os.listdir(tmp_path)) == [f"{kind}.csv", f"{kind}.json"]
 

@@ -113,6 +113,23 @@ class TestBuild:
             j = int(round(r / tab.h))
             assert tab.values[j] == pytest.approx(val, rel=1e-5)
 
+    @pytest.mark.parametrize("state", [FD0, BE1], ids=["FD", "BE"])
+    def test_d3_matches_direct_sine_sum(self, state):
+        # the FFT against the O(m^2) sine sum it evaluates, at every radius r = h n > 0,
+        # to roundoff (the quadrature test above holds three radii to 1e-5)
+        disp = DispersionRelation.nonrelativistic(mass=1.0, dimension=3)
+        tab = build_kernel(state, disp, h=0.25, extent=40.0)
+        m = tab.x.size
+        assert m == 160
+        dk = math.pi / (m * tab.h)
+        kk = dk * np.arange(m)
+        g = kk * symbol(kk, state, disp)
+        n = np.arange(1, m)
+        r = tab.h * n
+        direct = np.sin(math.pi * np.outer(n, np.arange(m)) / m) @ g * dk / (2.0 * math.pi ** 2 * r)
+        np.testing.assert_array_equal(tab.x[1:], r)
+        assert np.max(np.abs(tab.values[1:] - direct)) <= 1e-13 * tab.sup_norm
+
     def test_dimension_guard(self):
         d2 = DispersionRelation.nonrelativistic(mass=1.0, dimension=2)
         with pytest.raises(DomainError):
