@@ -31,9 +31,10 @@ and the integer-window log-probability of an exact pmf.
 
 ``FactorLaw.pmf`` is memoized (``functools.lru_cache``, 32 entries) on the
 law's content: sigma and the bytes of the occupations (as floats, before
-clipping) and of the multiplicities, with their dtype.  So the interval laws,
-the box laws and ``sample_NV``'s group laws each build once however often a
-law object is made anew.  The cached pmfs are read-only.  A pmf of the
+clipping) and of the multiplicities, with their dtype.  So the interval laws
+and the box laws each build once however often a law object is made anew.
+``sample_NV``'s group laws pass through here only when its own per-(lattice,
+tilt) table memo misses (``modes``).  The cached pmfs are read-only.  A pmf of the
 benchmark's ``box`` workload has at most 903 entries.  The worst case is a
 direct ``pmf()`` of a law with a long geometric tail: the BE ell = 60 box at
 the Kac tilt has about 1.5 M entries, 12 MB for one memo entry (``box_pmf``
@@ -41,7 +42,8 @@ refuses that box, which has over 100 000 modes).  The ``_PMF_BUDGET`` check
 runs on every call, outside the memo.  Code that patches a module constant of
 the build (``_PMF_TAIL``, ``_FACTOR_TAIL``, ``_LIGHT``, ``_CHERNOFF_GRID``,
 ``_RESCALE``) or spies on its route must call ``_exact_pmf.cache_clear()``
-before and after.
+before and after, and ``modes._sampler_table.cache_clear()`` too when it
+samples.
 """
 
 from __future__ import annotations

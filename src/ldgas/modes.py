@@ -22,6 +22,18 @@ box share one lattice, whose ``energies`` and ``multiplicities`` are
 read-only.  Code that patches a module constant of the build must call
 ``ModeLattice.build.cache_clear()`` before and after.  The box and group pmfs
 are memoized one layer down, by ``factors`` (see there).
+
+``sample_NV`` reads one sampler table per (lattice, tilt) from
+``_sampler_table``, an ``lru_cache`` of 32 entries keyed, as
+``factors._exact_pmf`` is, on sigma and the bytes of the tilted occupations
+and of the multiplicities, with their dtype.  Per group of shells it holds
+the CDF, the tail mass and a guide table, about 24 bytes per CDF entry: 36 KB
+for criterion 12's box at 2 rho_c (three groups, 1515 entries), 0.7 MB at
+ell = 40 (37 groups).  A warm table makes no pmf call; the tail budgets are
+checked on every call.  Code that patches a module constant of ``factors``,
+or spies on ``FactorLaw.pmf`` through ``sample_NV``, must call
+``_sampler_table.cache_clear()`` before and after, beside
+``factors._exact_pmf.cache_clear()``.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import numpy as np
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError, ResourceError
+from . import factors
 from .factors import _PMF_BUDGET, FactorLaw
 from .thermo import (BE, FD, ThermoState, critical_density, _brent, _integrate, _occ_from_w,
                      _log_weight_from_w, _surface_area)
@@ -52,6 +65,7 @@ _OCC_FLOOR = 1e-12
 _TAIL_BUDGET = 1e-9          # discarded mass, relative to retained
 _MODE_BUDGET = 100_000
 _GROUP_MEAN = 256            # mean particles per inverted group of shells
+_GUIDE = 4                   # guide-table buckets per CDF entry
 
 
 @dataclass(frozen=True)
@@ -282,18 +296,20 @@ def sample_NV(
     the square of the box's mean.  In BE, only a group's shells of mean
     occupation 2 or more (the few lowest near condensation) are convolved,
     each convolution cut at the group's Chernoff support; the rest take the
-    power sums.  The group laws come from ``FactorLaw.pmf``'s memo (32
-    entries, keyed on each group's occupations and counts), so a repeated
-    (lattice, tilt) builds none.  Groups are drawn by inverting their CDFs,
-    each searched with the keys in ascending order (the same index per key
-    as an unsorted search, found faster), N_0 by u < n_0 (FD) or
-    floor(-log1p(-u) / w_0) (BE, P(N_0 >= k) = exp(-w_0 k)).  Term j (N_0
-    is j = 0) reads the j-th jump of the PCG64 stream of
+    power sums.  Each group's CDF, tail and guide table come from the
+    memoized ``_sampler_table`` (module docstring), so a repeated (lattice,
+    tilt) builds no group law.  A group is drawn by inverting its CDF through
+    the guide table (the index of ``np.searchsorted(cdf, key, side="right")``
+    for every key, so the draws equal a plain search's), N_0 by
+    u < n_0 (FD) or floor(-log1p(-u) / w_0) (BE, P(N_0 >= k) = exp(-w_0 k)).
+    Term j (N_0 is j = 0) reads the j-th jump of the PCG64 stream of
     ``np.random.default_rng(seed)`` (an integer, a ``SeedSequence`` or None
     for fresh entropy): equal seeds give equal samples, and the first k
     samples equal the k-sample call.  The sampled law is within the summed
-    group ``tail_mass`` of the exact law in total variation; a sum above 1e-14
-    raises ``AccuracyError`` before any draw (BE d = 3 at 2 rho_c: ell >= 62).
+    group ``tail_mass`` of the exact law in total variation.  Before any
+    draw, on every call, hit or miss: a group tail above ``factors._PMF_BUDGET``
+    or a sum above ``_PMF_BUDGET`` (both 1e-14) raises ``AccuracyError`` (BE
+    d = 3 at 2 rho_c: ell >= 62).
     """
     if samples < 1:
         raise DomainError("need at least one sample")
@@ -303,25 +319,62 @@ def sample_NV(
     if st.sigma == BE and np.any(np.exp(-w) >= 1.0):
         raise DomainError("BE tilt puts a mode at or beyond divergence")
     occ, mult = _occ_from_w(w, st.sigma), lat.multiplicities
-    cuts = np.flatnonzero(np.diff(np.cumsum(mult[1:] * occ[1:]) // _GROUP_MEAN)) + 1
-    groups = zip(np.split(occ[1:], cuts), np.split(mult[1:], cuts))
-    pmfs = [FactorLaw(n, r, st.sigma).pmf() for n, r in groups]
-    tail = sum(t for _, t in pmfs)
+    groups = _sampler_table(st.sigma, occ.tobytes(), mult.tobytes(), mult.dtype.str)
+    for _, tail, _, _ in groups:
+        if tail > factors._PMF_BUDGET:
+            raise AccuracyError(f"pmf tail mass {tail:.2e} over {factors._PMF_BUDGET:.0e}",
+                                estimate=tail)
+    tail = sum(tail for _, tail, _, _ in groups)
     if tail > _PMF_BUDGET:
         raise AccuracyError(f"summed group tail mass {tail:.2e} over {_PMF_BUDGET:.0e}", estimate=tail)
     bits = np.random.default_rng(seed).bit_generator
     uniform = lambda j: np.random.Generator(bits.jumped(j)).random(samples)
-    u, cdfs = uniform(0), [np.cumsum(pmf) for pmf, _ in pmfs]
+    u = uniform(0)
     n = u < occ[0] if st.sigma == FD else np.floor(-np.log1p(-u) / w[0])
-    n = n + sum(_inverted(c, uniform(j) * c[-1]) for j, c in enumerate(cdfs, 1))
+    n = n + sum(_inverted(group, uniform(j) * group[0][-1]) for j, group in enumerate(groups, 1))
     return n / lat.volume
 
 
-def _inverted(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, keys, side="right")``, searched in ascending key order (faster)."""
-    order = np.argsort(keys)
-    out = np.empty(keys.size, dtype=np.intp)
-    out[order] = np.searchsorted(cdf, keys[order], side="right")
+@functools.lru_cache(maxsize=32)
+def _sampler_table(sigma: int, occupations: bytes, multiplicities: bytes, dtype: str) -> tuple:
+    """Per group of shells past the ground mode: (CDF, tail mass, bucket scale, guide table).
+
+    The groups are ``sample_NV``'s, and each CDF is ``np.cumsum`` of the group's
+    ``FactorLaw.pmf()`` (8 bytes an entry).  The guide table cuts the keys into n =
+    ``_GUIDE`` * CDF.size buckets, key -> min(int(key * scale), n - 1) with scale =
+    n / CDF[-1], and holds, for b = 0..n, the count of CDF entries in the buckets
+    below b (int32, 16 bytes per CDF entry).  The same monotone map bins keys and
+    CDF, so a key whose bucket holds no CDF entry has the index guide[b] (Chen and
+    Asau 1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4).  The
+    arrays are read-only; a build that raises is not cached.
+    """
+    occ = np.frombuffer(occupations)
+    mult = np.frombuffer(multiplicities, dtype=dtype)
+    cuts = np.flatnonzero(np.diff(np.cumsum(mult[1:] * occ[1:]) // _GROUP_MEAN)) + 1
+    groups = []
+    for n, r in zip(np.split(occ[1:], cuts), np.split(mult[1:], cuts)):
+        pmf, tail = FactorLaw(n, r, sigma).pmf()
+        cdf = np.cumsum(pmf)
+        buckets = _GUIDE * cdf.size
+        scale = buckets / cdf[-1]
+        binned = np.minimum((cdf * scale).astype(np.intp), buckets - 1)
+        guide = np.searchsorted(binned, np.arange(buckets + 1)).astype(np.int32)
+        cdf.setflags(write=False)
+        guide.setflags(write=False)
+        groups.append((cdf, tail, scale, guide))
+    return tuple(groups)
+
+
+def _inverted(group: tuple, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, keys, side="right")`` by a group's guide table: a key whose
+    bucket holds no CDF entry reads its index from the table, the rest are searched."""
+    cdf, _, scale, guide = group
+    buckets = (keys * scale).astype(np.intp)
+    np.minimum(buckets, guide.size - 2, out=buckets)
+    out = guide[buckets]
+    buckets += 1
+    searched = np.flatnonzero(guide[buckets] > out)
+    out[searched] = np.searchsorted(cdf, keys[searched], side="right")
     return out
 
 

@@ -26,14 +26,17 @@ exactly the bits, that it gets alone.
 the value-equal key (state, dispersion, float(tol)), so every rate solve of
 one gas shares one context, whether ``tol`` is left out or passed by position
 or keyword.  A context holds p(mu), rho_bar and rho_c, and a table
-of g' at the rungs of the two doubling ladders (+-2^j / beta) that its solves
-have evaluated: at most 2 * 41 floats.  A solve asks the engine only for the
-rungs the table lacks.  The table is exact: each column of an order-(1,)
-call depends on its own tilt only, so a slope read from it has the bits of a
-fresh call.  The BE edge ladder, the Newton steps and g at the minimizer
-depend on x and are computed per solve.  Code that patches a module
-constant of ``rate`` or ``thermo`` must call ``RateContext._build.cache_clear()``
-before and after (``RateContext._build.cache_info()`` counts the hits).
+of g' at the ladder rungs that its solves have evaluated: the two doubling
+ladders (+-2^j / beta) and the BE edge ladder, at most 2 * 41 + 200 floats.
+The edge ladder halves the gap from its first left rung to -mu, and for
+every x above rho_bar that rung is -1 / beta, so its rungs depend on the gas
+only.  A solve asks the engine only for the rungs the table lacks.  The
+table is exact: each column of an order-(1,) call depends on its own tilt
+only, so a slope read from it has the bits of a fresh call.  The Newton
+steps and g at the minimizer depend on x and are computed per solve.  Code
+that patches a module constant of ``rate`` or ``thermo`` must call
+``RateContext._build.cache_clear()`` before and after
+(``RateContext._build.cache_info()`` counts the hits).
 """
 
 from __future__ import annotations
@@ -62,10 +65,10 @@ class RateContext:
     rho_bar is the mean density g'(0) and p_mu the pressure p(mu), both
     computed once, with rho_c, in one engine call; rho_c may be ``inf``;
     lambda_upper is the right edge of the domain of g (inf for FD, -mu for BE).
-    ``slopes`` maps each doubling-ladder rung +-2^j / beta evaluated so far
-    to its g' (order-(1,) engine values, so exact for any later solve); it
-    is the one mutable part.  Threads sharing a context may both fill a
-    rung, with the same bits.  ``build`` normalizes ``tol`` to a float and
+    ``slopes`` maps each ladder rung evaluated so far (the doubling rungs
+    +-2^j / beta and the BE edge rungs) to its g' (order-(1,) engine values,
+    so exact for any later solve); it is the one mutable part.  Threads
+    sharing a context may both fill a rung, with the same bits.  ``build`` normalizes ``tol`` to a float and
     reads the memoized ``_build`` (state, disp, tol), 32 entries, whose
     ``cache_clear()`` is the one reset; a build that raises is not cached.
     """
@@ -170,7 +173,7 @@ def _solve(x: float, ctx: RateContext):
 
     beta = ctx.state.beta
     doubling = 2.0 ** np.arange(_BRACKET_LIMIT_POW + 1) / beta
-    # the doubling ladders depend on the gas only: their slopes live on the context
+    # the ladders depend on the gas only: their slopes live on the context
     left = (-doubling, lambda gp: gp <= x, "no bracket: g' stays above x down to the search limit",
             ctx.slopes)
     if x <= ctx.rho_bar:
@@ -181,12 +184,13 @@ def _solve(x: float, ctx: RateContext):
             left, (doubling, lambda gp: gp >= x, "no bracket: g' stays below x up to the search limit",
                    ctx.slopes))
     else:
-        # approach -mu from below; g' -> rho_c > x guarantees success
+        # approach -mu from below; g' -> rho_c > x guarantees success.  lo is the first
+        # left rung -1 / beta (g' there is below rho_bar < x), so these rungs are the gas's
         [(lo, g_lo)] = yield from _first_rungs(left)
         edge = ctx.lambda_upper
         [(hi, g_hi)] = yield from _first_rungs((edge - (edge - lo) * 0.5 ** np.arange(1, 201),
                                                 lambda gp: gp >= x, "no bracket below the BE domain edge",
-                                                {}))
+                                                ctx.slopes))
     if g_lo == x or hi == lo:
         return lo
     if g_hi == x:

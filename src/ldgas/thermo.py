@@ -17,9 +17,13 @@ while it misses that share, at most 200 times (400 leaves) per mu or per
 integral; a total estimate above ``tol`` raises ``AccuracyError`` carrying
 it.  No estimate is below the rounding floor 50 eps |value|, so a budget
 under it raises too.  Nodes, energies and k1 are cached per (beta,
-dispersion); each panel's energy row ends with the energy at its right
-end, which the domain rule reads.  w = beta (eps - mu) is formed once per
-node and end, so one integrand pass per panel round gives p, rho and
+dispersion), and ``critical_density`` per (beta, dispersion, statistics,
+tol) in ``_critical_density`` (32 entries), so a gas runs one rho_c
+quadrature per process.  Code that patches a module constant of the engine
+must call ``_grid.cache_clear()`` and ``_critical_density.cache_clear()``
+before and after.  Each panel's energy row ends with the energy at its
+right end, which the domain rule reads.  w = beta (eps - mu) is formed once
+per node and end, so one integrand pass per panel round gives p, rho and
 d rho / d mu, and the domain test, for a scalar or an array of mu
 (``pressure_derivatives``).  Each mu's result depends on that mu alone:
 an array call equals the scalar calls bit for bit, for one set of orders
@@ -557,8 +561,15 @@ def critical_density(
     """Maximal normal-fluid density: the mu = 0 BE density.
 
     Returns ``inf`` when the dimension does not exceed the small-k exponent
-    (d <= gamma) and, by convention, for Fermi statistics.
+    (d <= gamma) and, by convention, for Fermi statistics.  Reads the memoized
+    ``_critical_density`` at (float(beta), disp, statistics, float(tol)), so every
+    call form runs one quadrature per gas.
     """
+    return _critical_density(float(beta), disp, statistics, float(tol))
+
+
+@functools.lru_cache(maxsize=32)
+def _critical_density(beta: float, disp: DispersionRelation, statistics: int, tol: float) -> float:
     if beta <= 0:
         raise DomainError("beta must be positive")
     if statistics not in (BE, FD):

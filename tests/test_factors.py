@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import binom, nbinom  # independent oracle; the package uses log-factorials
 
 import ldgas
-from ldgas import factors
+from ldgas import factors, modes
 from ldgas.counting import build_counting_matrix
 from ldgas.dispersion import DispersionRelation
 from ldgas.errors import AccuracyError
@@ -122,6 +122,14 @@ def fresh_pmfs():
     factors._exact_pmf.cache_clear()
 
 
+@pytest.fixture
+def fresh_samplers():
+    """Clear ``sample_NV``'s table memo before and after the test, so its group laws are built."""
+    modes._sampler_table.cache_clear()
+    yield
+    modes._sampler_table.cache_clear()
+
+
 def spy_paths(monkeypatch):
     """Record the route of each pmf: 'power' per power-sum law, 'blocks' per block pass,
     'convolve' per ``np.convolve`` call."""
@@ -177,7 +185,7 @@ class TestPowerSums:
 
     @pytest.mark.parametrize("index, heavy, rtol", [(0, 5, 1e-9), (1, 0, 1e-13)],
                              ids=["first", "second"])
-    def test_sampling_group(self, index, heavy, rtol, monkeypatch):
+    def test_sampling_group(self, index, heavy, rtol, monkeypatch, fresh_samplers):
         # be16 (criterion 12's box at 2 rho_c): the first of sample_NV's three groups has
         # five heavy shells (n = 2.1 to 12.3), the second 21 light ones, the largest at n = 1.69
         lat = ModeLattice.build(BE1, D3, 16.0)
@@ -310,6 +318,7 @@ class TestPmfMemo:
         payloads = []
         for threads in ("1", "2"):
             factors._exact_pmf.cache_clear()
+            modes._sampler_table.cache_clear()
             monkeypatch.setenv("LDGAS_THREADS", threads)
             payloads.append(json.dumps(run_experiment(cfg).numeric_payload(), sort_keys=True))
             assert memo_info()[2] > 0
@@ -336,9 +345,9 @@ def unsorted_inversion(lat, lam, samples, seed, monkeypatch):
 
 
 @pytest.mark.parametrize("gas", ["FD", "BE"])
-def test_sampler_equals_unsorted_inversion(gas, monkeypatch):
-    if gas == FD:
-        lat = ModeLattice.build(ThermoState(1.0, 0.0, FD), D3, 12.0)
+def test_sampler_equals_unsorted_inversion(gas, monkeypatch, fresh_samplers):
+    if gas == "FD":  # two groups
+        lat = ModeLattice.build(ThermoState(1.0, 0.0, FD), D3, 16.0)
         lam = 0.5
     else:  # criterion 12's box at 2 rho_c: heavy shells in the first group
         lat = ModeLattice.build(BE1, D3, 16.0)

@@ -53,6 +53,14 @@ def fresh_lattices():
     ModeLattice.build.cache_clear()
 
 
+@pytest.fixture
+def fresh_samplers():
+    """Clear ``sample_NV``'s table memo before and after the test, so its group laws are built."""
+    modes._sampler_table.cache_clear()
+    yield
+    modes._sampler_table.cache_clear()
+
+
 def single_mode_lattice(state, energy):
     return ModeLattice(
         state=state,
@@ -365,7 +373,7 @@ class TestSampling:
     def case(name, fd_lat40):
         # fd40: FD d = 1; fd20: FD d = 3 (two inverted groups); beL: the
         # condensed BE d = 3 box of side L at 2 rho_c (be16 is criterion 12's
-        # box, three groups; be24 eight groups)
+        # box, three groups; be24 eight groups; be40 37 groups)
         if name == "fd40":
             return fd_lat40, 0.3
         if name == "fd20":
@@ -400,6 +408,38 @@ class TestSampling:
         long = sample_NV(lat, lam, 300, seed=31)
         assert np.array_equal(long[:100], short)
 
+    @pytest.mark.parametrize("name, count", [("fd12", 1), ("be16", 3), ("be40", 37)])
+    def test_guide_inversion_equals_a_search(self, name, count, fd_lat40):
+        # fd12: FD d = 3 at lam = 0.5; be16: the first group heavy; be40: 37 groups.  Keys
+        # on and beside every CDF entry and bucket edge, 0 and the largest u * total
+        if name == "fd12":
+            lat, lam = ModeLattice.build(FD0, D3, 12.0), 0.5
+        else:
+            lat, lam = self.case(name, fd_lat40)
+        occ, mult = lat.occupations(lam), lat.multiplicities
+        table = modes._sampler_table(lat.state.sigma, occ.tobytes(), mult.tobytes(), mult.dtype.str)
+        assert len(table) == count
+        for group in table:
+            cdf, _, scale, guide = group
+            assert not cdf.flags.writeable and not guide.flags.writeable
+            assert guide.size == modes._GUIDE * cdf.size + 1
+            edges = np.arange(guide.size) / scale
+            keys = np.concatenate([[0.0, (1.0 - 2.0 ** -53) * cdf[-1]], cdf, edges])
+            keys = np.concatenate([keys, np.nextafter(keys, -np.inf), np.nextafter(keys, np.inf)])
+            keys = keys[(keys >= 0.0) & (keys <= cdf[-1])]
+            assert np.array_equal(modes._inverted(group, keys), np.searchsorted(cdf, keys, side="right"))
+
+    def test_warm_table_builds_no_group_law(self, fd_lat40, monkeypatch, fresh_samplers):
+        # ell = 40 has 37 groups, more than the pmf memo's 32 entries: a warm table
+        # reads no group law, so none is rebuilt
+        lat, lam = self.case("be40", fd_lat40)
+        first = sample_NV(lat, lam, 1000, seed=5)
+        laws, pmf = [], FactorLaw.pmf
+        monkeypatch.setattr(FactorLaw, "pmf", lambda law: laws.append(law) or pmf(law))
+        second = sample_NV(lat, lam, 1000, seed=5)
+        assert laws == []
+        assert second.tobytes() == first.tobytes()
+
     def test_rest_law_budget_miss_raises_before_drawing(self, be_lat10, monkeypatch):
         monkeypatch.setattr(factors, "_PMF_BUDGET", 0.0)
         drawn = []
@@ -409,7 +449,17 @@ class TestSampling:
         assert err.value.estimate > 0.0
         assert drawn == []
 
-    def test_summed_group_tails_are_budgeted(self, fd_lat40, monkeypatch):
+    def test_group_budget_is_checked_on_a_hit(self, be_lat10, monkeypatch, fresh_samplers):
+        sample_NV(be_lat10, 0.5, 10, seed=0)
+        monkeypatch.setattr(factors, "_PMF_BUDGET", 0.0)
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
+        with pytest.raises(AccuracyError) as err:
+            sample_NV(be_lat10, 0.5, 10, seed=0)
+        assert err.value.estimate > 0.0
+        assert drawn == [] and modes._sampler_table.cache_info().hits == 1
+
+    def test_summed_group_tails_are_budgeted(self, fd_lat40, monkeypatch, fresh_samplers):
         # be16's three group tails are 9.9e-18 (five heavy shells, convolved), 8.9e-18
         # and 9.2e-18 (power sums only) and sum to 2.8e-17: a budget between the
         # largest and the sum is met by each group and missed by the sum

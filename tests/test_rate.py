@@ -335,6 +335,35 @@ class TestSharedContext:
         monkeypatch.undo()
         assert point_reprs(warm) == [scalar_point(new_x, ctx)]
 
+    @pytest.mark.parametrize("gas, warm_x, new_x", [
+        ("be3", 0.16, 0.03), ("be3", 0.05, 0.05), ("relbe3", 0.37, 0.2),
+    ])
+    def test_warm_context_asks_for_no_edge_rung(self, monkeypatch, fresh_contexts, gas, warm_x, new_x):
+        # above rho_bar the edge ladder starts from the first left rung, -1 / beta, so its
+        # rungs are the gas's: a later solve reads them from the context
+        from ldgas import rate
+
+        state, disp = LOCKSTEP_GASES[gas]
+        ctx = RateContext.build(state, disp)
+        assert ctx.rho_bar < new_x <= warm_x < ctx.rho_c
+        rate_values((warm_x,), ctx)
+        asked = []
+        original = rate.pressure_derivatives
+
+        def spied(mu, *args):
+            asked.extend(np.atleast_1d(mu - ctx.state.mu).tolist())
+            return original(mu, *args)
+
+        monkeypatch.setattr(rate, "pressure_derivatives", spied)
+        warm = rate_values((new_x,), ctx)
+        monkeypatch.undo()
+        edge = ctx.lambda_upper
+        rungs = set((edge - (edge + 1.0 / state.beta) * 0.5 ** np.arange(1, 201)).tolist())
+        assert asked and not rungs.intersection(asked)
+        RateContext._build.cache_clear()
+        fresh = rate_values((new_x,), RateContext.build(state, disp))
+        assert point_reprs(warm) == point_reprs(fresh)
+
     @pytest.mark.parametrize("gas", ["fd1", "be3", "relfd3", "relbe3"])
     def test_cold_and_warm_contexts_give_equal_points(self, fresh_contexts, gas):
         state, disp = LOCKSTEP_GASES[gas]

@@ -113,6 +113,19 @@ class TestCriticalDensity:
         with pytest.raises(DomainError):
             critical_density(-1.0, D3, statistics=FD)
 
+    def test_one_quadrature_per_gas_across_call_forms(self, monkeypatch):
+        calls, engine = [], thermo.pressure_derivatives
+        monkeypatch.setattr(thermo, "pressure_derivatives", lambda *args: calls.append(args) or engine(*args))
+        thermo._critical_density.cache_clear()
+        try:
+            values = [critical_density(1.0, D3), critical_density(1.0, D3, BE, 1e-10),
+                      critical_density(beta=1.0, disp=D3, statistics=BE, tol=1e-10),
+                      critical_density(1, D3), critical_density(1.0, D3, tol=1e-10)]
+        finally:
+            thermo._critical_density.cache_clear()
+        assert len(calls) == 1
+        assert values == [engine(0.0, 1.0, BE, D3, (1,))[0]] * 5
+
     @pytest.mark.parametrize("statistics", [0, 7])
     def test_unknown_statistics_is_refused(self, statistics):
         with pytest.raises(DomainError, match="statistics"):
