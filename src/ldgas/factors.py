@@ -27,23 +27,21 @@ the same for both routes: the interval passes ``CountingMatrix.law`` and its
 length, the box ``ModeLattice.law(lam)`` and ell^d.  They are the tilt
 ceiling ``lambda_max``, the per-volume log generating function, the scaled
 central-limit cumulants, the tilted moments, the exponential-Chebyshev bound
-and the integer-window log-probability of an exact pmf.
+(the law's rate function, solved by ``rate``) and the integer-window
+log-probability of an exact pmf.
 
 ``FactorLaw.pmf`` is memoized (``functools.lru_cache``, 32 entries) on the
-law's content: sigma and the bytes of the occupations (as floats, before
-clipping) and of the multiplicities, with their dtype.  So the interval laws
-and the box laws each build once however often a law object is made anew.
-``sample_NV``'s group laws pass through here only when its own per-(lattice,
-tilt) table memo misses (``modes``).  The cached pmfs are read-only.  A pmf of the
-benchmark's ``box`` workload has at most 903 entries.  The worst case is a
-direct ``pmf()`` of a law with a long geometric tail: the BE ell = 60 box at
-the Kac tilt has about 1.5 M entries, 12 MB for one memo entry (``box_pmf``
-refuses that box, which has over 100 000 modes).  The ``_PMF_BUDGET`` check
-runs on every call, outside the memo.  Code that patches a module constant of
-the build (``_PMF_TAIL``, ``_FACTOR_TAIL``, ``_LIGHT``, ``_CHERNOFF_GRID``,
-``_RESCALE``) or spies on its route must call ``_exact_pmf.cache_clear()``
-before and after, and ``modes._sampler_table.cache_clear()`` too when it
-samples.
+law's content (``FactorLaw._key``), so the interval and box laws each build
+once however often a law object is made anew, and ``chebyshev_bound``'s law
+contexts are memoized on the same key.  ``sample_NV``'s group laws bypass the
+pmf memo (``modes``).  The cached pmfs are read-only; the largest of the
+benchmark's ``box`` workload has 903 entries, while a direct ``pmf()`` of the
+BE ell = 60 box at the Kac tilt has 1.5 M, 12 MB for one entry.  The
+``_PMF_BUDGET`` check runs on every call, outside the memo.  Code that
+patches a module constant of the build (``_PMF_TAIL``, ``_FACTOR_TAIL``,
+``_LIGHT``, ``_CHERNOFF_GRID``, ``_RESCALE``) or spies on its route must call
+``_exact_pmf.cache_clear()`` before and after, and
+``modes._sampler_table.cache_clear()`` too when it samples.
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import rate
 from .errors import AccuracyError, DomainError
 from .thermo import BE, FD
 
@@ -131,26 +130,21 @@ class FactorLaw:
         terms = (k2, k2 * (1.0 + 2 * s * n), k2 * (1.0 + 6 * s * n * (1.0 + s * n)))
         return (self.mean(),) + tuple(float(np.sum(self.multiplicities * t)) for t in terms)
 
+    def _key(self) -> tuple:
+        """The law's content as a memo key: sigma, the bytes of both arrays, the counts' dtype."""
+        occupations = np.ascontiguousarray(self.occupations, dtype=float)
+        multiplicities = np.ascontiguousarray(self.multiplicities)
+        return self.sigma, occupations.tobytes(), multiplicities.tobytes(), multiplicities.dtype.str
+
     def pmf(self) -> tuple[np.ndarray, float]:
         """Exact pmf of N and its ``tail_mass``; a tail above 1e-14 raises ``AccuracyError``.
 
-        BE: the light factors (0 < n < 2) come from ``_power_sums`` at their own
-        Chernoff support; each heavy factor (n >= 2) is then convolved on as a block,
-        every convolution cut at the whole law's Chernoff support, below which it is
-        exact.  The pmf is trimmed once at 1e-17, so every entry is exact to the
-        rounding of the recurrence (a few 1e-14) and of the blocks' log-gammas (about
-        1e-11 at r + k = 4000).  FD laws convolve every factor's block.
-
-        The build is memoized on the law's content (sigma, the bytes of the
-        occupations and multiplicities before clipping, and the multiplicities'
-        dtype), 32 entries: equal laws built apart share one read-only pmf.  The
-        budget check runs on every call, hit or miss; a build that raises is not
-        cached.
+        The route is the module docstring's: every entry is exact to the rounding of
+        the power-sum recurrence (a few 1e-14) and of the blocks' log-gammas (about
+        1e-11 at r + k = 4000).  Memoized on ``_key``: equal laws built apart share one
+        read-only pmf.  The budget check runs on every call, hit or miss.
         """
-        occupations = np.ascontiguousarray(self.occupations, dtype=float)
-        multiplicities = np.ascontiguousarray(self.multiplicities)
-        pmf, tail = _exact_pmf(self.sigma, occupations.tobytes(), multiplicities.tobytes(),
-                               multiplicities.dtype.str)
+        pmf, tail = _exact_pmf(*self._key())
         if tail > _PMF_BUDGET:
             raise AccuracyError(f"pmf tail mass {tail:.2e} over {_PMF_BUDGET:.0e}", estimate=tail)
         return pmf, tail
@@ -356,25 +350,41 @@ def clt_cumulants(law: FactorLaw, volume: float) -> tuple:
 
 
 def tilted_moments(law: FactorLaw, volume: float, beta: float, lam: float) -> tuple[float, float]:
-    """Mean density and beta * variance / V under the exponential tilt e^{beta lam N}.
+    """Mean density and beta * variance / V under the tilt e^{beta lam N}, the law context's g', g''.
 
     The targets are rho(mu + lam) and (d rho / d mu)(mu + lam).
     """
     if law.sigma == BE and lam >= lambda_max(law, beta):
         raise DomainError("tilt at or beyond lambda_max")
-    mean, var = law.tilted(math.exp(beta * lam)).cumulants()[:2]
-    return mean / volume, beta * var / volume
+    mean, beta_var = _law_context(*law._key(), volume, beta).derivatives(lam, (1, 2))
+    return float(mean), float(beta_var)
 
 
 def chebyshev_bound(law: FactorLaw, volume: float, beta: float, a: float) -> float:
-    """Exponential-Chebyshev upper bound on (beta V)^{-1} log P(N >= a V).
+    """Exponential-Chebyshev (Chernoff) bound on (beta V)^{-1} log P(N >= a V).
 
-    Minimizes V^{-1} log <e^{beta lam N}> / beta - lam a over 80 admissible tilts in
-    (0, 4/beta] (FD) or (0, lambda_max) (BE); the bound holds exactly at every
-    finite size.
+    inf over lam >= 0 of V^{-1} log <e^{beta lam N}> / beta - lam a, exact at every
+    finite size: 0 for a at or below the mean density, else ``rate.rate_values``'s f.
     """
-    top = lambda_max(law, beta)
-    hi = 4.0 / beta if math.isinf(top) else top * (1.0 - 1e-6)
-    lam_grid = np.linspace(0.0, hi, 81)[1:]
-    zeta_minus_one = np.array([math.expm1(beta * l) for l in lam_grid.tolist()])
-    return float(np.min(law.log_pgf(zeta_minus_one) / volume / beta - lam_grid * a))
+    if a * volume <= law.mean():
+        return 0.0
+    full = float(np.sum(law.multiplicities))
+    if law.sigma == FD and a * volume >= full:
+        # N <= sum r: P(N >= a V) is 0 above it, and at it prod n^r, the lam -> inf limit
+        with np.errstate(divide="ignore"):
+            log_p = float(np.sum(law.multiplicities * np.log(np.clip(law.occupations, 0.0, 1.0))))
+        return log_p / (beta * volume) if a * volume == full else -math.inf
+    return rate.rate_values((a,), _law_context(*law._key(), volume, beta))[0].f
+
+
+@functools.lru_cache(maxsize=32)
+def _law_context(sigma: int, occupations: bytes, multiplicities: bytes, dtype: str,
+                 volume: float, beta: float) -> rate.RateContext:
+    """``chebyshev_bound``'s law context, memoized on ``FactorLaw._key``: the factors sit at
+    the levels beta^{-1} log(1/n + sigma) of the clipped occupations with mu = 0 (inf at
+    n = 0, -inf at a full FD factor), so every rung up to 2^40 / beta stays finite."""
+    law = FactorLaw(np.frombuffer(occupations), np.frombuffer(multiplicities, dtype=dtype), sigma)
+    n = np.clip(law.occupations, 0.0, 1.0 if sigma == FD else np.inf)
+    with np.errstate(divide="ignore"):
+        levels = (np.log1p(1.0 / n) if sigma == BE else np.log1p(-n) - np.log(n)) / beta
+    return rate.RateContext.of_law(law, volume, beta, levels, 0.0)

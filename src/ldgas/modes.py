@@ -10,7 +10,8 @@ falls below a floor, with the discarded mass certified against an integral
 bound (``thermo``'s certified finite-interval integrator).  The box's
 generating function, tilts, cumulants and Chebyshev bounds are the
 ``factors`` statistics of (``lat.law(lam)``, ``lat.volume``, beta), the
-same functions the interval route calls.
+same functions the interval route calls.  ``solve_lambda_V`` is one
+``rate.minimizer`` solve on the lattice's law context.
 
 The condensation experiment tunes the chemical potential so the box holds
 a target density above the critical one and compares the law of N/ell^d
@@ -18,22 +19,20 @@ with the limiting shifted exponential.
 
 ``ModeLattice.build`` is memoized (``functools.lru_cache``, 32 entries) on the
 value-equal key (state, dispersion, ell), so experiments on the same gas and
-box share one lattice, whose ``energies`` and ``multiplicities`` are
-read-only.  Code that patches a module constant of the build must call
-``ModeLattice.build.cache_clear()`` before and after.  The box and group pmfs
-are memoized one layer down, by ``factors`` (see there).
+box share one lattice, with its law context's ladder slopes; its ``energies``
+and ``multiplicities`` are read-only.  Code that patches a module constant of
+the build must call ``ModeLattice.build.cache_clear()`` before and after.  The
+box pmfs are memoized one layer down, by ``factors`` (see there).
 
 ``sample_NV`` reads one sampler table per (lattice, tilt) from
 ``_sampler_table``, an ``lru_cache`` of 32 entries keyed, as
-``factors._exact_pmf`` is, on sigma and the bytes of the tilted occupations
-and of the multiplicities, with their dtype.  Per group of shells it holds
-the CDF, the tail mass and a guide table, about 24 bytes per CDF entry: 36 KB
-for criterion 12's box at 2 rho_c (three groups, 1515 entries), 0.7 MB at
-ell = 40 (37 groups).  A warm table makes no pmf call; the tail budgets are
-checked on every call.  Code that patches a module constant of ``factors``,
-or spies on ``FactorLaw.pmf`` through ``sample_NV``, must call
-``_sampler_table.cache_clear()`` before and after, beside
-``factors._exact_pmf.cache_clear()``.
+``factors._exact_pmf`` is, on the tilted law's content.  Per group of shells it
+holds the CDF, the tail mass and a guide table, about 24 bytes per CDF entry:
+36 KB for criterion 12's box at 2 rho_c (three groups), 0.7 MB at ell = 40 (37
+groups).  The group laws come from ``_exact_pmf``'s unmemoized builder, so a
+cold table evicts no interval or box pmf; the tail budgets are checked on
+every call.  Code that patches a module constant of ``factors`` must call
+``_sampler_table.cache_clear()`` before and after.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ import numpy as np
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError, ResourceError
-from . import factors
+from . import factors, rate
 from .factors import _PMF_BUDGET, FactorLaw
-from .thermo import (BE, FD, ThermoState, critical_density, _brent, _integrate, _occ_from_w,
+from .thermo import (BE, FD, ThermoState, critical_density, _integrate, _occ_from_w,
                      _log_weight_from_w, _surface_area)
 
 __all__ = [
@@ -107,6 +106,12 @@ class ModeLattice:
     def law(self, lam: float = 0.0) -> FactorLaw:
         """The shells as factors: occupations at mu + lam, multiplicities the shell counts."""
         return FactorLaw(self.occupations(lam), self.multiplicities, self.state.sigma)
+
+    @functools.cached_property
+    def _rate_context(self) -> rate.RateContext:
+        """The box law's ``rate`` context, its occupations at mu + lam as ``law(lam)`` has them."""
+        return rate.RateContext.of_law(self.law(), self.volume, self.state.beta, self.energies,
+                                       self.state.mu)
 
     def _check_tilt(self, lam: float) -> None:
         mu_eff = self.state.mu + lam
@@ -230,17 +235,10 @@ def box_pressure(lat: ModeLattice) -> float:
 def box_pmf(lat: ModeLattice, lam: float = 0.0) -> np.ndarray:
     """Exact pmf of the box particle number, the shells as ``factors`` laws.
 
-    BE shells with mean occupation below 2 come from one power-sum
-    recurrence (at lam = 0 every shell of a mu = -1 gas), and only the
-    others are convolved on as negative-binomial blocks, every tail cut by
-    the Chernoff bound; FD boxes convolve binomial blocks (full support)
-    shell by shell.  The truncated BE tail mass stays within 1e-14, else
-    ``AccuracyError``.  Raises
-    ``ResourceError`` above 100000 retained modes (``sample_NV``, which
-    builds the laws of short groups of shells, still runs there).  The pmf
-    comes from ``FactorLaw.pmf``'s memo (32 entries, keyed on the shells'
-    occupations and counts), so a box at one tilt builds once; it is
-    read-only, and the tail budget is checked on every call.
+    ``FactorLaw.pmf``'s memo holds it, read-only, so a box at one tilt builds
+    once; its tail budget (1e-14) is checked on every call.  Raises
+    ``ResourceError`` above 100000 retained modes (``sample_NV``, which builds
+    the laws of short groups of shells, still runs there).
     """
     if lat.mode_count > _MODE_BUDGET:
         raise ResourceError("too many modes for exact convolution; use sampling")
@@ -252,33 +250,18 @@ def solve_lambda_V(lat: ModeLattice, a: float) -> float:
 
     For BE the solution exists for every a > 0 (the ground mode diverges
     as mu + lam -> 0-), including the condensation regime a > rho_c.  The
-    root comes from ``thermo``'s bracketed Brent root-finder.
+    root is ``rate.minimizer`` on the lattice's law context (``_rate_context``).
+    FD targets that need a tilt past ``tilt_ceiling`` raise ``DomainError``.
     """
     if a <= 0:
         raise DomainError("target density must be positive")
-    st = lat.state
-    f = lambda lam: lat.law(lam).mean() / lat.volume - a  # box mean density at mu + lam
-
-    if st.sigma == BE:
-        # the ground-mode occupation diverges as mu + lam -> 0-, so a point
-        # just below the edge dominates any sane target density
-        hi = -st.mu - 1e-13 * max(1.0, -st.mu)
-        if f(hi) < 0:
-            raise AccuracyError("BE density bracket failed below the domain edge")
-    else:
-        hi = 1.0 / st.beta
-        while f(hi) < 0:
-            hi *= 2.0
-            if hi > lat.tilt_ceiling:
-                raise DomainError("target density needs a tilt beyond the lattice ceiling")
-    lo = -1.0 / st.beta
-    while f(lo) > 0:
-        lo *= 2.0
-        if -lo > 2.0 ** 40 * st.beta:
-            raise AccuracyError("density bracket failed on the dilute side")
-    lam = _brent(f, lo, hi, xtol=1e-14, rtol=9e-16, maxiter=300)
-    if abs(f(lam)) > 1e-10 * a:
-        raise AccuracyError("lambda_V residual above tolerance", estimate=abs(f(lam)))
+    full = lat.state.sigma == FD and a * lat.volume >= lat.mode_count  # an infinite tilt
+    lam = math.inf if full else rate.minimizer(a, lat._rate_context)
+    if lam > lat.tilt_ceiling:
+        raise DomainError("target density needs a tilt beyond the lattice ceiling")
+    residual = abs(lat.law(lam).mean() / lat.volume - a)
+    if residual > 1e-10 * a:
+        raise AccuracyError("lambda_V residual above tolerance", estimate=residual)
     return lam
 
 
@@ -293,12 +276,9 @@ def sample_NV(
     N is the ground mode N_0 plus groups of the other shells, cut where their
     cumulative mean passes a multiple of ``_GROUP_MEAN``: each group's exact
     ``factors`` pmf stays short, so the cost grows with the shells, not with
-    the square of the box's mean.  In BE, only a group's shells of mean
-    occupation 2 or more (the few lowest near condensation) are convolved,
-    each convolution cut at the group's Chernoff support; the rest take the
-    power sums.  Each group's CDF, tail and guide table come from the
-    memoized ``_sampler_table`` (module docstring), so a repeated (lattice,
-    tilt) builds no group law.  A group is drawn by inverting its CDF through
+    the square of the box's mean.  Each group's CDF, tail and guide table
+    come from the memoized ``_sampler_table`` (module docstring), so a
+    repeated (lattice, tilt) builds no group law.  A group is drawn by inverting its CDF through
     the guide table (the index of ``np.searchsorted(cdf, key, side="right")``
     for every key, so the draws equal a plain search's), N_0 by
     u < n_0 (FD) or floor(-log1p(-u) / w_0) (BE, P(N_0 >= k) = exp(-w_0 k)).
@@ -339,9 +319,9 @@ def sample_NV(
 def _sampler_table(sigma: int, occupations: bytes, multiplicities: bytes, dtype: str) -> tuple:
     """Per group of shells past the ground mode: (CDF, tail mass, bucket scale, guide table).
 
-    The groups are ``sample_NV``'s, and each CDF is ``np.cumsum`` of the group's
-    ``FactorLaw.pmf()`` (8 bytes an entry).  The guide table cuts the keys into n =
-    ``_GUIDE`` * CDF.size buckets, key -> min(int(key * scale), n - 1) with scale =
+    The groups are ``sample_NV``'s, and each CDF is ``np.cumsum`` of the group's pmf
+    from ``factors._exact_pmf.__wrapped__`` (8 bytes an entry).  The guide table cuts
+    the keys into n = ``_GUIDE`` * CDF.size buckets, key -> min(int(key * scale), n - 1) with scale =
     n / CDF[-1], and holds, for b = 0..n, the count of CDF entries in the buckets
     below b (int32, 16 bytes per CDF entry).  The same monotone map bins keys and
     CDF, so a key whose bucket holds no CDF entry has the index guide[b] (Chen and
@@ -353,7 +333,7 @@ def _sampler_table(sigma: int, occupations: bytes, multiplicities: bytes, dtype:
     cuts = np.flatnonzero(np.diff(np.cumsum(mult[1:] * occ[1:]) // _GROUP_MEAN)) + 1
     groups = []
     for n, r in zip(np.split(occ[1:], cuts), np.split(mult[1:], cuts)):
-        pmf, tail = FactorLaw(n, r, sigma).pmf()
+        pmf, tail = factors._exact_pmf.__wrapped__(sigma, n.tobytes(), r.tobytes(), dtype)
         cdf = np.cumsum(pmf)
         buckets = _GUIDE * cdf.size
         scale = buckets / cdf[-1]
@@ -407,12 +387,8 @@ def kac_test(lat: ModeLattice, a: float, samples: int, seed: int | None = None) 
     The reference law is the exponential of mean a - rho_c shifted to
     rho_c (density (a - rho_c)^{-1} exp(-(x - rho_c)/(a - rho_c)) on
     [rho_c, inf)); the Kolmogorov-Smirnov distance is taken between it and
-    the empirical law.  Requires d = 3, BE, finite rho_c and a > rho_c.
-
-    The distance is to the infinite-volume law, so at finite ell it
-    includes the O(1/ell) gap between rho_c and the box's own location,
-    reported as ``box_normal_density``; ``ks_box`` is the distance to the
-    mean-a exponential located there, free of that gap.
+    the empirical law (``KacResult`` has the box's own location).  Requires
+    d = 3, BE, finite rho_c and a > rho_c.
     """
     if lat.dimension != 3 or lat.state.sigma != BE:
         raise DomainError("the condensation test is defined for BE in d = 3")

@@ -8,35 +8,21 @@ The translated pressure g is convex and increasing on its domain
 with the minimizer lam_o determined by g'(lam_o) = x for densities between
 0 and the critical density, and pinned at -mu above it (Bose condensation
 turns f into an affine segment with slope mu there).  f <= 0 with maximum
-0 at the mean density.
+0 at the mean density.  A finite law's log generating function is such a g
+too (``RateContext.of_law``): the box tilt ``modes.solve_lambda_V`` and the
+Chernoff bound ``factors.chebyshev_bound`` are solves of this one solver.
 
-``minimizer`` brackets the root with ladders of tilts (doubling to the
-left, doubling or halving toward -mu to the right), then runs Newton's
-method on log g'(lam) = log x with g'' from the same quadrature pass,
-falling back to bisection whenever a step would leave the bracket.  The
-solve for one x is a generator that yields its requests: each ladder
-chunk, then each Newton step.  ``rate_values`` runs the solves of several
-x in lockstep, merging each round's requests that share an order set into
-one array call of ``thermo.pressure_derivatives``, and takes g at every
-minimizer from one more call.  The engine's values depend on their own mu
-only within one order set, so each x takes exactly the steps, and gets
-exactly the bits, that it gets alone.
-
-``RateContext.build`` is memoized (``functools.lru_cache``, 32 entries) on
-the value-equal key (state, dispersion, float(tol)), so every rate solve of
-one gas shares one context, whether ``tol`` is left out or passed by position
-or keyword.  A context holds p(mu), rho_bar and rho_c, and a table
-of g' at the ladder rungs that its solves have evaluated: the two doubling
-ladders (+-2^j / beta) and the BE edge ladder, at most 2 * 41 + 200 floats.
-The edge ladder halves the gap from its first left rung to -mu, and for
-every x above rho_bar that rung is -1 / beta, so its rungs depend on the gas
-only.  A solve asks the engine only for the rungs the table lacks.  The
-table is exact: each column of an order-(1,) call depends on its own tilt
-only, so a slope read from it has the bits of a fresh call.  The Newton
-steps and g at the minimizer depend on x and are computed per solve.  Code
-that patches a module constant of ``rate`` or ``thermo`` must call
-``RateContext._build.cache_clear()`` before and after
-(``RateContext._build.cache_info()`` counts the hits).
+``minimizer`` brackets the root with ladders of tilts, then runs
+safeguarded Newton steps (``_solve``).  ``rate_values`` runs the solves of
+several x in lockstep (``_lockstep``) and takes g at every minimizer from
+one more call; each x takes exactly the steps, and gets exactly the bits,
+that it gets alone.  A context keeps g' at every ladder rung its solves
+have evaluated (at most 2 * 41 + 200 floats, exact for any later solve), so
+a warm solve pays only its Newton steps.  The bulk's ``RateContext.build``
+is memoized (``lru_cache``, 32 entries) on (state, dispersion, float(tol));
+code that patches a module constant of ``rate`` or ``thermo`` must call
+``RateContext._build.cache_clear()`` before and after.  A law's context
+lives with its ``modes`` lattice, or in a ``factors`` memo.
 """
 
 from __future__ import annotations
@@ -44,12 +30,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .dispersion import DispersionRelation
 from .errors import AccuracyError, DomainError
-from .thermo import BE, FD, ThermoState, pressure_derivatives, translated_pressure
+from .thermo import BE, FD, ThermoState, _integrands, pressure_derivatives
 
 __all__ = ["RateContext", "RatePoint", "minimizer", "rate_value", "rate_values", "interval_rate"]
 
@@ -60,31 +47,31 @@ _NEWTON_STEPS = 100
 
 @dataclass(frozen=True)
 class RateContext:
-    """One gas's inputs for rate-function evaluations, shared by all its solves.
+    """One convex g's inputs, shared by all its solves.
 
-    rho_bar is the mean density g'(0) and p_mu the pressure p(mu), both
-    computed once, with rho_c, in one engine call; rho_c may be ``inf``;
-    lambda_upper is the right edge of the domain of g (inf for FD, -mu for BE).
-    ``slopes`` maps each ladder rung evaluated so far (the doubling rungs
-    +-2^j / beta and the BE edge rungs) to its g' (order-(1,) engine values,
-    so exact for any later solve); it is the one mutable part.  Threads
-    sharing a context may both fill a rung, with the same bits.  ``build`` normalizes ``tol`` to a float and
-    reads the memoized ``_build`` (state, disp, tol), 32 entries, whose
-    ``cache_clear()`` is the one reset; a build that raises is not cached.
+    The solves read ``derivatives(tilts, orders)`` (rows of g^(n) at an array
+    of tilts, plus p_mu at n = 0), beta, sigma, rho_bar = g'(0), rho_c (may be
+    ``inf``), the domain's right edge lambda_upper, tol and ``slopes``: g' at
+    each ladder rung evaluated so far, the one mutable part (threads sharing a
+    context may both fill a rung, with the same bits).
     """
 
-    state: ThermoState
-    disp: DispersionRelation
+    beta: float
+    sigma: int
     rho_bar: float
     rho_c: float
     lambda_upper: float
     p_mu: float
+    derivatives: Callable = field(compare=False, repr=False)
     tol: float = 1e-10
+    state: ThermoState | None = None
+    disp: DispersionRelation | None = None
     slopes: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, state: ThermoState, disp: DispersionRelation, tol: float = 1e-10) -> "RateContext":
-        """The gas's shared context: ``_build`` at ``float(tol)``, so every call form hits one entry."""
+        """The gas's shared context, g(lam) = p(mu + lam) - p(mu): the memoized ``_build`` at
+        ``float(tol)``, so every call form hits one entry; a build that raises is not cached."""
         return cls._build(state, disp, float(tol))
 
     @classmethod
@@ -97,23 +84,45 @@ class RateContext:
         if not rho_bar < rho_c:
             raise DomainError("mean density must lie below the critical density")
         lam_up = math.inf if state.sigma == FD else -state.mu
-        return cls(state=state, disp=disp, rho_bar=rho_bar, rho_c=rho_c,
-                   lambda_upper=lam_up, p_mu=float(p[0]), tol=tol)
+        # rows of p^(n)(mu + lam): g^(n)(lam) for n >= 1
+        rows = lambda lam, orders: pressure_derivatives(
+            state.mu + np.asarray(lam, dtype=float), state.beta, state.sigma, disp, orders, tol)
+        return cls(beta=state.beta, sigma=state.sigma, rho_bar=rho_bar, rho_c=rho_c,
+                   lambda_upper=lam_up, p_mu=float(p[0]), derivatives=rows, tol=tol,
+                   state=state, disp=disp)
 
-    def derivatives(self, lam, orders):
-        """Rows of p^(n)(mu + lam) for n in ``orders`` at an array of tilts: g^(n)(lam) for n >= 1."""
-        st = self.state
-        return pressure_derivatives(st.mu + np.asarray(lam, dtype=float), st.beta, st.sigma,
-                                    self.disp, orders, self.tol)
+    @classmethod
+    def of_law(cls, law, volume: float, beta: float, energies, mu: float) -> "RateContext":
+        """A finite law's context, for x > 0: g(lam) = log <e^{beta lam N}> / (beta V), p_mu = 0.
+
+        The ``factors.FactorLaw`` ``law`` has its factors at ``energies``: g' and g'' are
+        the mode sums over V of the bulk integrand's rho and d rho / d mu factors at
+        w = beta (energies - (mu + lam)).  rho_c is inf; lambda_upper (BE) is where
+        mu + lam meets the lowest energy.
+        """
+        r, sigma = law.multiplicities, law.sigma
+
+        def rows(lam, orders):
+            lam = np.asarray(lam, dtype=float)
+            w = beta * (energies - (mu + lam[..., None]))
+            with np.errstate(divide="ignore"):  # the BE edge rung: an infinite occupation
+                out = (r * _integrands(w, orders, beta, sigma)).sum(axis=-1) / volume
+            if 0 in orders:  # the bulk engine's pressure row: log <e^{beta lam N}> instead
+                out[orders.index(0)] = law.log_pgf(np.expm1(beta * lam)) / (beta * volume)
+            return out
+
+        edge = float(np.min(energies)) - mu if sigma == BE else math.inf
+        return cls(beta=beta, sigma=sigma, rho_bar=law.mean() / volume, rho_c=math.inf,
+                   lambda_upper=edge, p_mu=0.0, derivatives=rows)
 
     def g(self, lam: float) -> float:
-        """g(lam) = p(mu + lam) - p(mu); inf beyond the BE domain."""
-        if self.state.sigma == BE and self.state.mu + lam > 0:
+        """g(lam), inf beyond the BE domain."""
+        if self.sigma == BE and lam > self.lambda_upper:
             return math.inf
         return float(self.derivatives(lam, (0,))[0]) - self.p_mu
 
     def gprime(self, lam: float) -> float:
-        return translated_pressure(lam, self.state, self.disp, order=1, tol=self.tol)
+        return float(self.derivatives(lam, (1,))[0])
 
 
 @dataclass(frozen=True)
@@ -161,17 +170,20 @@ def _first_rungs(*ladders):
 
 
 def _solve(x: float, ctx: RateContext):
-    """The minimizer of g(lam) - lam x, as a generator of engine requests.
+    """The minimizer of g(lam) - lam x, as a generator of requests.
 
     Yields ``(tilts, orders)``, is sent the rows ``ctx.derivatives(tilts,
-    orders)`` and returns lam_o; see ``minimizer``.
+    orders)`` and returns lam_o; see ``minimizer``.  Ladders of tilts bracket
+    the root (doubling to the left; doubling, or halving toward the BE edge, to
+    the right), then Newton's method on log g'(lam) = log x refines it, bisecting
+    whenever a step would leave the bracket.
     """
     if x <= 0:
         return -math.inf
     if x >= ctx.rho_c:
-        return -ctx.state.mu
+        return ctx.lambda_upper
 
-    beta = ctx.state.beta
+    beta = ctx.beta
     doubling = 2.0 ** np.arange(_BRACKET_LIMIT_POW + 1) / beta
     # the ladders depend on the gas only: their slopes live on the context
     left = (-doubling, lambda gp: gp <= x, "no bracket: g' stays above x down to the search limit",
@@ -179,13 +191,13 @@ def _solve(x: float, ctx: RateContext):
     if x <= ctx.rho_bar:
         [(lo, g_lo)] = yield from _first_rungs(left)
         hi, g_hi = 0.0, ctx.rho_bar
-    elif ctx.state.sigma == FD:
+    elif ctx.sigma == FD:
         (lo, g_lo), (hi, g_hi) = yield from _first_rungs(
             left, (doubling, lambda gp: gp >= x, "no bracket: g' stays below x up to the search limit",
                    ctx.slopes))
     else:
-        # approach -mu from below; g' -> rho_c > x guarantees success.  lo is the first
-        # left rung -1 / beta (g' there is below rho_bar < x), so these rungs are the gas's
+        # approach the edge from below; g' -> rho_c > x guarantees success.  lo is the first
+        # left rung -1 / beta (g' there is below rho_bar < x), so these rungs are g's
         [(lo, g_lo)] = yield from _first_rungs(left)
         edge = ctx.lambda_upper
         [(hi, g_hi)] = yield from _first_rungs((edge - (edge - lo) * 0.5 ** np.arange(1, 201),
@@ -213,11 +225,13 @@ def _solve(x: float, ctx: RateContext):
         step = math.log(gp / x) * gp / gpp if gp > 0 and gpp > 0 else math.inf
         nxt = lam - step
         if abs(step) <= 1e-13 / beta + 4e-16 * abs(lam) or hi - lo <= 1e-13 / beta:
-            if residual > ctx.tol * max(x, ctx.rho_bar):
+            if residual <= ctx.tol * max(x, ctx.rho_bar):
+                return nxt if lo <= nxt <= hi else lam
+            # a steep g' (a box near its BE edge) meets the step threshold first: step on
+            if hi - lo <= 1e-13 / beta:
                 raise AccuracyError(
                     f"minimizer residual {residual:.3e} above tolerance", estimate=residual
                 )
-            return nxt if lo <= nxt <= hi else lam
         lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     raise AccuracyError("Newton iteration did not converge", estimate=residual)
 
@@ -265,9 +279,8 @@ def minimizer(x: float, ctx: RateContext) -> float:
     """Tilt lam_o minimizing g(lam) - lam x.
 
     -inf for x <= 0; the unique root of g'(lam) = x for 0 < x < rho_c
-    (residual below ctx.tol * max(x, rho_bar)); -mu for x >= rho_c (BE).
-    The root comes from bracket-safeguarded Newton steps, taken until a
-    step falls below 1e-13 / beta.
+    (residual below ctx.tol * max(x, rho_bar)), from bracket-safeguarded
+    Newton steps; lambda_upper (-mu) for x >= rho_c (BE).
     """
     return _lockstep([_solve(x, ctx)], ctx)[0]
 

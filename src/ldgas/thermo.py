@@ -33,7 +33,7 @@ more orders can move a row's last bits).
 The numerics are in-house and need numpy only: the Gauss-Legendre rule
 (``_gauss_legendre``, Newton on the Legendre recurrence, also behind the
 ``counting`` Nystrom nodes), a bracketed Brent root-finder (``_brent``,
-also behind ``modes.solve_lambda_V``) and a certified finite-interval
+behind ``_thermal_wavevector`` only) and a certified finite-interval
 integrator (``_integrate``, behind the trace targets in ``counting``, the
 kernel's d(0) and the box truncation bound) on the engine's own rule pair,
 bisection and certificate.
@@ -153,7 +153,7 @@ def _integrands(w, orders, beta, sigma):
     rho and d rho / d mu rows share the occupation 1 / expm1(w).  FD: every
     row is formed from t = e^{-|w|}.
     """
-    if sigma == BE and np.any(w < 0):
+    if sigma == BE and (w < 0).any():
         raise DomainError("BE requires eps(k) >= mu")
     out = np.empty((len(orders),) + w.shape)
     shared = None  # BE: the occupation; FD: t

@@ -405,15 +405,38 @@ class TestLdp:
             assert value <= chebyshev_bound(*stats_args(m), 0.25)
 
     @pytest.mark.parametrize("statistics", ["FD", "BE"])
-    def test_chebyshev_bound_equals_the_per_tilt_loop(self, statistics):
+    def test_chebyshev_bound_is_the_exact_infimum(self, statistics):
+        # the infimum over lam of log <e^{lam N}> / L - lam a sits where the tilted mean is
+        # a L: bisect for that tilt, independently of the solver; the bound is also no
+        # weaker than the least of the 80 grid tilts on (0, 4] (FD) or (0, lambda_max)
+        # that the bound took before (FD a = 0.9: -1.869 / -1.965 at L = 10 / 80)
         state = FD0 if statistics == "FD" else BE1
-        for L in (10.0, 40.0):
+        for L in (10.0, 80.0):
             m = build_counting_matrix(state, D1, L)
-            top = lambda_max(m.law, m.state.beta)
-            hi = 4.0 / m.state.beta if math.isinf(top) else top * (1.0 - 1e-6)
-            loop = [log_generating_function(*stats_args(m), float(l)) / m.state.beta - float(l) * 0.3
-                    for l in np.linspace(0.0, hi, 81)[1:]]
-            assert chebyshev_bound(*stats_args(m), 0.3) == min(loop)
+            top = lambda_max(m.law, 1.0)
+            grid = np.linspace(0.0, 4.0 if math.isinf(top) else top * (1.0 - 1e-6), 81)[1:]
+            for a in ((0.3, 0.9) if statistics == "FD" else (0.3,)):
+                lo, hi = 0.0, min(64.0, top)
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if m.law.tilted(math.exp(mid)).mean() < a * L else (lo, mid)
+                exact = log_generating_function(*stats_args(m), lo) - lo * a
+                bound = chebyshev_bound(*stats_args(m), a)
+                assert bound == pytest.approx(exact, rel=0, abs=1e-12)
+                assert bound <= min(log_generating_function(*stats_args(m), float(l)) - float(l) * a
+                                    for l in grid)
+
+    def test_chebyshev_bound_edges(self, fd_m40, be_m20):
+        for m in (fd_m40, be_m20):
+            mean = m.law.mean() / m.volume
+            assert chebyshev_bound(*stats_args(m), mean) == 0.0
+            assert chebyshev_bound(*stats_args(m), 0.5 * mean) == 0.0
+        # FD: N <= sum r, so above it the probability is 0, and at it the lam -> inf limit
+        # log P(N = sum r) / (beta V) = sum r log n / (beta V)
+        law = factors.FactorLaw(np.array([0.3, 0.9, 0.5]), np.array([2, 1, 3]), FD)
+        assert chebyshev_bound(law, 4.0, 2.0, 6.01 / 4.0) == -math.inf
+        assert chebyshev_bound(law, 4.0, 2.0, 6.0 / 4.0) == pytest.approx(
+            (2 * math.log(0.3) + math.log(0.9) + 3 * math.log(0.5)) / 8.0, rel=1e-15)
 
 
 class TestCumulants:

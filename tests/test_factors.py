@@ -185,19 +185,17 @@ class TestPowerSums:
 
     @pytest.mark.parametrize("index, heavy, rtol", [(0, 5, 1e-9), (1, 0, 1e-13)],
                              ids=["first", "second"])
-    def test_sampling_group(self, index, heavy, rtol, monkeypatch, fresh_samplers):
+    def test_sampling_group(self, index, heavy, rtol, fresh_samplers, group_pmfs):
         # be16 (criterion 12's box at 2 rho_c): the first of sample_NV's three groups has
         # five heavy shells (n = 2.1 to 12.3), the second 21 light ones, the largest at n = 1.69
         lat = ModeLattice.build(BE1, D3, 16.0)
         lam = solve_lambda_V(lat, 2.0 * critical_density(1.0, D3))
-        laws, pmf = [], FactorLaw.pmf
-        monkeypatch.setattr(FactorLaw, "pmf", lambda law: laws.append(law) or pmf(law))
         sample_NV(lat, lam, 1, seed=0)
-        law = laws[index]
-        assert [group.occupations.size for group in laws] == [5, 21, 275]
+        law, (pmf, tail) = group_pmfs[index]
+        assert [group.occupations.size for group, _ in group_pmfs] == [5, 21, 275]
         assert np.sum(law.occupations >= factors._LIGHT) == heavy
         assert law.occupations.max() > 1.0
-        self.check_against_oracle(law, *pmf(law), rtol=rtol)
+        self.check_against_oracle(law, pmf, tail, rtol=rtol)
 
     def test_p0_below_the_float_range(self, monkeypatch, fresh_pmfs):
         # 2000 light factors at n = 1/2: p_0 = 1.5^-2000 = e^-811; the law is
@@ -321,17 +319,18 @@ class TestPmfMemo:
             modes._sampler_table.cache_clear()
             monkeypatch.setenv("LDGAS_THREADS", threads)
             payloads.append(json.dumps(run_experiment(cfg).numeric_payload(), sort_keys=True))
-            assert memo_info()[2] > 0
+            # kac samples from the table memo, whose group laws bypass the pmf memo
+            memo = modes._sampler_table if kind["kind"] == "kac" else factors._exact_pmf
+            assert memo.cache_info().currsize > 0
         assert payloads[0] == payloads[1]
 
 
-def unsorted_inversion(lat, lam, samples, seed, monkeypatch):
-    """``sample_NV``'s draws and a reference from the same group pmfs and streams, each
-    group inverted by ``np.searchsorted`` on its keys in drawing order."""
-    pmfs, pmf = [], FactorLaw.pmf
-    with monkeypatch.context() as patched:
-        patched.setattr(FactorLaw, "pmf", lambda law: pmfs.append(pmf(law)) or pmfs[-1])
-        drawn = sample_NV(lat, lam, samples, seed)
+def unsorted_inversion(lat, lam, samples, seed, group_pmfs):
+    """``sample_NV``'s draws and a reference from the same group pmfs (recorded in
+    ``group_pmfs``) and streams, each group inverted by ``np.searchsorted`` on its keys in
+    drawing order."""
+    drawn = sample_NV(lat, lam, samples, seed)
+    pmfs = [pmf for _, pmf in group_pmfs]
     bits = np.random.default_rng(seed).bit_generator
     uniform = lambda j: np.random.Generator(bits.jumped(j)).random(samples)
     st, u = lat.state, uniform(0)
@@ -345,14 +344,14 @@ def unsorted_inversion(lat, lam, samples, seed, monkeypatch):
 
 
 @pytest.mark.parametrize("gas", ["FD", "BE"])
-def test_sampler_equals_unsorted_inversion(gas, monkeypatch, fresh_samplers):
+def test_sampler_equals_unsorted_inversion(gas, fresh_samplers, group_pmfs):
     if gas == "FD":  # two groups
         lat = ModeLattice.build(ThermoState(1.0, 0.0, FD), D3, 16.0)
         lam = 0.5
     else:  # criterion 12's box at 2 rho_c: heavy shells in the first group
         lat = ModeLattice.build(BE1, D3, 16.0)
         lam = solve_lambda_V(lat, 2.0 * critical_density(1.0, D3))
-    drawn, reference, groups = unsorted_inversion(lat, lam, 10_000, 11, monkeypatch)
+    drawn, reference, groups = unsorted_inversion(lat, lam, 10_000, 11, group_pmfs)
     assert groups > 1
     assert drawn.tobytes() == reference.tobytes()
 

@@ -429,16 +429,30 @@ class TestSampling:
             keys = keys[(keys >= 0.0) & (keys <= cdf[-1])]
             assert np.array_equal(modes._inverted(group, keys), np.searchsorted(cdf, keys, side="right"))
 
-    def test_warm_table_builds_no_group_law(self, fd_lat40, monkeypatch, fresh_samplers):
+    def test_warm_table_builds_no_group_law(self, fd_lat40, fresh_samplers, group_pmfs):
         # ell = 40 has 37 groups, more than the pmf memo's 32 entries: a warm table
         # reads no group law, so none is rebuilt
         lat, lam = self.case("be40", fd_lat40)
         first = sample_NV(lat, lam, 1000, seed=5)
-        laws, pmf = [], FactorLaw.pmf
-        monkeypatch.setattr(FactorLaw, "pmf", lambda law: laws.append(law) or pmf(law))
+        assert len(group_pmfs) == 37
         second = sample_NV(lat, lam, 1000, seed=5)
-        assert laws == []
+        assert len(group_pmfs) == 37
         assert second.tobytes() == first.tobytes()
+
+    def test_cold_table_leaves_the_pmf_memo(self, fd_lat40, fresh_samplers):
+        # a cold ell = 40 table builds its 37 group laws outside the 32-entry pmf memo,
+        # so the box pmfs of ell = 8..24 stay in it
+        lattices = [ModeLattice.build(BE1, D3, ell) for ell in (8.0, 12.0, 16.0, 24.0)]
+        for lat in lattices:
+            box_pmf(lat)
+        before = factors._exact_pmf.cache_info()
+        lat, lam = self.case("be40", fd_lat40)
+        sample_NV(lat, lam, 10, seed=0)
+        after = factors._exact_pmf.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        for lat in lattices:
+            box_pmf(lat)
+        assert factors._exact_pmf.cache_info().misses == before.misses
 
     def test_rest_law_budget_miss_raises_before_drawing(self, be_lat10, monkeypatch):
         monkeypatch.setattr(factors, "_PMF_BUDGET", 0.0)
@@ -459,18 +473,18 @@ class TestSampling:
         assert err.value.estimate > 0.0
         assert drawn == [] and modes._sampler_table.cache_info().hits == 1
 
-    def test_summed_group_tails_are_budgeted(self, fd_lat40, monkeypatch, fresh_samplers):
+    def test_summed_group_tails_are_budgeted(self, fd_lat40, monkeypatch, fresh_samplers,
+                                             group_pmfs):
         # be16's three group tails are 9.9e-18 (five heavy shells, convolved), 8.9e-18
         # and 9.2e-18 (power sums only) and sum to 2.8e-17: a budget between the
         # largest and the sum is met by each group and missed by the sum
         lat, lam = self.case("be16", fd_lat40)
         monkeypatch.setattr(modes, "_PMF_BUDGET", 2e-17)
-        drawn, laws, pmf = [], [], FactorLaw.pmf
+        drawn = []
         monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
-        monkeypatch.setattr(FactorLaw, "pmf", lambda law: laws.append(pmf(law)) or laws[-1])
         with pytest.raises(AccuracyError) as err:
             sample_NV(lat, lam, 10, seed=0)
-        assert len(laws) == 3 and max(tail for _, tail in laws) < 2e-17
+        assert len(group_pmfs) == 3 and max(tail for _, (_, tail) in group_pmfs) < 2e-17
         assert err.value.estimate > 2e-17
         assert drawn == []
 
